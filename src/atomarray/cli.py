@@ -229,21 +229,19 @@ def run_eigen(cfg, out):
 
 def run_transmit(cfg, out):
     from . import lli
-    from .observables import dipole_table, lorentzian_fit, transmission_reflection
+    from .observables import (dipole_table, farfield_detector, lorentzian_fit,
+                              spectrum)
     geo = geometry_from_config(cfg)
     tr = transition_from_config(cfg)
     beam = drive_from_config(cfg)
     system = lli.assemble(geo, tr, beam)
-    rows = []
-    for d in detuning_grid(cfg):
-        b = lli.steady_state(system, d)
-        t, r = transmission_reflection(dipole_table(system, b), geo, beam)
-        rows.append((d, abs(t) ** 2, abs(r) ** 2, t.real, t.imag))
+    deltas = detuning_grid(cfg)
+    t, r = spectrum(system, farfield_detector(geo, beam), deltas)
+    R = np.abs(r) ** 2
     path = out / "transmission.csv"
     write_csv(path, ["delta[gamma]", "T[1]", "R[1]", "Re_t[1]", "Im_t[1]"],
-              rows)
-    deltas = [r[0] for r in rows]
-    A, d0, w, c = lorentzian_fit(deltas, [r[2] for r in rows])
+              zip(deltas, np.abs(t) ** 2, R, t.real, t.imag))
+    A, d0, w, c = lorentzian_fit(deltas, R)
     meta = out / "transmit_fit.json"
     meta.write_text(json.dumps({"fitted_hwhm_gamma": w,
                                 "resonance_gamma": d0,
@@ -416,21 +414,21 @@ def run_g2(cfg, out):
     return [path]
 
 
-def run_disorder(cfg, out, seed):
+def run_disorder(cfg, out, seed, diagnostics):
     from .observables import disorder_average
     geo = geometry_from_config(cfg)
     tr = transition_from_config(cfg)
     beam = drive_from_config(cfg)
     n = cfg.get("n_realizations", 16)
-    rows = []
-    for d in detuning_grid(cfg, default=(-3, 3, 25)):
-        streams = seed_streams(seed, n)
-        rep = disorder_average(geo, tr, beam, n, streams, delta=d)
-        rows.append((d, abs(rep.mean_t) ** 2, abs(rep.mean_r) ** 2,
-                     rep.stderr_t, rep.stderr_r))
+    deltas = detuning_grid(cfg, default=(-3, 3, 25))
+    reps = disorder_average(geo, tr, beam, n, seed_streams(seed, n), deltas)
+    rows = [(d, abs(rep.mean_t) ** 2, abs(rep.mean_r) ** 2, rep.stderr_t,
+             rep.stderr_r) for d, rep in zip(deltas, reps)]
     path = out / "disorder_spectrum.csv"
     write_csv(path, ["delta[gamma]", "T[1]", "R[1]", "stderr_t[1]",
                      "stderr_r[1]"], rows)
+    # dropped (realization, detuning) pairs
+    diagnostics["disorder_failures"] = sum(rep.failures for rep in reps)
     return [path]
 
 
@@ -490,6 +488,7 @@ def run(config: dict, out_dir=None, seed=None) -> dict:
     out = Path(out_dir or config.get("out_dir", "."))
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
+    diagnostics = {}
     if scenario == "spectrum":
         artifacts = run_spectrum(config, out)
     elif scenario == "eigen":
@@ -509,7 +508,7 @@ def run(config: dict, out_dir=None, seed=None) -> dict:
     elif scenario == "g2":
         artifacts = run_g2(config, out)
     elif scenario == "disorder":
-        artifacts = run_disorder(config, out, seed)
+        artifacts = run_disorder(config, out, seed, diagnostics)
     else:
         artifacts = run_checks(config, out)
     import scipy
@@ -521,6 +520,7 @@ def run(config: dict, out_dir=None, seed=None) -> dict:
         "versions": {"atomarray": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__},
         "wall_time_s": round(time.time() - t0, 3),
+        "diagnostics": diagnostics,
         "artifacts": [str(p) for p in artifacts],
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2))

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularSeparationError
+from . import lli
+from .errors import (DegenerateConfigurationError, ResonantSingularityError,
+                     SingularSeparationError)
 from .geometry import Geometry, sample_positions
 from .kernel import GAMMA, K, XI, green_tensor
 from .lli import TransitionSpec
@@ -78,21 +80,38 @@ def sphere_grid(n_theta=N_THETA, n_phi=N_PHI):
     return np.vstack([nf, nb]), np.concatenate([wf, wb])
 
 
+def _farfield_phase(nhat, positions) -> np.ndarray:
+    """(M, N) phases e^{-i k n.r_j}, from a real argument (a complex one
+    costs a complex product and a complex exp)."""
+    return np.exp(-1j * (K * nhat @ positions.T))
+
+
 def farfield_amplitude(dipoles, geometry: Geometry, nhat) -> np.ndarray:
     """(M, 3) far-zone amplitude F with E_s(r n) ~ (e^{ikr}/r) F(n):
     F = XI (k^2/4pi) sum_j e^{-i k n.r_j} (n x p_j) x n."""
     nhat = np.atleast_2d(nhat)
     p = np.asarray(dipoles, dtype=complex)
-    phase = np.exp(-1j * K * nhat @ geometry.positions.T)       # (M, N)
-    vec = phase @ p                                             # (M, 3)
+    vec = _farfield_phase(nhat, geometry.positions) @ p        # (M, 3)
     vec = vec - nhat * np.einsum("mi,mi->m", nhat, vec)[:, None]
     return XI * K**2 / (4 * np.pi) * vec
 
 
-def transmission_reflection(dipoles, geometry: Geometry, beam,
-                            n_theta=N_THETA, n_phi=N_PHI,
-                            collection_half_angle=np.pi / 2):
-    """Amplitude transmission and reflection of a beam through the array.
+@dataclass(frozen=True)
+class Detector:
+    """(N, 3) weights of one geometry: t - 1 and r are linear in the
+    dipoles, t = 1 + sum(forward * p) and r = sum(backward * p)."""
+    forward: np.ndarray
+    backward: np.ndarray
+
+    def project(self, dipoles):
+        p = np.asarray(dipoles, dtype=complex)
+        return (complex(1.0 + np.sum(self.forward * p)),
+                complex(np.sum(self.backward * p)))
+
+
+def farfield_detector(geometry: Geometry, beam, n_theta=N_THETA, n_phi=N_PHI,
+                      collection_half_angle=np.pi / 2) -> Detector:
+    """Detector for the amplitude transmission and reflection of a beam.
 
     Projects the scattered far field on the incident (forward) and the
     mirrored (backward) beam modes over the collection cone:
@@ -103,6 +122,7 @@ def transmission_reflection(dipoles, geometry: Geometry, beam,
     with the beam's own far-zone amplitude (-i k w0^2 / 2 r) e^{ikr} f_in.
     The overlap normalization always covers the full forward hemisphere,
     so a finite collection cone reports only the collected fraction.
+    The quadrature over directions is summed before the dipoles are known.
     """
     nf, wf = hemisphere_grid(n_theta, n_phi, forward=True)
     nb, wb = hemisphere_grid(n_theta, n_phi, forward=False)
@@ -113,22 +133,33 @@ def transmission_reflection(dipoles, geometry: Geometry, beam,
         keepb = nb[:, 0] <= -np.cos(collection_half_angle)
         nf, wf = nf[keepf], wf[keepf]
         nb, wb = nb[keepb], wb[keepb]
-    fin_f = beam.farfield_mode(nf)
-    fin_b = beam.farfield_mode(nb)
     # Fraunhofer far-zone amplitude of the beam: (-i k w0^2 / 2 r) e^{ikr} f_in
     a_in = -1j * K * beam.waist**2 / 2.0 * beam.amplitude
-    Fs_f = farfield_amplitude(dipoles, geometry, nf)
-    Fs_b = farfield_amplitude(dipoles, geometry, nb)
-    denom = a_in * norm
-    t = 1.0 + np.sum(wf * np.einsum("mi,mi->m", fin_f.conj(), Fs_f)) / denom
-    r = np.sum(wb * np.einsum("mi,mi->m", fin_b.conj(), Fs_b)) / denom
-    return complex(t), complex(r)
+    scale = XI * K**2 / (4 * np.pi) / (a_in * norm)
+
+    def weights(nhat, w):
+        mode = w[:, None] * beam.farfield_mode(nhat).conj()
+        mode = mode - nhat * np.einsum("mi,mi->m", nhat, mode)[:, None]
+        return scale * (_farfield_phase(nhat, geometry.positions).T @ mode)
+
+    return Detector(weights(nf, wf), weights(nb, wb))
 
 
-def uniform_mode_rt(rho_ge, rabi, collective_linewidth):
-    """Single-mode path: r = i (gamma+gamma~) rho_ge / R, t = 1 + r."""
-    r = 1j * collective_linewidth * rho_ge / rabi
-    return 1.0 + r, r
+def transmission_reflection(dipoles, geometry: Geometry, beam,
+                            n_theta=N_THETA, n_phi=N_PHI,
+                            collection_half_angle=np.pi / 2):
+    """Amplitude t and r of a beam through the array (`farfield_detector`)."""
+    return farfield_detector(geometry, beam, n_theta, n_phi,
+                             collection_half_angle).project(dipoles)
+
+
+def spectrum(system, detector: Detector, deltas):
+    """Amplitude t and r of an assembled coupled-dipole system at each
+    detuning: one shifted solve and one detector projection per point."""
+    rt = [detector.project(dipole_table(system, lli.steady_state(system, d)))
+          for d in np.asarray(deltas, dtype=float)]
+    t, r = np.array(rt).T
+    return t, r
 
 
 def coupling_imag_matrix(geometry: Geometry, transition: TransitionSpec):
@@ -201,10 +232,10 @@ def farfield_rate_quadrature(corr, geometry: Geometry, transition: TransitionSpe
     m = basis.shape[1]
     n = len(pos)
     C = np.asarray(corr, dtype=complex).reshape(n, m, n, m)
-    phase = np.exp(1j * K * nhat @ pos.T)               # (M, N)
+    phase = _farfield_phase(nhat, pos)                  # (M, N)
     ne = nhat.astype(complex) @ basis                   # (M, m)
     pol = (basis.conj().T @ basis)[None, :, :] - ne[:, :, None].conj() * ne[:, None, :]
-    val = np.einsum("Mj,Ml,Mnm,jnlm->M", phase.conj(), phase, pol, C,
+    val = np.einsum("Mj,Ml,Mnm,jnlm->M", phase, phase.conj(), pol, C,
                     optimize=True)
     return float(3.0 * GAMMA / (4.0 * np.pi) * np.sum(w * val.real))
 
@@ -321,47 +352,66 @@ class EnsembleObservables:
 
 
 def disorder_average(geometry: Geometry, transition: TransitionSpec, beam,
-                     n_realizations: int, rng_streams, delta=0.0,
-                     field_points=None, max_failure_fraction=0.01):
-    """LLI disorder ensemble: sample positions, solve the coupled dipoles,
-    accumulate mean r/t and (optionally) mean fields; the incoherent
-    intensity is the ensemble variance at each field point.  Realization i
-    draws from rng_streams[i], so results are independent of scheduling."""
-    from . import lli
+                     n_realizations: int, rng_streams, deltas,
+                     field_points=None, max_failure_fraction=0.01) -> list:
+    """LLI disorder ensemble over a detuning grid: one EnsembleObservables
+    per detuning in `deltas`, with mean r/t and (optionally) mean fields;
+    the incoherent intensity is the ensemble variance at each field point.
+
+    Realization i draws from rng_streams[i], so results are independent of
+    scheduling; it is sampled, assembled and given its detector once.  A
+    failed sampling drops it at every detuning, a singular solve at that
+    detuning only; more than max(1, max_failure_fraction * n) drops at one
+    detuning re-raise.
+    """
     if n_realizations < 2:
         raise ValueError("need n >= 2 realizations")
-    t_acc, r_acc, f_acc = [], [], []
-    failures = 0
+    deltas = np.asarray(deltas, dtype=float)
+    t_acc, r_acc, f_acc = ([[] for _ in deltas] for _ in range(3))
+    failures = np.zeros(len(deltas), dtype=int)
+    limit = max(1, max_failure_fraction * n_realizations)
     for i in range(n_realizations):
         rng = np.random.default_rng(rng_streams[i])
         try:
             geo = sample_positions(geometry, rng)
-            sys_i = lli.assemble(geo, transition, beam)
-            b = lli.steady_state(sys_i, delta)
-        except Exception:
+        except DegenerateConfigurationError:
             failures += 1
-            if failures > max(1, max_failure_fraction * n_realizations):
+            if failures.max() > limit:
                 raise
             continue
-        dip = dipole_table(sys_i, b)
-        t, r = transmission_reflection(dip, geo, beam)
-        t_acc.append(t)
-        r_acc.append(r)
+        sys_i = lli.assemble(geo, transition, beam)
+        detector = farfield_detector(geo, beam)
+        for k, d in enumerate(deltas):
+            try:
+                b = lli.steady_state(sys_i, d)
+            except ResonantSingularityError:
+                failures[k] += 1
+                if failures[k] > limit:
+                    raise
+                continue
+            dip = dipole_table(sys_i, b)
+            t, r = detector.project(dip)
+            t_acc[k].append(t)
+            r_acc[k].append(r)
+            if field_points is not None:
+                f_acc[k].append(np.array([coherent_field(dip, geo, pt)
+                                          for pt in field_points]))
+    reps = []
+    for t_k, r_k, f_k, n_failed in zip(t_acc, r_acc, f_acc, failures):
+        t_arr, r_arr = np.array(t_k), np.array(r_k)
+        n = len(t_arr)
+        rep = EnsembleObservables(
+            n, complex(t_arr.mean()), complex(r_arr.mean()),
+            float(np.std(t_arr) / np.sqrt(n)),
+            float(np.std(r_arr) / np.sqrt(n)), failures=int(n_failed))
         if field_points is not None:
-            f_acc.append(np.array([coherent_field(dip, geo, pt)
-                                   for pt in field_points]))
-    t_arr, r_arr = np.array(t_acc), np.array(r_acc)
-    n = len(t_arr)
-    rep = EnsembleObservables(
-        n, complex(t_arr.mean()), complex(r_arr.mean()),
-        float(np.std(t_arr) / np.sqrt(n)), float(np.std(r_arr) / np.sqrt(n)),
-        failures=failures)
-    if field_points is not None:
-        F = np.array(f_acc)
-        rep.mean_field = F.mean(axis=0)
-        rep.mean_intensity = np.mean(np.sum(np.abs(F) ** 2, axis=-1), axis=0)
-        rep.incoherent_intensity = ensemble_incoherent_intensity(F)
-    return rep
+            F = np.array(f_k)
+            rep.mean_field = F.mean(axis=0)
+            rep.mean_intensity = np.mean(np.sum(np.abs(F) ** 2, axis=-1),
+                                         axis=0)
+            rep.incoherent_intensity = ensemble_incoherent_intensity(F)
+        reps.append(rep)
+    return reps
 
 
 def lorentzian_fit(deltas, values):

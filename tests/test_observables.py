@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atomarray import lli, observables as obs
 from atomarray.drives import GaussianBeam, PlaneWave
-from atomarray.geometry import LAMBDA, Geometry, build_square_lattice
+from atomarray.errors import (DegenerateConfigurationError,
+                              ResonantSingularityError)
+from atomarray.geometry import (LAMBDA, Geometry, build_square_lattice,
+                                sample_positions)
 from atomarray.kernel import GAMMA, K, XI, far_field_kernel, green_tensor
 from atomarray.lli import TransitionSpec
 from atomarray.streams import seed_streams
@@ -94,6 +99,59 @@ def test_finite_collection_cone_reduces_r_plus_t():
         dip, geo, beam, collection_half_angle=0.25)
     assert abs(r_cone) <= abs(r_full) + 1e-12
     assert abs(r_cone - r_full) > 1e-4      # some power falls outside
+
+
+def _direct_rt(dip, geo, beam, n_theta, n_phi, half_angle):
+    """Reference t and r: quadrature of the beam-mode overlaps of the
+    scattered far field, one direction at a time."""
+    nf, wf = obs.hemisphere_grid(n_theta, n_phi, forward=True)
+    nb, wb = obs.hemisphere_grid(n_theta, n_phi, forward=False)
+    fin = beam.farfield_mode(nf)
+    denom = (-1j * K * beam.waist**2 / 2.0 * beam.amplitude
+             * np.sum(wf * np.einsum("mi,mi->m", fin.conj(), fin)).real)
+
+    def overlap(nhat, w):
+        F = obs.farfield_amplitude(dip, geo, nhat)
+        return np.sum(w * np.einsum("mi,mi->m",
+                                    beam.farfield_mode(nhat).conj(), F))
+    keepf = nf[:, 0] >= np.cos(half_angle)
+    keepb = nb[:, 0] <= -np.cos(half_angle)
+    return (1.0 + overlap(nf[keepf], wf[keepf]) / denom,
+            overlap(nb[keepb], wb[keepb]) / denom)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.sampled_from([2, 4]),
+       st.floats(0.5, 3.0), st.sampled_from([np.pi / 2, 1.2, 0.3]))
+def test_detector_equals_direct_projection(seed, n, levels, waist_wl,
+                                           half_angle):
+    rng = np.random.default_rng(seed)
+    geo = Geometry(rng.uniform(-LAMBDA, LAMBDA, size=(n, 3)))
+    tr = TransitionSpec(levels=levels)
+    b = rng.normal(size=n * tr.components) \
+        + 1j * rng.normal(size=n * tr.components)
+    dip = obs.dipole_table(tr, b)
+    beam = GaussianBeam(waist=waist_wl * LAMBDA)
+    t, r = obs.farfield_detector(geo, beam, 16, 32, half_angle).project(dip)
+    t0, r0 = _direct_rt(dip, geo, beam, 16, 32, half_angle)
+    scale = max(abs(t0 - 1.0), abs(r0))
+    assert abs(t - t0) <= 1e-12 * scale
+    assert abs(r - r0) <= 1e-12 * scale
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(2, 4), st.sampled_from([2, 4]),
+       st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
+def test_spectrum_equals_per_point_solve(n, levels, deltas):
+    geo = build_square_lattice(n, n, 0.6 * LAMBDA)
+    tr = TransitionSpec(levels=levels, zeeman=(0.4, 0.0, 0.4))
+    beam = GaussianBeam(waist=1.5 * LAMBDA)
+    system = lli.assemble(geo, tr, beam)
+    t, r = obs.spectrum(system, obs.farfield_detector(geo, beam), deltas)
+    for i, d in enumerate(deltas):
+        b = lli.steady_state(system, d)
+        assert (t[i], r[i]) == obs.transmission_reflection(
+            obs.dipole_table(system, b), geo, beam)
 
 
 def test_scattering_rates_single_atom():
@@ -193,7 +251,7 @@ def test_disorder_zero_widths_equals_fixed():
     geo = build_square_lattice(3, 3, 0.7 * LAMBDA)
     beam = GaussianBeam(waist=1.5 * LAMBDA)
     streams = seed_streams(0, 4)
-    rep = obs.disorder_average(geo, EY, beam, 4, streams, delta=0.4)
+    rep, = obs.disorder_average(geo, EY, beam, 4, streams, [0.4])
     system = lli.assemble(geo, EY, beam)
     b = lli.steady_state(system, 0.4)
     t, r = obs.transmission_reflection(obs.dipole_table(system, b), geo, beam)
@@ -207,8 +265,8 @@ def test_disorder_average_with_fields():
     beam = GaussianBeam(waist=1.5 * LAMBDA)
     streams = seed_streams(42, 6)
     pts = np.array([[30.0, 0.0, 0.0], [-30.0, 0.0, 0.0]])
-    rep = obs.disorder_average(geo, EY, beam, 6, streams, delta=0.0,
-                               field_points=pts)
+    rep, = obs.disorder_average(geo, EY, beam, 6, streams, [0.0],
+                                field_points=pts)
     assert rep.n_realizations == 6
     assert rep.incoherent_intensity.shape == (2,)
     assert np.all(rep.incoherent_intensity > -1e-12)
@@ -218,10 +276,76 @@ def test_disorder_average_with_fields():
 def test_disorder_determinism():
     geo = build_square_lattice(3, 3, 0.68 * LAMBDA).with_fluctuation(0.15, 0.0)
     beam = GaussianBeam(waist=1.5 * LAMBDA)
-    a = obs.disorder_average(geo, EY, beam, 5, seed_streams(7, 5), delta=0.2)
-    b = obs.disorder_average(geo, EY, beam, 5, seed_streams(7, 5), delta=0.2)
+    a, = obs.disorder_average(geo, EY, beam, 5, seed_streams(7, 5), [0.2])
+    b, = obs.disorder_average(geo, EY, beam, 5, seed_streams(7, 5), [0.2])
     assert a.mean_t == b.mean_t
     assert a.mean_r == b.mean_r
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 4),
+       st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3))
+def test_disorder_grid_equals_per_detuning_ensembles(seed, n, deltas):
+    geo = build_square_lattice(3, 3, 0.68 * LAMBDA).with_fluctuation(0.15, 0.05)
+    beam = GaussianBeam(waist=1.5 * LAMBDA)
+    streams = seed_streams(seed, n)
+    reps = obs.disorder_average(geo, EY, beam, n, streams, deltas)
+    assert len(reps) == len(deltas)
+    for d, rep in zip(deltas, reps):
+        # reference: every realization re-sampled and re-solved at d
+        t, r = [], []
+        for s in streams:
+            g = sample_positions(geo, np.random.default_rng(s))
+            system = lli.assemble(g, EY, beam)
+            b = lli.steady_state(system, d)
+            ti, ri = obs.transmission_reflection(obs.dipole_table(system, b),
+                                                 g, beam)
+            t.append(ti)
+            r.append(ri)
+        t, r = np.array(t), np.array(r)
+        assert rep.n_realizations == n and rep.failures == 0
+        assert rep.mean_t == t.mean() and rep.mean_r == r.mean()
+        assert rep.stderr_t == np.std(t) / np.sqrt(n)
+        assert rep.stderr_r == np.std(r) / np.sqrt(n)
+
+
+def test_disorder_failures_dropped_counted_and_bugs_raise(monkeypatch):
+    geo = build_square_lattice(2, 2, 0.7 * LAMBDA).with_fluctuation(0.1, 0.0)
+    beam = GaussianBeam(waist=1.5 * LAMBDA)
+    deltas = [-0.5, 0.0, 0.5]
+    sample, solve = obs.sample_positions, lli.steady_state
+    n_samples, n_solves = [0], [0]
+
+    def failing_sample(g, rng):
+        n_samples[0] += 1
+        if n_samples[0] == 2:            # realization 1
+            raise DegenerateConfigurationError("overlap")
+        return sample(g, rng)
+
+    def failing_solve(system, d):
+        n_solves[0] += 1
+        if n_solves[0] == 3:             # realization 0 at delta = 0.5
+            raise ResonantSingularityError("resonance")
+        return solve(system, d)
+
+    monkeypatch.setattr(obs, "sample_positions", failing_sample)
+    monkeypatch.setattr(lli, "steady_state", failing_solve)
+    reps = obs.disorder_average(geo, EY, beam, 4, seed_streams(3, 4), deltas,
+                                max_failure_fraction=0.5)
+    assert [rep.failures for rep in reps] == [1, 1, 2]
+    assert [rep.n_realizations for rep in reps] == [3, 3, 2]
+
+    # the second drop at delta = 0.5 exceeds the default allowance of one
+    n_samples[0], n_solves[0] = 0, 0
+    with pytest.raises(DegenerateConfigurationError):
+        obs.disorder_average(geo, EY, beam, 4, seed_streams(3, 4), deltas)
+
+    def buggy_solve(system, d):
+        raise TypeError("bug")
+    monkeypatch.setattr(lli, "steady_state", buggy_solve)
+    with pytest.raises(TypeError):
+        obs.disorder_average(geo, EY, beam, 4, seed_streams(3, 4), deltas,
+                             max_failure_fraction=1.0)
 
 
 def test_reflectivity_degrades_with_fluctuations():
@@ -240,8 +364,8 @@ def test_reflectivity_degrades_with_fluctuations():
                                                geo, beam)
             refl.append(abs(r) ** 2)
         else:
-            rep = obs.disorder_average(geo, EY, beam, 24,
-                                       seed_streams(100 + i, 24), delta=0.36)
+            rep, = obs.disorder_average(geo, EY, beam, 24,
+                                        seed_streams(100 + i, 24), [0.36])
             refl.append(abs(rep.mean_r) ** 2)
     assert all(refl[i] > refl[i + 1] for i in range(len(refl) - 1))
 

@@ -149,6 +149,7 @@ def test_cli_disorder_roundtrip_bitstable(tmp_path):
     m1 = json.loads((out1 / "manifest.json").read_text())
     m2 = json.loads((out2 / "manifest.json").read_text())
     assert m1["config_sha256"] == m2["config_sha256"]
+    assert m1["diagnostics"] == {"disorder_failures": 0}
 
 
 def test_cli_traj_directional_clicks(tmp_path):
