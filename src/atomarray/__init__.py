@@ -9,9 +9,9 @@ __version__ = "0.1.0"
 from .geometry import (LAMBDA, Geometry, LatticeTrapSpec, build_bilayer,
                        build_ring, build_square_lattice, build_stack,
                        lattice_geometry, sample_positions, wannier_width)
-from .kernel import (GAMMA, K, XI, PairCoupling, far_field_kernel, green_1d,
-                     green_tensor, momentum_kernel_2d, momentum_kernel_3d,
-                     pair_coupling)
+from .kernel import (GAMMA, K, XI, PairCoupling, coupling_matrix,
+                     far_field_kernel, green_1d, green_tensor,
+                     momentum_kernel_2d, momentum_kernel_3d, pair_coupling)
 from .lli import CouplingSystem, TransitionSpec, assemble, eigenmodes, evolve
 from .lli import mode_occupation, steady_state
 from .streams import generator_for, seed_streams
@@ -21,7 +21,8 @@ __all__ = [
     "Geometry", "LatticeTrapSpec", "build_square_lattice", "build_bilayer",
     "build_stack", "build_ring", "lattice_geometry", "sample_positions",
     "wannier_width",
-    "PairCoupling", "green_tensor", "pair_coupling", "far_field_kernel",
+    "PairCoupling", "green_tensor", "pair_coupling", "coupling_matrix",
+    "far_field_kernel",
     "green_1d", "momentum_kernel_2d", "momentum_kernel_3d",
     "TransitionSpec", "CouplingSystem", "assemble", "steady_state", "evolve",
     "eigenmodes", "mode_occupation",

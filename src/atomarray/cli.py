@@ -1,6 +1,8 @@
 """Scenario runner: JSON configs in, CSV/JSON artifacts + run manifest out.
 
-Exit codes: 0 ok, 2 config error, 3 numeric failure.
+Exit codes: 0 ok, 2 config error, 3 numeric failure (an atomarray error
+type from `errors` or a LinAlgError).  Any other exception is a bug and
+propagates with its traceback.
 Every output table carries units in its header row; identical config and
 seed reproduce identical bytes (accumulation order is fixed by realization
 index, not by scheduling).
@@ -18,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import NonConvergenceError
+from .errors import AtomarrayError, NonConvergenceError
 from .geometry import (LAMBDA, Geometry, LatticeTrapSpec, build_bilayer,
                        build_ring, build_square_lattice, build_stack,
                        wannier_width)
@@ -105,10 +107,6 @@ CONFIG_SCHEMA = {
         "t_final": {"type": "number", "exclusiveMinimum": 0},
         "n_times": {"type": "integer", "minimum": 2},
         "tau_max": {"type": "number", "exclusiveMinimum": 0},
-        "detuning": {"type": "number"},
-        "tolerances": {"type": "object"},
-        "threads": {"type": "integer", "minimum": 1},
-        "bit_stable": {"type": "boolean"},
         "out_dir": {"type": "string"},
     },
 }
@@ -533,11 +531,6 @@ def main(argv=None) -> int:
         description="cooperative-scattering scenario runner")
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap for ensembles (results identical)")
-    parser.add_argument("--bit-stable", action="store_true",
-                        help="force serial accumulation (default behaviour "
-                             "is already index-ordered)")
     parser.add_argument("--out", default=None, help="output directory")
     args = parser.parse_args(argv)
     try:
@@ -555,7 +548,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(str(err), file=sys.stderr)
         return 2
-    except Exception as err:
+    except (AtomarrayError, np.linalg.LinAlgError) as err:
         print(f"numeric failure: {type(err).__name__}: {err}",
               file=sys.stderr)
         return 3

@@ -1,19 +1,27 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every type derives from AtomarrayError (and from the builtin type it
+refines), so callers can tell a numeric or physical failure from a bug.
+"""
 
 
-class SingularSeparationError(ValueError):
+class AtomarrayError(Exception):
+    """Base of the package's error types."""
+
+
+class SingularSeparationError(AtomarrayError, ValueError):
     """Two dipoles closer than the allowed minimum separation."""
 
 
-class DegenerateConfigurationError(RuntimeError):
+class DegenerateConfigurationError(AtomarrayError, RuntimeError):
     """Position sampling kept producing overlapping atoms."""
 
 
-class NearFieldRequestError(ValueError):
+class NearFieldRequestError(AtomarrayError, ValueError):
     """Far-field evaluation requested below the radiation-zone threshold."""
 
 
-class OnLightConeError(ValueError):
+class OnLightConeError(AtomarrayError, ValueError):
     """Momentum-space kernel evaluated on the light circle (k_perp ~ 0)."""
 
 
@@ -25,7 +33,7 @@ class BraggResonanceError(OnLightConeError):
         super().__init__(message or f"Bragg order g={self.gvec} on the light cone")
 
 
-class ResonantSingularityError(RuntimeError):
+class ResonantSingularityError(AtomarrayError, RuntimeError):
     """Steady-state solve at (or numerically near) a collective resonance."""
 
     def __init__(self, message, nearest_eigenvalue=None):
@@ -33,23 +41,23 @@ class ResonantSingularityError(RuntimeError):
         super().__init__(message)
 
 
-class StiffnessError(RuntimeError):
+class StiffnessError(AtomarrayError, RuntimeError):
     """Adaptive integrator step size underflowed."""
 
 
-class DimensionCapError(ValueError):
+class DimensionCapError(AtomarrayError, ValueError):
     """Requested Hilbert-space dimension exceeds the configured cap."""
 
 
-class PerfectReflectionError(RuntimeError):
+class PerfectReflectionError(AtomarrayError, RuntimeError):
     """Transfer matrix singular at r = -1; use scattering-matrix composition."""
 
 
-class UndefinedG2Error(RuntimeError):
+class UndefinedG2Error(AtomarrayError, RuntimeError):
     """g2 undefined because the mean detection rate vanishes."""
 
 
-class NonConvergenceError(RuntimeError):
+class NonConvergenceError(AtomarrayError, RuntimeError):
     """Iterative steady-state search did not reach the requested residual."""
 
     def __init__(self, message, residual=None, tail=None):

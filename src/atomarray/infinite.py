@@ -25,9 +25,8 @@ from scipy.optimize import brentq
 from scipy.special import erfc, erfi
 
 from .errors import BraggResonanceError
+from .geometry import LAMBDA
 from .kernel import GAMMA, K, XI
-
-LAMBDA = 2 * np.pi / K
 
 DEFAULT_ETA_LADDER = (0.05, 0.04, 0.03)   # in units of the lattice spacing
 

@@ -11,6 +11,9 @@ coincide).  For a unit dipole e at the origin and rho = k*r,
     G(r) e = (k^3/4pi) e^{i rho} [ (1 - rr)/rho + (3rr - 1)(1/rho^3 - i/rho^2) ] e.
 
 Pairwise couplings: Omega + i*gamma_pair = XI * e_nu^* . G(r_j - r_l) . e_mu.
+`coupling_matrix` assembles them for a whole array; every model (coupled
+dipoles, optical Bloch equations, master equation) takes its couplings
+from there.
 """
 from __future__ import annotations
 
@@ -86,6 +89,27 @@ def pair_coupling(r_j, r_l, e_nu, e_mu) -> PairCoupling:
     return PairCoupling(float(g.real), float(g.imag))
 
 
+def coupling_matrix(positions, basis) -> np.ndarray:
+    """(M, M) complex coupling matrix of N atoms whose dipole components are
+    the columns of `basis` (3, m); M = N m and row j*m + c is component c of
+    atom j.  Off-diagonal atom blocks are XI * basis^H G(r_j - r_l) basis,
+    the diagonal is i*gamma.  Complex symmetric for a real basis; the real
+    part holds the coherent shifts Omega, the imaginary part the
+    dissipative rates (gamma on the diagonal)."""
+    pos = np.asarray(positions, dtype=float)
+    n, m = len(pos), basis.shape[1]
+    C = np.zeros((n, m, n, m), dtype=complex)
+    if n > 1:
+        iu, il = np.triu_indices(n, 1)
+        G = XI * green_tensor(pos[iu] - pos[il])       # (npairs, 3, 3)
+        blocks = np.einsum("in,pij,jm->pnm", basis.conj(), G, basis)
+        C[iu, :, il, :] = blocks
+        C[il, :, iu, :] = blocks
+    C = C.reshape(n * m, n * m)
+    C[np.diag_indices(n * m)] = 1j * GAMMA
+    return C
+
+
 def kernel_matrix_element(rvec, e_nu, e_mu) -> complex:
     """e_nu^* . G(r) . e_mu for (possibly complex) unit vectors."""
     G = green_tensor(rvec)
@@ -154,20 +178,3 @@ def momentum_kernel_2d(q_par, x: float = 0.0, eta: float = 0.0) -> np.ndarray:
     mat = (K**2 * np.eye(3) - np.outer(q, q)).astype(complex)
     reg = np.exp(-q2 * eta**2 / 4.0)
     return 0.5j * reg * mat / k_perp * np.exp(1j * k_perp * abs(x))
-
-
-def dissipation_matrix(positions, orientations) -> np.ndarray:
-    """N x N real symmetric matrix of dissipative rates: diagonal gamma,
-    off-diagonal gamma_pair(j, l) for the given real dipole orientation(s).
-    Positive semidefinite for any distinct positions."""
-    pos = np.asarray(positions, dtype=float)
-    n = len(pos)
-    ors = np.asarray(orientations, dtype=float)
-    if ors.ndim == 1:
-        ors = np.tile(ors, (n, 1))
-    B = GAMMA * np.eye(n)
-    for j in range(n):
-        for l in range(j + 1, n):
-            g = XI * kernel_matrix_element(pos[j] - pos[l], ors[j], ors[l])
-            B[j, l] = B[l, j] = g.imag
-    return B

@@ -1,15 +1,17 @@
 """Low-light-intensity coupled-dipole model.
 
-Amplitudes b obey  db/dt = i (H + dH) b + f  with H complex symmetric:
-diagonal i*gamma, off-diagonal XI * e.G(r_j - r_l).e' between dipole
-components.  Two level structures are supported:
+Amplitudes b obey  db/dt = i (H + dH) b + f  with H = kernel.coupling_matrix
+in the dipole basis of the transition (`TransitionSpec.basis`): diagonal
+i*gamma, off-diagonal XI * e.G(r_j - r_l).e' between dipole components.
+Two level structures are supported:
 
 * two-level: one real dipole orientation per atom, H is N x N;
 * J=0 -> J'=1: three dipole components per atom.  Components are stored in
   the CARTESIAN basis (x, y, z), index map idx(j, c) = 3j + c, which keeps
   H exactly complex symmetric (in the circular basis it is not).  Zeeman
   shifts of the m = nu sublevels, entering as detunings Delta - nu*delta_nu,
-  become per-atom 3x3 Hermitian blocks of dH in this basis.
+  make the per-atom level block of dH (`TransitionSpec.level_block`) a 3x3
+  Hermitian matrix in this basis.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import scipy.linalg
 
 from .errors import ResonantSingularityError
 from .geometry import Geometry
-from .kernel import GAMMA, XI, circular_basis, green_tensor
+from .kernel import circular_basis, coupling_matrix
 
 COND_LIMIT = 1e12
 
@@ -30,9 +32,13 @@ class TransitionSpec:
     """Level structure of the optical transition.
 
     levels=2: a two-level transition with fixed real dipole `orientation`.
-    levels=4 (J=0 -> J'=1): isotropic transition; optional per-sublevel
-    Zeeman shift parameters (delta_m, delta_0, delta_p) producing level
-    shifts mu * delta_mu, uniform over atoms or per atom (N, 3).
+    levels=4 (J=0 -> J'=1): isotropic transition; optional Zeeman shift
+    parameters (delta_m, delta_0, delta_p), uniform over atoms, producing
+    level shifts mu * delta_mu.
+
+    The transition fixes the dipole basis every model works in (`basis`),
+    the per-atom level block (`level_block`) and the drive projection
+    (`rabi`).
     """
     levels: int = 2
     orientation: tuple = (0.0, 1.0, 0.0)
@@ -50,6 +56,27 @@ class TransitionSpec:
     def unit_orientation(self) -> np.ndarray:
         e = np.asarray(self.orientation, dtype=float)
         return e / np.linalg.norm(e)
+
+    @property
+    def basis(self) -> np.ndarray:
+        """(3, m) columns spanning the dipole components in use: the unit
+        orientation (two-level) or Cartesian x, y, z (J=0 -> J'=1)."""
+        if self.levels == 2:
+            return self.unit_orientation()[:, None].astype(complex)
+        return np.eye(3, dtype=complex)
+
+    @property
+    def level_block(self) -> np.ndarray:
+        """(m, m) Hermitian per-atom level block: detuning minus the Zeeman
+        shifts, delta*1 - zeeman_block."""
+        if self.levels == 2:
+            return np.array([[self.detuning]], dtype=complex)
+        return self.detuning * np.eye(3) - zeeman_block(self.zeeman)
+
+    def rabi(self, field) -> np.ndarray:
+        """(N, m) Rabi frequencies of the dipole components from (N, 3)
+        Cartesian drive fields: R = E . basis^*."""
+        return field @ self.basis.conj()
 
 
 @dataclass
@@ -78,44 +105,25 @@ def zeeman_block(zeeman) -> np.ndarray:
     return U @ np.diag([-dm, 0.0 * d0, dp]).astype(complex) @ U.conj().T
 
 
+def block_diagonal(n: int, block) -> np.ndarray:
+    """(n m, n m) matrix with the (m, m) block repeated on the atom
+    diagonal."""
+    m = block.shape[0]
+    out = np.zeros((n, m, n, m), dtype=complex)
+    j = np.arange(n)
+    out[j, :, j, :] = block
+    return out.reshape(n * m, n * m)
+
+
 def assemble(geometry: Geometry, transition: TransitionSpec,
              drive=None) -> CouplingSystem:
     """Build H, dH and f for the given geometry, transition and drive."""
     pos = geometry.positions
-    n = len(pos)
-    ncomp = transition.components
-    m = n * ncomp
-
-    H = 1j * GAMMA * np.eye(m, dtype=complex)
-    if n > 1:
-        iu, il = np.triu_indices(n, 1)
-        G = XI * green_tensor(pos[iu] - pos[il])       # (npairs, 3, 3)
-        if ncomp == 1:
-            e = transition.unit_orientation()
-            g = np.einsum("i,pij,j->p", e, G, e)
-            H[iu, il] = g
-            H[il, iu] = g
-        else:
-            for p, (j, l) in enumerate(zip(iu, il)):
-                H[3 * j:3 * j + 3, 3 * l:3 * l + 3] = G[p]
-                H[3 * l:3 * l + 3, 3 * j:3 * j + 3] = G[p]
-
-    dH = np.zeros((m, m), dtype=complex)
-    delta = transition.detuning
-    if ncomp == 1:
-        dH[np.diag_indices(m)] = delta
-    else:
-        blk = delta * np.eye(3) - zeeman_block(transition.zeeman)
-        for j in range(n):
-            dH[3 * j:3 * j + 3, 3 * j:3 * j + 3] = blk
-
-    f = np.zeros(m, dtype=complex)
+    H = coupling_matrix(pos, transition.basis)
+    dH = block_diagonal(len(pos), transition.level_block)
+    f = np.zeros(len(H), dtype=complex)
     if drive is not None:
-        E = drive.field(pos)                           # (n, 3) Rabi vectors
-        if ncomp == 1:
-            f = 1j * (E @ transition.unit_orientation())
-        else:
-            f = 1j * E.reshape(-1)
+        f = 1j * transition.rabi(drive.field(pos)).reshape(-1)
     return CouplingSystem(H, dH, f, geometry, transition)
 
 

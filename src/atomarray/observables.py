@@ -5,10 +5,10 @@ Fields are expressed in Rabi units (XI G maps a dipole amplitude to the
 field it contributes at another atom), so field / incident-amplitude
 ratios are dimensionless.
 
-Amplitude and correlation tables use the "component basis" of the
-transition: a single amplitude per atom for two-level atoms (dipole along
-the fixed orientation), or the three Cartesian components for the
-J=0 -> J'=1 transition.
+Amplitude and correlation tables use the dipole basis of the transition
+(`TransitionSpec.basis`): a single amplitude per atom for two-level atoms
+(dipole along the fixed orientation), or the three Cartesian components
+for the J=0 -> J'=1 transition.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from . import lli
 from .errors import (DegenerateConfigurationError, ResonantSingularityError,
                      SingularSeparationError)
 from .geometry import Geometry, sample_positions
-from .kernel import GAMMA, K, XI, green_tensor
+from .kernel import GAMMA, K, XI, coupling_matrix, green_tensor
 from .lli import TransitionSpec
 
 # default product quadrature on a hemisphere (Gauss-Legendre x uniform phi)
@@ -28,19 +28,11 @@ N_THETA = 48
 N_PHI = 96
 
 
-def component_basis(transition: TransitionSpec) -> np.ndarray:
-    """(3, m) matrix whose columns span the dipole components in use."""
-    if transition.components == 1:
-        return transition.unit_orientation()[:, None].astype(complex)
-    return np.eye(3, dtype=complex)
-
-
 def dipole_table(system_or_transition, b) -> np.ndarray:
     """(N, 3) Cartesian dipole vectors from a component-amplitude vector."""
-    tr = getattr(system_or_transition, "transition", system_or_transition)
-    basis = component_basis(tr)
-    m = basis.shape[1]
-    return np.asarray(b, dtype=complex).reshape(-1, m) @ basis.T
+    basis = getattr(system_or_transition, "transition",
+                    system_or_transition).basis
+    return np.asarray(b, dtype=complex).reshape(-1, basis.shape[1]) @ basis.T
 
 
 def coherent_field(dipoles, geometry: Geometry, point) -> np.ndarray:
@@ -162,29 +154,11 @@ def spectrum(system, detector: Detector, deltas):
     return t, r
 
 
-def coupling_imag_matrix(geometry: Geometry, transition: TransitionSpec):
-    """M x M real symmetric dissipative-coupling matrix: diagonal gamma,
-    off-diagonal Im[XI e.G(r_j - r_l).e'] between dipole components."""
-    pos = geometry.positions
-    n = len(pos)
-    basis = component_basis(transition)
-    m = basis.shape[1]
-    B = GAMMA * np.eye(n * m)
-    if n > 1:
-        iu, il = np.triu_indices(n, 1)
-        G = XI * green_tensor(pos[iu] - pos[il])
-        blocks = np.einsum("in,pij,jm->pnm", basis.conj(), G, basis).imag
-        for p, (j, l) in enumerate(zip(iu, il)):
-            B[m * j:m * j + m, m * l:m * l + m] = blocks[p]
-            B[m * l:m * l + m, m * j:m * j + m] = blocks[p].T
-    return B
-
-
 def total_scattering_rate(corr, geometry, transition) -> float:
     """Rate formula n_s = 2 gamma sum_{j,c} C_{(jc),(jc)} +
     2 sum_{j != l} gamma^{(jl)}_{cc'} C_{(jc),(lc')} for a Hermitian table
     C = <s+ s->."""
-    B = coupling_imag_matrix(geometry, transition)
+    B = coupling_matrix(geometry.positions, transition.basis).imag
     C = np.asarray(corr, dtype=complex)
     return float(2.0 * np.real(np.sum(B * C)))
 
@@ -206,8 +180,7 @@ def saq_incoherent_rate(populations, means) -> float:
 def scattering_rates(corr, means, geometry, transition) -> dict:
     """All three rates from a correlation table and the one-body means."""
     pops = np.real(np.diag(np.asarray(corr)))
-    basis = component_basis(transition)
-    m = basis.shape[1]
+    m = transition.components
     per_atom_pop = pops.reshape(-1, m).sum(axis=1)
     per_atom_mean = np.abs(np.asarray(means).reshape(-1, m)) ** 2
     n_inc = 2.0 * GAMMA * float(np.sum(per_atom_pop - per_atom_mean.sum(axis=1)))
@@ -228,7 +201,7 @@ def farfield_rate_quadrature(corr, geometry: Geometry, transition: TransitionSpe
     """
     nhat, w = sphere_grid(n_theta, n_phi)
     pos = geometry.positions
-    basis = component_basis(transition)
+    basis = transition.basis
     m = basis.shape[1]
     n = len(pos)
     C = np.asarray(corr, dtype=complex).reshape(n, m, n, m)
@@ -259,15 +232,12 @@ def intensity_decomposition(point, geometry, drive, amplitudes, transition,
     incoherent = 0.0
     if corr is not None:
         pos = geometry.positions
-        basis = component_basis(transition)
-        m = basis.shape[1]
-        n = len(pos)
-        b = np.asarray(amplitudes, dtype=complex).reshape(n * m)
+        basis = transition.basis
+        b = np.asarray(amplitudes, dtype=complex).reshape(-1)
         C = np.asarray(corr, dtype=complex)
         # A[(jc), a] = field component a at the point from unit amplitude (jc)
-        A = np.zeros((n * m, 3), dtype=complex)
-        for j in range(n):
-            A[j * m:(j + 1) * m] = (XI * green_tensor(point - pos[j]) @ basis).T
+        A = np.swapaxes(XI * green_tensor(point - pos) @ basis, 1, 2)
+        A = A.reshape(-1, 3)
         dC = C - np.outer(np.conj(b), b)
         incoherent = float(np.real(np.einsum("ia,ja,ij->", A.conj(), A, dC)))
     return {"incident": incident, "interference": interference,

@@ -8,27 +8,40 @@ The master equation (gamma units, hbar = 1) is
             + sum B_{(jc),(lc')} (2 s-_{lc'} rho s+_{jc}
                                   - s+_{jc} s-_{lc'} rho - rho s+_{jc} s-_{lc'})
 
-with B the real symmetric dissipative matrix (diagonal gamma, off-diagonal
-Im[XI e_c.G.e_c']) and Omega its real counterpart.  For the J=0 -> J'=1
-transition the three excited sublevels are kept in the CARTESIAN dipole
-basis |e_x>, |e_y>, |e_z> (the circular sublevels rotated by the unitary
-that also diagonalizes nothing here but keeps both Omega and B real
-symmetric); Zeeman splittings become Hermitian 3x3 blocks exactly as in
-the coupled-dipole module.
+with B = Im and Omega = Re of kernel.coupling_matrix in the dipole basis of
+the transition (B real symmetric, diagonal gamma; Omega real symmetric,
+zero diagonal) and
+
+  H_drive = -sum_{jc} (R_{jc} s+_{jc} + R*_{jc} s-_{jc})
+            - sum_j L_{cc'} s+_{jc} s-_{jc'},
+
+L the per-atom level block (`TransitionSpec.level_block`).  For the
+J=0 -> J'=1 transition the three excited sublevels are kept in the
+CARTESIAN dipole basis |e_x>, |e_y>, |e_z>, which keeps both Omega and B
+real symmetric; Zeeman splittings make L a Hermitian 3x3 block, the same
+as in the coupled-dipole module.  Every sum over atom components is a
+contraction over one stacked array of the lowering operators.
 
 Jump operators: diagonalizing B = sum_m beta_m w_m w_m^T gives collective
 decay channels J_m = sqrt(beta_m) w_m . Sigma with real orthonormal w_m,
 which reproduce the dissipator exactly (when the coherent and dissipative
 coupling matrices commute, the w_m coincide with coupled-dipole eigenmodes
-and beta_m with the collective linewidths).  Directional operators
-J(theta, phi; pol) carry solid-angle weights, double as photon detections,
-and their click rate 2<J^dag J> equals the far-field photon flux into the
-cell; their completeness sum converges to the dissipator as the angular
-grid refines.
+and beta_m with the collective linewidths).  The one generator of the
+master equation (`QuantumSystem.generator`) is built once per system in
+the form
+
+  drho/dt = -i (Hnh rho - rho Hnh^dag) + 2 sum_m J_m rho J_m^dag,
+  Hnh = H - i sum B_{il} s+_i s-_l.
+
+Directional operators J(theta, phi; pol) carry solid-angle weights, double
+as photon detections, and their click rate 2<J^dag J> equals the far-field
+photon flux into the cell; their completeness sum converges to the
+dissipator as the angular grid refines.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -36,9 +49,9 @@ import scipy.linalg
 from .errors import DimensionCapError, NonConvergenceError, UndefinedG2Error
 from .geometry import Geometry
 from .integrate import integrate_complex
-from .kernel import GAMMA, K, XI, green_tensor
-from .lli import TransitionSpec, zeeman_block
-from .observables import component_basis, sphere_grid
+from .kernel import GAMMA, K, coupling_matrix
+from .lli import TransitionSpec, block_diagonal
+from .observables import sphere_grid
 
 QME_DIM_CAP = 4096          # density-matrix evolution
 TRAJ_DIM_CAP = 65536        # pure-state trajectories
@@ -122,6 +135,13 @@ class AtomOperators:
         return psi / np.linalg.norm(psi)
 
 
+def pair_sum(coefficients, lower) -> np.ndarray:
+    """sum_{il} c_il s+_i s-_l as one contraction over the stacked (M, D, D)
+    lowering operators."""
+    inner = np.tensordot(coefficients, lower, axes=(1, 0))   # sum_l c_il s-_l
+    return np.tensordot(lower.conj(), inner, axes=([0, 1], [0, 1]))
+
+
 @dataclass
 class QuantumSystem:
     """Dense operator tables for one geometry + transition + drive."""
@@ -129,7 +149,7 @@ class QuantumSystem:
     geometry: Geometry
     transition: TransitionSpec
     ops: AtomOperators
-    lower: list                  # dense sigma^-_{jc}, flattened (j, c)
+    lower: np.ndarray            # (M, D, D) stacked sigma^-_{jc}, index j*m + c
     hamiltonian: np.ndarray      # drive + detuning/Zeeman + coherent couplings
     bmatrix: np.ndarray          # dissipative matrix, M x M real symmetric
     channel_rates: np.ndarray    # eigenvalues of bmatrix (>= 0)
@@ -139,31 +159,42 @@ class QuantumSystem:
     def dim(self) -> int:
         return self.spec.dim
 
-    def source_jump_ops(self) -> list:
-        """J_m = sqrt(beta_m) w_m . Sigma over the decay channels."""
-        out = []
-        M = len(self.lower)
-        for m in range(M):
-            beta = max(float(self.channel_rates[m]), 0.0)
-            J = np.zeros((self.dim, self.dim), dtype=complex)
-            for i in range(M):
-                J += self.channel_modes[i, m] * self.lower[i]
-            out.append(np.sqrt(beta) * J)
-        return out
+    def source_jump_ops(self) -> np.ndarray:
+        """(M, D, D) stacked J_m = sqrt(beta_m) w_m . Sigma over the decay
+        channels."""
+        beta = np.clip(self.channel_rates, 0.0, None)
+        return np.tensordot(self.channel_modes * np.sqrt(beta), self.lower,
+                            axes=(0, 0))
 
     def dissipator_operator(self) -> np.ndarray:
         """sum B_{il} s+_i s-_l (equals sum_m J_m^dag J_m)."""
-        M = len(self.lower)
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for i in range(M):
-            for l in range(M):
-                if self.bmatrix[i, l] != 0.0:
-                    out += self.bmatrix[i, l] * (
-                        self.lower[i].conj().T @ self.lower[l])
-        return out
+        return pair_sum(self.bmatrix, self.lower)
 
     def population_operator(self) -> np.ndarray:
-        return sum(s.conj().T @ s for s in self.lower)
+        return pair_sum(np.eye(len(self.lower)), self.lower)
+
+    @cached_property
+    def generator(self) -> "QmeGenerator":
+        """The master-equation generator, built once per system."""
+        return QmeGenerator(
+            self.hamiltonian - 1j * self.dissipator_operator(),
+            self.source_jump_ops())
+
+
+class QmeGenerator:
+    """drho/dt = -i (Hnh rho - rho Hnh^dag) + 2 sum_m J_m rho J_m^dag."""
+
+    def __init__(self, hnh, jumps):
+        self.hnh = hnh
+        self.hnh_dag = hnh.conj().T
+        self.jumps = jumps
+        self.jumps_dag = jumps.conj().transpose(0, 2, 1)
+
+    def __call__(self, rho) -> np.ndarray:
+        out = -1j * (self.hnh @ rho - rho @ self.hnh_dag)
+        for J, Jd in zip(self.jumps, self.jumps_dag):
+            out += 2.0 * (J @ rho @ Jd)
+        return out
 
 
 def build_quantum_system(geometry: Geometry, transition: TransitionSpec,
@@ -172,53 +203,18 @@ def build_quantum_system(geometry: Geometry, transition: TransitionSpec,
     spec = HilbertSpec(n, transition.levels)
     _check_cap(spec.dim, dim_cap, "Hilbert space")
     ops = AtomOperators(spec)
-    ncomp = spec.ncomp
-    basis = component_basis(transition)           # (3, ncomp)
+    lower = np.array([ops.lower_matrix(j, c)
+                      for j in range(n) for c in range(spec.ncomp)])
 
-    lower = [ops.lower_matrix(j, c) for j in range(n) for c in range(ncomp)]
-
-    # detuning / Zeeman block per atom (Hermitian ncomp x ncomp)
-    if ncomp == 1:
-        det_block = np.array([[transition.detuning]], dtype=complex)
-    else:
-        det_block = (transition.detuning * np.eye(3)
-                     - zeeman_block(transition.zeeman))
-
-    # drive Rabi components R_{jc} = e_c . E(r_j)
-    if drive is None:
-        R = np.zeros((n, ncomp), dtype=complex)
-    else:
-        E = drive.field(geometry.positions)
-        R = np.einsum("in,ji->jn", basis.conj(), E)
-
-    D = spec.dim
-    H = np.zeros((D, D), dtype=complex)
-    for j in range(n):
-        for a in range(ncomp):
-            sa = lower[j * ncomp + a]
-            H += -(R[j, a] * sa.conj().T + np.conj(R[j, a]) * sa)
-            for b in range(ncomp):
-                if det_block[a, b] != 0.0:
-                    H += -det_block[a, b] * (
-                        lower[j * ncomp + a].conj().T @ lower[j * ncomp + b])
-
-    pos = geometry.positions
-    M = n * ncomp
-    B = GAMMA * np.eye(M)
-    if n > 1:
-        for j in range(n):
-            for l in range(j + 1, n):
-                g = XI * np.einsum("in,ij,jm->nm", basis.conj(),
-                                   green_tensor(pos[j] - pos[l]), basis)
-                # real symmetric in the Cartesian component basis
-                for a in range(ncomp):
-                    for b in range(ncomp):
-                        H += -g[a, b].real * (
-                            lower[j * ncomp + a].conj().T @ lower[l * ncomp + b]
-                            + lower[l * ncomp + b].conj().T @ lower[j * ncomp + a])
-                        B[j * ncomp + a, l * ncomp + b] = g[a, b].imag
-                        B[l * ncomp + b, j * ncomp + a] = g[a, b].imag
-    B = 0.5 * (B + B.T)
+    C = coupling_matrix(geometry.positions, transition.basis)
+    B = C.imag
+    # coherent couplings (zero diagonal) plus the per-atom level blocks
+    omega = C.real + block_diagonal(n, transition.level_block)
+    H = -pair_sum(omega, lower)
+    if drive is not None:
+        R = transition.rabi(drive.field(geometry.positions)).reshape(-1)
+        pump = np.tensordot(R, lower.conj().transpose(0, 2, 1), axes=1)
+        H -= pump + pump.conj().T                  # sum R s+ + R* s-
     rates, modes = np.linalg.eigh(B)
     return QuantumSystem(spec, geometry, transition, ops, lower, H, B,
                          rates, modes)
@@ -226,37 +222,17 @@ def build_quantum_system(geometry: Geometry, transition: TransitionSpec,
 
 def qme_rhs(rho, system: QuantumSystem) -> np.ndarray:
     """drho/dt of the master equation (only D x D objects ever appear)."""
-    H = system.hamiltonian
-    out = -1j * (H @ rho - rho @ H)
-    # dissipator via the channel decomposition, exactly equivalent to the
-    # pairwise double sum but with M instead of M^2 terms
-    M = len(system.lower)
-    for m in range(M):
-        beta = float(system.channel_rates[m])
-        if abs(beta) < 1e-15:
-            continue
-        Jm = np.zeros_like(H)
-        for i in range(M):
-            Jm += system.channel_modes[i, m] * system.lower[i]
-        JdJ = Jm.conj().T @ Jm
-        out += beta * (2.0 * Jm @ rho @ Jm.conj().T - JdJ @ rho - rho @ JdJ)
-    return out
+    return system.generator(np.asarray(rho, dtype=complex))
 
 
 def evolve_qme(rho0, system: QuantumSystem, t_grid, rtol=1e-9, atol=1e-11):
     """Integrate the master equation; returns (nt, D, D)."""
     D = system.dim
     _check_cap(D, QME_DIM_CAP, "QME")
-    jops = system.source_jump_ops()
-    Hnh = system.hamiltonian - 1j * system.dissipator_operator()
-    Jd = [J.conj().T for J in jops]
+    generator = system.generator
 
     def rhs(t, y):
-        rho = y.reshape(D, D)
-        out = -1j * (Hnh @ rho - rho @ Hnh.conj().T)
-        for J, Jdm in zip(jops, Jd):
-            out += 2.0 * (J @ rho @ Jdm)
-        return out.ravel()
+        return generator(y.reshape(D, D)).ravel()
 
     out = integrate_complex(rhs, np.asarray(rho0, dtype=complex).ravel(),
                             t_grid, rtol=rtol, atol=atol)
@@ -346,9 +322,7 @@ def directional_basis(system: QuantumSystem, n_theta=12, n_phi=24) -> JumpBasis:
     grid refines, and 2<J^dag J> is the photon flux into the cell.
     """
     nhat, w = sphere_grid(n_theta, n_phi)
-    basis = component_basis(system.transition)
-    ncomp = basis.shape[1]
-    n = system.spec.natoms
+    basis = system.transition.basis
     pos = system.geometry.positions
     ops, dirs, wts = [], [], []
     amp0 = 3.0 * GAMMA / (8.0 * np.pi)
@@ -365,11 +339,8 @@ def directional_basis(system: QuantumSystem, n_theta=12, n_phi=24) -> JumpBasis:
             coef = pol.astype(complex) @ basis          # (ncomp,)
             if np.max(np.abs(coef)) < 1e-14:
                 continue
-            J = np.zeros((system.dim, system.dim), dtype=complex)
-            for j in range(n):
-                for c in range(ncomp):
-                    if coef[c] != 0.0:
-                        J += coef[c] * phases[j] * system.lower[j * ncomp + c]
+            J = np.tensordot(np.outer(phases, coef).ravel(), system.lower,
+                             axes=1)
             ops.append(np.sqrt(amp0 * w[i]) * J)
             dirs.append((theta, phi))
             wts.append(w[i])
@@ -518,8 +489,7 @@ def detection_operator(system: QuantumSystem, theta, phi,
     projection of the dominant component."""
     nh = np.array([np.cos(theta), np.sin(theta) * np.cos(phi),
                    np.sin(theta) * np.sin(phi)])
-    basis = component_basis(system.transition)
-    ncomp = basis.shape[1]
+    basis = system.transition.basis
     if polarization is None:
         proj = basis - np.outer(nh, nh.astype(complex) @ basis)
         norms = np.real(np.einsum("ic,ic->c", proj.conj(), proj))
@@ -532,12 +502,7 @@ def detection_operator(system: QuantumSystem, theta, phi,
     coef = pol.conj() @ basis
     pos = system.geometry.positions
     phases = np.exp(-1j * K * pos @ nh)
-    E = np.zeros((system.dim, system.dim), dtype=complex)
-    for j in range(system.spec.natoms):
-        for c in range(ncomp):
-            if coef[c] != 0.0:
-                E += coef[c] * phases[j] * system.lower[j * ncomp + c]
-    return E
+    return np.tensordot(np.outer(phases, coef).ravel(), system.lower, axes=1)
 
 
 def g2_regression(system: QuantumSystem, tau_grid, theta=0.0, phi=0.0,

@@ -3,21 +3,23 @@ uniform-mode reduction, steady states, power broadening, cooperativity,
 and bistability analysis.
 
 Per atom j the state holds the ground-excited coherences rho_ge,nu and the
-excited-level block rho_{e nu, e eta} (populations on the diagonal); the
-ground population is eliminated by conservation.  The drive seen by atom j
-is the effective Rabi frequency
+excited-level block X_{nu eta} = rho_{e eta, e nu} (populations on the
+diagonal); the ground population is eliminated by conservation.  The drive
+seen by atom j is the effective Rabi frequency
 
     Rbar_nu(j) = R_nu(j) + XI * sum_{l != j} G_numu(r_j - r_l) rho_ge,mu(l),
 
-and the equations of motion are
+with the couplings of kernel.coupling_matrix, and with the per-atom
+Hermitian level block L = Delta*1 - zeeman_block the equations of motion are
 
-    d/dt rho_ge,eta  = (i Delta_eta - gamma) rho_ge,eta
-                       + i Rbar_eta rho_gg - i Rbar_tau rho_{e tau, e eta}
-    d/dt rho_{e nu,e eta} = (i(Delta_eta - Delta_nu) - 2 gamma) rho_{e nu,e eta}
+    d/dt rho_ge,eta  = i L_{eta tau} rho_ge,tau - gamma rho_ge,eta
+                       + i Rbar_eta rho_gg - i Rbar_tau X_{tau eta}
+    d/dt X_{nu eta}  = i (X L^T - L^T X)_{nu eta} - 2 gamma X_{nu eta}
                        + i Rbar_eta conj(rho_ge,nu) - i conj(Rbar_nu conj(rho_ge,eta)).
 
 Two-level atoms keep a single coherence/population pair per atom; the
-J=0 -> J'=1 variant uses the circular components eta = -1, 0, +1.
+J=0 -> J'=1 variant uses the Cartesian components eta = x, y, z, the
+dipole basis of the coupled-dipole and master-equation models.
 """
 from __future__ import annotations
 
@@ -27,9 +29,9 @@ import numpy as np
 import scipy.optimize
 
 from .errors import NonConvergenceError
-from .geometry import Geometry
+from .geometry import LAMBDA, Geometry
 from .integrate import integrate_complex
-from .kernel import GAMMA, XI, circular_basis, green_tensor
+from .kernel import GAMMA, coupling_matrix
 from .lli import TransitionSpec
 
 
@@ -71,76 +73,57 @@ class SemiclassicalState:
 class ObeSystem:
     """Geometry-dependent pieces of the OBEs, precomputed.
 
-    coupling[j, nu, l, mu] = XI * G_numu(r_j - r_l) (zero for j = l);
-    detunings[j, nu] includes the laser detuning and Zeeman shifts;
+    coupling[(j nu), (l mu)] = XI * G_numu(r_j - r_l) (zero for j = l), the
+    rescattering part of kernel.coupling_matrix;
+    level is the per-atom level block (laser detuning and Zeeman shifts);
     rabi[j, nu] is the bare drive.
     """
     coupling: np.ndarray
-    detunings: np.ndarray
+    level: np.ndarray
     rabi: np.ndarray
     transition: TransitionSpec
 
     @property
     def natoms(self) -> int:
-        return self.coupling.shape[0]
+        return self.rabi.shape[0]
 
     @property
     def ncomp(self) -> int:
-        return self.coupling.shape[1]
+        return self.rabi.shape[1]
 
     def with_drive(self, rabi) -> "ObeSystem":
-        return ObeSystem(self.coupling, self.detunings,
+        return ObeSystem(self.coupling, self.level,
                          np.asarray(rabi, dtype=complex), self.transition)
 
 
 def build_obe_system(geometry: Geometry, transition: TransitionSpec,
                      drive=None) -> ObeSystem:
     pos = geometry.positions
-    n = len(pos)
-    if transition.levels == 2:
-        m = 1
-        e = transition.unit_orientation()
-        basis = e[:, None].astype(complex)
-    else:
-        m = 3
-        basis = circular_basis()
-    C = np.zeros((n, m, n, m), dtype=complex)
-    if n > 1:
-        iu, il = np.triu_indices(n, 1)
-        G = XI * green_tensor(pos[iu] - pos[il])
-        # circular matrix elements e_nu^* . G . e_mu
-        blocks = np.einsum("in,pij,jm->pnm", basis.conj(), G, basis)
-        for p, (j, l) in enumerate(zip(iu, il)):
-            C[j, :, l, :] = blocks[p]
-            C[l, :, j, :] = blocks[p]
-    if transition.levels == 2:
-        det = np.full((n, 1), transition.detuning)
-    else:
-        mu = np.array([-1.0, 0.0, 1.0])
-        shifts = mu * np.asarray(transition.zeeman, dtype=float)
-        det = transition.detuning - np.tile(shifts, (n, 1))
+    basis = transition.basis
+    C = coupling_matrix(pos, basis)
+    C[np.diag_indices(len(C))] -= 1j * GAMMA
     if drive is None:
-        R = np.zeros((n, m), dtype=complex)
+        R = np.zeros((len(pos), basis.shape[1]), dtype=complex)
     else:
-        E = drive.field(pos)
-        R = np.einsum("in,ji->jn", basis.conj(), E)
-    return ObeSystem(C, det, R, transition)
+        R = transition.rabi(drive.field(pos))
+    return ObeSystem(C, transition.level_block, R, transition)
 
 
 def effective_rabi(system: ObeSystem, coherences) -> np.ndarray:
     """Rbar = R + XI sum_l G rho_ge(l): drive plus rescattered fields."""
-    return system.rabi + np.einsum("jnlm,lm->jn", system.coupling, coherences)
+    return system.rabi + (system.coupling @ coherences.ravel()).reshape(
+        coherences.shape)
 
 
 def obe_rhs(state: SemiclassicalState, system: ObeSystem) -> SemiclassicalState:
     coh, exc = state.coherences, state.excited
     rbar = effective_rabi(system, coh)
     rho_gg = 1.0 - np.einsum("jnn->j", exc)
-    dcoh = ((1j * system.detunings - GAMMA) * coh
+    LT = system.level.T
+    dcoh = (1j * coh @ LT - GAMMA * coh
             + 1j * rbar * rho_gg[:, None]
             - 1j * np.einsum("jt,jte->je", rbar, exc))
-    delta_bar = system.detunings[:, None, :] - system.detunings[:, :, None]
-    dexc = ((1j * delta_bar - 2 * GAMMA) * exc
+    dexc = (1j * (exc @ LT - LT @ exc) - 2 * GAMMA * exc
             + 1j * rbar[:, None, :] * np.conj(coh)[:, :, None]
             - 1j * np.conj(rbar[:, :, None] * np.conj(coh)[:, None, :]))
     return SemiclassicalState(dcoh, dexc)
@@ -379,9 +362,8 @@ def has_bistable_window(a, sums=None, delta_span=None, samples=1601) -> bool:
 def max_bistable_spacing(a_grid=None) -> float:
     """Largest lattice spacing in a_grid with a bistable window; compare
     with the analytic bound k a < sqrt(pi/3) (a ~ 0.163 lambda)."""
-    lam = 2 * np.pi
     if a_grid is None:
-        a_grid = np.linspace(0.10, 0.20, 21) * lam
+        a_grid = np.linspace(0.10, 0.20, 21) * LAMBDA
     best = 0.0
     for a in sorted(a_grid):
         if has_bistable_window(a):

@@ -23,9 +23,8 @@ from scipy.integrate import quad
 from scipy.special import exp1
 
 from .errors import PerfectReflectionError, ResonantSingularityError
+from .geometry import LAMBDA
 from .kernel import GAMMA, K
-
-LAMBDA = 2 * np.pi / K
 
 
 @dataclass(frozen=True)
@@ -142,27 +141,22 @@ def propagation(d: float) -> np.ndarray:
     return np.diag([np.exp(1j * K * d), np.exp(-1j * K * d)])
 
 
-def layer_reflection(delta, gamma_1d, shift=0.0) -> complex:
-    """Single-layer (superatom) reflection amplitude."""
-    return -1j * gamma_1d / (delta + shift + 1j * gamma_1d)
+def layer_reflection(delta, gamma_1d, shift=0.0, loss_factor=1.0):
+    """Single-layer (superatom) reflection amplitude; the loss factor scales
+    the emitted field.  Broadcasts over layers."""
+    return -1j * (gamma_1d * loss_factor) / (delta + shift + 1j * gamma_1d)
 
 
 def system_transfer(stack: LayerStack, delta) -> np.ndarray:
     """Composed transfer matrix of the whole stack."""
     T = np.eye(2, dtype=complex)
-    for j in range(stack.nlayers):
+    r_layers = layer_reflection(delta, stack.gamma_1d, stack.shift,
+                                stack.loss_factor)
+    for j, r in enumerate(r_layers):
         if j > 0:
             T = T @ propagation(stack.x[j] - stack.x[j - 1])
-        g_eff = stack.gamma_1d[j] * stack.loss_factor[j]
-        r = -1j * g_eff / (delta + stack.shift[j]
-                           + 1j * stack.gamma_1d[j])
         T = T @ layer_transfer(r)
     return T
-
-
-def _layer_r(stack: LayerStack, j, delta):
-    g_eff = stack.gamma_1d[j] * stack.loss_factor[j]
-    return -1j * g_eff / (delta + stack.shift[j] + 1j * stack.gamma_1d[j])
 
 
 def system_rt_scattering(stack: LayerStack, delta):
@@ -170,10 +164,12 @@ def system_rt_scattering(stack: LayerStack, delta):
     (regular even at per-layer perfect reflection, where the transfer
     matrix is singular)."""
     S = None
-    for j in range(stack.nlayers):
+    r_layers = layer_reflection(delta, stack.gamma_1d, stack.shift,
+                                stack.loss_factor)
+    for j, r in enumerate(r_layers):
         d_next = (stack.x[j + 1] - stack.x[j]
                   if j + 1 < stack.nlayers else 0.0)
-        sj = layer_scattering(_layer_r(stack, j, delta), d_next=d_next)
+        sj = layer_scattering(r, d_next=d_next)
         S = sj if S is None else redheffer_star(S, sj)
     return complex(S[0, 0]), complex(S[1, 0])
 

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from atomarray.errors import (NearFieldRequestError, OnLightConeError,
                               SingularSeparationError)
-from atomarray.kernel import (GAMMA, K, XI, circular_basis, dissipation_matrix,
+from atomarray.geometry import LAMBDA, min_pair_distance
+from atomarray.kernel import (GAMMA, K, XI, circular_basis, coupling_matrix,
                               far_field_kernel, green_1d, green_tensor,
                               kernel_matrix_element, momentum_kernel_2d,
                               momentum_kernel_3d, pair_coupling)
-
-LAMBDA = 2 * np.pi
 
 
 def green_term_by_term(rvec):
@@ -197,8 +196,51 @@ def test_dissipation_matrix_positive_semidefinite():
             continue
         e = rng.normal(size=3)
         e /= np.linalg.norm(e)
-        B = dissipation_matrix(pos, e)
+        B = coupling_matrix(pos, e[:, None]).imag
         assert np.linalg.eigvalsh(B).min() > -1e-9 * GAMMA
+
+
+coordinate = st.floats(-1.5 * LAMBDA, 1.5 * LAMBDA)
+direction = st.tuples(st.floats(-1, 1), st.floats(-1, 1),
+                      st.floats(-1, 1)).filter(lambda v: np.linalg.norm(v) > 0.1)
+
+
+@st.composite
+def dipole_bases(draw):
+    """(kind, (3, m) basis): a random real orientation, the Cartesian
+    basis, or the circular basis of a random quantization axis."""
+    kind = draw(st.sampled_from(["orientation", "cartesian", "circular"]))
+    if kind == "cartesian":
+        return kind, np.eye(3, dtype=complex)
+    v = np.asarray(draw(direction))
+    if kind == "orientation":
+        return kind, (v / np.linalg.norm(v))[:, None]
+    return kind, circular_basis(v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(coordinate, coordinate, coordinate),
+                min_size=1, max_size=5), dipole_bases())
+def test_coupling_matrix_matches_pair_coupling(points, kind_basis):
+    kind, basis = kind_basis
+    pos = np.asarray(points)
+    assume(min_pair_distance(pos) > 0.05)
+    n, m = len(pos), basis.shape[1]
+    C = coupling_matrix(pos, basis)
+    assert C.shape == (n * m, n * m)
+    blocks = C.reshape(n, m, n, m)
+    for j in range(n):
+        assert np.array_equal(blocks[j, :, j, :], 1j * GAMMA * np.eye(m))
+        for l in range(n):
+            if l == j:
+                continue
+            want = np.array([[pair_coupling(pos[j], pos[l], basis[:, a],
+                                            basis[:, b]).complex_coupling
+                              for b in range(m)] for a in range(m)])
+            dev = np.max(np.abs(blocks[j, :, l, :] - want))
+            assert dev <= 1e-13 * np.max(np.abs(want))
+    if kind != "circular":
+        assert np.array_equal(C, C.T)       # complex symmetric
 
 
 def test_circular_basis_orthonormal():

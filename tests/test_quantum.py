@@ -64,6 +64,45 @@ def test_qme_trace_and_hermiticity_preservation():
         assert np.linalg.eigvalsh(0.5 * (r + r.conj().T)).min() > -1e-8
 
 
+@pytest.mark.parametrize("tr", [
+    TransitionSpec(levels=2, orientation=(0.3, 1.0, -0.2), detuning=0.4),
+    TransitionSpec(levels=4, zeeman=(0.3, 0.0, 0.5), detuning=-0.2)])
+def test_qme_rhs_equals_pairwise_lindblad_sum(tr):
+    """qme_rhs against the pairwise double sum of the module docstring,
+    with Omega from pair_coupling and B from the system's bmatrix."""
+    from atomarray.kernel import pair_coupling
+    geo = Geometry([[0, 0, 0], [0.2, 0.5, 0.35 * LAMBDA]])
+    drive = PlaneWave(amplitude=0.7, polarization=(0, 0.6, 0.8))
+    qs = qt.build_quantum_system(geo, tr, drive)
+    S = list(qs.lower)
+    Sd = [s.conj().T for s in S]
+    m = tr.basis.shape[1]
+    R = (drive.field(geo.positions) @ tr.basis.conj()).ravel()
+    B = qs.bmatrix
+    H = np.zeros((qs.dim, qs.dim), dtype=complex)
+    for i in range(len(S)):
+        H -= R[i] * Sd[i] + np.conj(R[i]) * S[i]
+        for l in range(len(S)):
+            j, a, k, b = i // m, i % m, l // m, l % m
+            if j == k:
+                coef = tr.level_block[a, b]
+            else:
+                coef = pair_coupling(geo.positions[j], geo.positions[k],
+                                     tr.basis[:, a], tr.basis[:, b]).omega
+            H -= coef * Sd[i] @ S[l]
+    rng = np.random.default_rng(12)
+    A = rng.normal(size=(qs.dim, qs.dim)) + 1j * rng.normal(size=(qs.dim, qs.dim))
+    rho = A @ A.conj().T
+    rho /= np.trace(rho).real
+    want = -1j * (H @ rho - rho @ H)
+    for i in range(len(S)):
+        for l in range(len(S)):
+            want += B[i, l] * (2 * S[l] @ rho @ Sd[i] - Sd[i] @ S[l] @ rho
+                               - rho @ Sd[i] @ S[l])
+    got = qt.qme_rhs(rho, qs)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_undriven_steady_state_is_ground():
     qs = qt.build_quantum_system(pair(0.6 * LAMBDA), EY, no_drive())
     rng = np.random.default_rng(1)

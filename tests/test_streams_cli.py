@@ -53,6 +53,35 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     assert main(["--config", str(cfg)]) == 2
 
 
+def test_cli_rejects_removed_config_keys(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "checks", "threads": 2}))
+    assert main(["--config", str(cfg)]) == 2
+    assert ("config invalid at <root>: Additional properties are not "
+            "allowed ('threads' was unexpected)") in capsys.readouterr().err
+
+
+def test_cli_rejects_removed_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "checks"}))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "--threads", "2"])
+    assert exc.value.code == 2
+
+
+def test_cli_bug_is_not_a_numeric_failure(tmp_path, monkeypatch):
+    from atomarray import cli
+
+    def broken(cfg, out):
+        raise TypeError("a bug, not physics")
+
+    monkeypatch.setattr(cli, "run_spectrum", broken)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "spectrum"}))
+    with pytest.raises(TypeError, match="a bug"):
+        main(["--config", str(cfg), "--out", str(tmp_path)])
+
+
 def test_cli_spectrum_scenario(tmp_path):
     cfg = {"scenario": "spectrum",
            "geometry": {"spacing_wl": 0.68},
