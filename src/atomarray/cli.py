@@ -149,8 +149,11 @@ def geometry_from_config(cfg: dict) -> Geometry:
 def transition_from_config(cfg: dict):
     from .lli import TransitionSpec
     t = cfg.get("transition", {})
-    return TransitionSpec(levels=t.get("levels", 2),
-                          orientation=tuple(t.get("orientation", (0, 1, 0))),
+    orientation = tuple(t.get("orientation", (0, 1, 0)))
+    if not any(orientation):
+        raise ConfigError("config invalid at transition/orientation: the "
+                          "dipole orientation must be a nonzero vector")
+    return TransitionSpec(levels=t.get("levels", 2), orientation=orientation,
                           zeeman=tuple(t.get("zeeman", (0, 0, 0))))
 
 
@@ -158,6 +161,10 @@ def drive_from_config(cfg: dict):
     from .drives import GaussianBeam, PlaneWave
     d = cfg.get("drive", {})
     pol = tuple(d.get("polarization", (0, 1, 0)))
+    if pol[0] != 0 or not any(pol):
+        raise ConfigError("config invalid at drive/polarization: the beam "
+                          "travels along +x, so the polarization must be a "
+                          "nonzero vector with no x component")
     amp = d.get("rabi", 1.0)
     if d.get("kind", "gaussian") == "plane":
         return PlaneWave(amplitude=amp, polarization=pol)
@@ -232,8 +239,12 @@ def run_transmit(cfg, out):
     geo = geometry_from_config(cfg)
     tr = transition_from_config(cfg)
     beam = drive_from_config(cfg)
-    system = lli.assemble(geo, tr, beam)
     deltas = detuning_grid(cfg)
+    if len(deltas) < 4:
+        raise ConfigError("config invalid at detuning_grid/num: the "
+                          "Lorentzian fit of the reflectance needs at least "
+                          "4 detunings")
+    system = lli.assemble(geo, tr, beam)
     t, r = spectrum(system, farfield_detector(geo, beam), deltas)
     R = np.abs(r) ** 2
     path = out / "transmission.csv"
@@ -347,7 +358,7 @@ def run_qme(cfg, out):
     tr = transition_from_config(cfg)
     system = build_quantum_system(geo, tr, drive_from_config(cfg))
     tgrid = np.linspace(0, cfg.get("t_final", 20.0), cfg.get("n_times", 41))
-    psi0 = system.ops.ground_state()
+    psi0 = system.ground_state()
     rhos = evolve_qme(np.outer(psi0, psi0.conj()), system, tgrid)
     pop_op = system.population_operator()
     rows = [(t, float(np.real(np.trace(pop_op @ r))))
@@ -370,7 +381,7 @@ def run_traj(cfg, out, seed):
     tr = transition_from_config(cfg)
     system = build_quantum_system(geo, tr, drive_from_config(cfg))
     tgrid = np.linspace(0, cfg.get("t_final", 5.0), cfg.get("n_times", 11))
-    psi0 = system.ops.ground_state()
+    psi0 = system.ground_state()
     n_traj = cfg.get("n_trajectories", 2000)
     directional = cfg.get("jump_basis", "source") == "directional"
     basis = (directional_basis(system, n_theta=8, n_phi=16) if directional

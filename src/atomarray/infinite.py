@@ -27,6 +27,7 @@ from scipy.special import erfc, erfi
 from .errors import BraggResonanceError
 from .geometry import LAMBDA
 from .kernel import GAMMA, K, XI
+from .stacked1d import layer_reflection
 
 DEFAULT_ETA_LADDER = (0.05, 0.04, 0.03)   # in units of the lattice spacing
 
@@ -157,12 +158,12 @@ def uniform_linewidth_analytic(a: float) -> float:
 
 
 def single_mode_rt(delta, omega_t, gamma_t):
-    """Uniform-mode (superatom) reflection and transmission amplitudes:
+    """Uniform-mode (superatom) reflection and transmission amplitudes, the
+    single-layer reflection with gamma_1d = gamma + gamma~ and shift Omega~:
 
         r = -i(gamma+gamma~) / (Delta + Omega~ + i(gamma+gamma~)),  t = 1 + r.
     """
-    den = delta + omega_t + 1j * (GAMMA + gamma_t)
-    r = -1j * (GAMMA + gamma_t) / den
+    r = layer_reflection(delta, GAMMA + gamma_t, omega_t)
     return r, 1.0 + r
 
 

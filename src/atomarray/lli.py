@@ -7,11 +7,11 @@ Two level structures are supported:
 
 * two-level: one real dipole orientation per atom, H is N x N;
 * J=0 -> J'=1: three dipole components per atom.  Components are stored in
-  the CARTESIAN basis (x, y, z), index map idx(j, c) = 3j + c, which keeps
-  H exactly complex symmetric (in the circular basis it is not).  Zeeman
-  shifts of the m = nu sublevels, entering as detunings Delta - nu*delta_nu,
-  make the per-atom level block of dH (`TransitionSpec.level_block`) a 3x3
-  Hermitian matrix in this basis.
+  the CARTESIAN basis (x, y, z), component c of atom j at index 3j + c,
+  which keeps H exactly complex symmetric (in the circular basis it is
+  not).  Zeeman shifts of the m = nu sublevels, entering as detunings
+  Delta - nu*delta_nu, make the per-atom level block of dH
+  (`TransitionSpec.level_block`) a 3x3 Hermitian matrix in this basis.
 """
 from __future__ import annotations
 
@@ -92,9 +92,6 @@ class CouplingSystem:
     @property
     def size(self) -> int:
         return self.H.shape[0]
-
-    def idx(self, j: int, c: int = 0) -> int:
-        return j * self.transition.components + c
 
 
 def zeeman_block(zeeman) -> np.ndarray:
@@ -183,15 +180,9 @@ class EigenSystem:
         return self.eigenvalues.imag
 
 
-def eigenmodes(system_or_matrix, include_detuning: bool = False) -> EigenSystem:
-    """Full eigendecomposition of H (or of H+dH when include_detuning)."""
-    if isinstance(system_or_matrix, CouplingSystem):
-        A = system_or_matrix.H
-        if include_detuning:
-            A = A + system_or_matrix.dH
-    else:
-        A = np.asarray(system_or_matrix)
-    evals, vecs = scipy.linalg.eig(A)
+def eigenmodes(system: CouplingSystem) -> EigenSystem:
+    """Full eigendecomposition of the coupling matrix H."""
+    evals, vecs = scipy.linalg.eig(system.H)
     norms = np.einsum("ij,ij->j", vecs, vecs)
     anomalous = np.abs(norms) < 1e-12
     scale = np.where(anomalous, np.max(np.abs(vecs), axis=0).astype(complex),

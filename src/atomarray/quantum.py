@@ -19,8 +19,9 @@ L the per-atom level block (`TransitionSpec.level_block`).  For the
 J=0 -> J'=1 transition the three excited sublevels are kept in the
 CARTESIAN dipole basis |e_x>, |e_y>, |e_z>, which keeps both Omega and B
 real symmetric; Zeeman splittings make L a Hermitian 3x3 block, the same
-as in the coupled-dipole module.  Every sum over atom components is a
-contraction over one stacked array of the lowering operators.
+as in the coupled-dipole module.  Every operator and observable is a
+contraction over the stacked lowering operators of `lowering_operators`,
+whose docstring states the product-space layout.
 
 Jump operators: diagonalizing B = sum_m beta_m w_m w_m^T gives collective
 decay channels J_m = sqrt(beta_m) w_m . Sigma with real orthonormal w_m,
@@ -58,81 +59,32 @@ TRAJ_DIM_CAP = 65536        # pure-state trajectories
 TRAJ_CHUNK = 4096           # trajectories per RNG stream
 
 
-@dataclass(frozen=True)
-class HilbertSpec:
-    natoms: int
-    levels: int = 2
-
-    def __post_init__(self):
-        if self.levels not in (2, 4):
-            raise ValueError("levels per atom must be 2 or 4")
-
-    @property
-    def dim(self) -> int:
-        return self.levels ** self.natoms
-
-    @property
-    def ncomp(self) -> int:
-        return self.levels - 1
-
-
 def _check_cap(dim, cap, what):
     if dim > cap:
         raise DimensionCapError(f"{what} dimension {dim} exceeds cap {cap}")
 
 
-class AtomOperators:
-    """Matrix-free lowering/raising on the product space.
+def lowering_operators(natoms: int, levels: int) -> np.ndarray:
+    """(M, D, D) stacked lowering operators of the product space, the one
+    place that fixes its layout:
 
-    Per-atom basis: index 0 = ground, then the excited components (one for
-    two-level, the Cartesian x, y, z sublevels for J=0 -> J'=1).
+        sigma^-_{jc} = 1^{(x)j} (x) |g><e_c| (x) 1^{(x)(n-j-1)},
+
+    atom 0 being the most significant tensor factor, each atom's basis the
+    ground state followed by its excited components (one for two-level,
+    the Cartesian x, y, z sublevels for J=0 -> J'=1), and row j*m + c
+    holding sigma^-_{jc} (m = levels - 1, D = levels**natoms).
     """
-
-    def __init__(self, spec: HilbertSpec):
-        self.spec = spec
-
-    def _shift(self, psi, j, src_level, dst_level):
-        L = self.spec.levels
-        n = self.spec.natoms
-        shape = psi.shape[:-1] + (L,) * n
-        t = psi.reshape(shape)
-        out = np.zeros_like(t)
-        src = [slice(None)] * t.ndim
-        dst = [slice(None)] * t.ndim
-        axis = t.ndim - n + j
-        src[axis] = src_level
-        dst[axis] = dst_level
-        out[tuple(dst)] = t[tuple(src)]
-        return out.reshape(psi.shape)
-
-    def apply_lower(self, psi, j, c):
-        """sigma^-_{jc} |psi> (excited component c -> ground)."""
-        return self._shift(psi, j, c + 1, 0)
-
-    def apply_raise(self, psi, j, c):
-        return self._shift(psi, j, 0, c + 1)
-
-    def lower_matrix(self, j, c) -> np.ndarray:
-        D = self.spec.dim
-        cols = self.apply_lower(np.eye(D, dtype=complex), j, c)
-        return cols.T.copy()
-
-    def ground_state(self) -> np.ndarray:
-        psi = np.zeros(self.spec.dim, dtype=complex)
-        psi[0] = 1.0
-        return psi
-
-    def single_excitation(self, amplitudes) -> np.ndarray:
-        """Normalized state sum_{jc} b_{jc} s+_{jc} |G> from a component
-        amplitude vector."""
-        b = np.asarray(amplitudes, dtype=complex).reshape(
-            self.spec.natoms, self.spec.ncomp)
-        psi = np.zeros(self.spec.dim, dtype=complex)
-        g = self.ground_state()
-        for j in range(self.spec.natoms):
-            for c in range(self.spec.ncomp):
-                psi += b[j, c] * self.apply_raise(g, j, c)
-        return psi / np.linalg.norm(psi)
+    m = levels - 1
+    out = np.empty((natoms * m, levels**natoms, levels**natoms),
+                   dtype=complex)
+    for j in range(natoms):
+        for c in range(m):
+            flip = np.zeros((levels, levels))
+            flip[0, c + 1] = 1.0
+            out[j * m + c] = np.kron(np.kron(np.eye(levels**j), flip),
+                                     np.eye(levels**(natoms - j - 1)))
+    return out
 
 
 def pair_sum(coefficients, lower) -> np.ndarray:
@@ -145,11 +97,9 @@ def pair_sum(coefficients, lower) -> np.ndarray:
 @dataclass
 class QuantumSystem:
     """Dense operator tables for one geometry + transition + drive."""
-    spec: HilbertSpec
     geometry: Geometry
     transition: TransitionSpec
-    ops: AtomOperators
-    lower: np.ndarray            # (M, D, D) stacked sigma^-_{jc}, index j*m + c
+    lower: np.ndarray            # (M, D, D) from lowering_operators
     hamiltonian: np.ndarray      # drive + detuning/Zeeman + coherent couplings
     bmatrix: np.ndarray          # dissipative matrix, M x M real symmetric
     channel_rates: np.ndarray    # eigenvalues of bmatrix (>= 0)
@@ -157,7 +107,19 @@ class QuantumSystem:
 
     @property
     def dim(self) -> int:
-        return self.spec.dim
+        return self.lower.shape[-1]
+
+    def ground_state(self) -> np.ndarray:
+        psi = np.zeros(self.dim, dtype=complex)
+        psi[0] = 1.0
+        return psi
+
+    def single_excitation(self, amplitudes) -> np.ndarray:
+        """Normalized state sum_{jc} b_{jc} s+_{jc} |G> from a component
+        amplitude vector."""
+        b = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        psi = b @ self.lower[:, 0, :].conj()
+        return psi / np.linalg.norm(psi)
 
     def source_jump_ops(self) -> np.ndarray:
         """(M, D, D) stacked J_m = sqrt(beta_m) w_m . Sigma over the decay
@@ -200,11 +162,8 @@ class QmeGenerator:
 def build_quantum_system(geometry: Geometry, transition: TransitionSpec,
                          drive=None, dim_cap=QME_DIM_CAP) -> QuantumSystem:
     n = geometry.natoms
-    spec = HilbertSpec(n, transition.levels)
-    _check_cap(spec.dim, dim_cap, "Hilbert space")
-    ops = AtomOperators(spec)
-    lower = np.array([ops.lower_matrix(j, c)
-                      for j in range(n) for c in range(spec.ncomp)])
+    _check_cap(transition.levels**n, dim_cap, "Hilbert space")
+    lower = lowering_operators(n, transition.levels)
 
     C = coupling_matrix(geometry.positions, transition.basis)
     B = C.imag
@@ -216,8 +175,7 @@ def build_quantum_system(geometry: Geometry, transition: TransitionSpec,
         pump = np.tensordot(R, lower.conj().transpose(0, 2, 1), axes=1)
         H -= pump + pump.conj().T                  # sum R s+ + R* s-
     rates, modes = np.linalg.eigh(B)
-    return QuantumSystem(spec, geometry, transition, ops, lower, H, B,
-                         rates, modes)
+    return QuantumSystem(geometry, transition, lower, H, B, rates, modes)
 
 
 def qme_rhs(rho, system: QuantumSystem) -> np.ndarray:
@@ -243,7 +201,7 @@ def steady_state_qme(system: QuantumSystem, horizon=60.0, residual_tol=1e-9,
                      rho0=None, max_rounds=8):
     """Long-time evolution until ||drho/dt||_1 < residual_tol."""
     if rho0 is None:
-        psi = system.ops.ground_state()
+        psi = system.ground_state()
         rho = np.outer(psi, psi.conj())
     else:
         rho = np.asarray(rho0, dtype=complex)
@@ -264,30 +222,20 @@ def steady_state_qme(system: QuantumSystem, horizon=60.0, residual_tol=1e-9,
 
 def correlation_table(rho, system: QuantumSystem) -> np.ndarray:
     """C[(jc),(lc')] = <s+_{jc} s-_{lc'}> in the component basis."""
-    M = len(system.lower)
-    C = np.zeros((M, M), dtype=complex)
-    for i in range(M):
-        si = system.lower[i].conj().T
-        for l in range(M):
-            C[i, l] = np.trace(si @ system.lower[l] @ rho)
-    return C
+    S = system.lower
+    return np.einsum("iba,lbc,ca->il", S.conj(), S, rho, optimize=True)
 
 
 def mean_lowering(rho, system: QuantumSystem) -> np.ndarray:
     """<sigma^-_{jc}> table (component basis)."""
-    return np.array([np.trace(s @ rho) for s in system.lower])
+    return np.trace(system.lower @ rho, axis1=1, axis2=2)
 
 
 def single_excitation_block(rho, system: QuantumSystem) -> np.ndarray:
-    """rho-bar[(jc),(lc')] = <G| s-_{jc} rho s+_{lc'} |G>."""
-    M = len(system.lower)
-    g = system.ops.ground_state()
-    out = np.zeros((M, M), dtype=complex)
-    for i in range(M):
-        for l in range(M):
-            vec = system.lower[i] @ rho @ system.lower[l].conj().T @ g
-            out[i, l] = g.conj() @ vec
-    return out
+    """rho-bar[(jc),(lc')] = <G| s-_{jc} rho s+_{lc'} |G> = V rho V^dag,
+    V the ground-state rows of the lowering operators."""
+    V = system.lower[:, 0, :]
+    return V @ rho @ V.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -295,15 +243,11 @@ def single_excitation_block(rho, system: QuantumSystem) -> np.ndarray:
 
 @dataclass
 class JumpBasis:
-    """A set of jump operators; directional bases carry (theta, phi) and
-    solid-angle weights so clicks double as photon detection records."""
-    operators: list
+    """A stack of (K, D, D) jump operators; directional bases carry the
+    (theta, phi) of each channel so clicks double as photon detection
+    records."""
+    operators: np.ndarray
     directions: np.ndarray = None
-    weights: np.ndarray = None
-
-    @property
-    def n_channels(self) -> int:
-        return len(self.operators)
 
 
 def source_mode_basis(system: QuantumSystem) -> JumpBasis:
@@ -324,7 +268,7 @@ def directional_basis(system: QuantumSystem, n_theta=12, n_phi=24) -> JumpBasis:
     nhat, w = sphere_grid(n_theta, n_phi)
     basis = system.transition.basis
     pos = system.geometry.positions
-    ops, dirs, wts = [], [], []
+    ops, dirs = [], []
     amp0 = 3.0 * GAMMA / (8.0 * np.pi)
     for i, nh in enumerate(nhat):
         seed = (np.array([0.0, 1.0, 0.0]) if abs(nh[0]) > 0.5
@@ -343,8 +287,7 @@ def directional_basis(system: QuantumSystem, n_theta=12, n_phi=24) -> JumpBasis:
                              axes=1)
             ops.append(np.sqrt(amp0 * w[i]) * J)
             dirs.append((theta, phi))
-            wts.append(w[i])
-    return JumpBasis(ops, np.asarray(dirs), np.asarray(wts))
+    return JumpBasis(np.array(ops), np.asarray(dirs))
 
 
 def dissipator_completeness(system: QuantumSystem, basis: JumpBasis) -> float:
@@ -391,7 +334,7 @@ def run_trajectories(psi0, system: QuantumSystem, jump_basis: JumpBasis,
     if record_clicks is None:
         record_clicks = jump_basis.directions is not None
 
-    Jarr = np.array(jump_basis.operators)
+    Jarr = jump_basis.operators
     JdJ_each = np.einsum("mji,mjk->mik", Jarr.conj(), Jarr)
     JdJ_tot = np.sum(JdJ_each, axis=0)
     # cap the worst-case per-step jump probability at 0.1

@@ -273,21 +273,17 @@ def uniform_evolve(delta, rabi, omega_t, gamma_t, t_grid, p0=0.0, n0=0.0):
 
 
 def bistable_at(delta, omega_t, gamma_t) -> bool:
-    """Exact criterion: the drive-intensity map I(y) of the cubic is
-    non-monotone, i.e. P(u) = u^3 - (|c|^2 - 2 Re(c) A) u + 2 A |c|^2 has
-    two roots above A (c = 2 C A, u = A + 2y)."""
-    A = delta**2 + GAMMA**2
-    c = (omega_t + 1j * gamma_t) / (delta + 1j * GAMMA) * A
-    b2 = abs(c) ** 2
-    P = [1.0, 0.0, -(b2 - 2 * c.real * A), 2 * A * b2]
-    r = np.roots(P)
-    real = r[np.abs(r.imag) < 1e-9 * np.maximum(1.0, np.abs(r.real))].real
-    return int(np.sum(real > A)) >= 2
+    """Whether this detuning has an intensity fold window."""
+    return bistable_intensity_window(delta, omega_t, gamma_t) is not None
 
 
 def bistable_intensity_window(delta, omega_t, gamma_t):
     """Intensity fold window (I_lo, I_hi) in units of I_sat at this
-    detuning, or None if single valued; I/I_sat = 2 |R|^2 / gamma^2."""
+    detuning, or None if single valued; I/I_sat = 2 |R|^2 / gamma^2.
+
+    The window exists exactly when the drive-intensity map I(y) of the
+    cubic is non-monotone, i.e. P(u) = u^3 - (|c|^2 - 2 Re(c) A) u
+    + 2 A |c|^2 has two roots above A (c = 2 C A, u = A + 2y)."""
     A = delta**2 + GAMMA**2
     c = (omega_t + 1j * gamma_t) / (delta + 1j * GAMMA) * A
     b2 = abs(c) ** 2
@@ -347,8 +343,6 @@ def has_bistable_window(a, sums=None, delta_span=None, samples=1601) -> bool:
         span = 6.0 * abs(omega_t) + 6.0
         delta_span = (-span, span)
     for d in np.linspace(*delta_span, samples):
-        if not bistable_at(d, omega_t, gamma_t):
-            continue
         window = bistable_intensity_window(d, omega_t, gamma_t)
         if window is None:
             continue

@@ -310,11 +310,6 @@ def disk_integrated_field(x, radius, taper_start=0.5, n_points=400_000):
     return np.trapezoid(vals * w, R)
 
 
-def collective_linewidth_1d(a: float) -> float:
-    """gamma_1d of a square layer with spacing a: 3 pi gamma / (k a)^2."""
-    return 3 * np.pi * GAMMA / (K * a) ** 2
-
-
 def appendix_checks(a=0.6 * LAMBDA, x=LAMBDA, disk_radius=1000 * LAMBDA):
     """Consistency report of the 1D reduction:
 
@@ -325,7 +320,7 @@ def appendix_checks(a=0.6 * LAMBDA, x=LAMBDA, disk_radius=1000 * LAMBDA):
 
     Returns a dict of relative deviations.
     """
-    from .infinite import lattice_sums
+    from .infinite import lattice_sums, uniform_linewidth_analytic
 
     exact = 0.5j * K * np.exp(1j * K * abs(x))
     disk = disk_integrated_field(x, disk_radius)
@@ -336,7 +331,7 @@ def appendix_checks(a=0.6 * LAMBDA, x=LAMBDA, disk_radius=1000 * LAMBDA):
         abs(recur[n] - f_integral_quadrature(n, x)) / abs(recur[n])
         for n in (2, 3, 4))
 
-    g_closed = collective_linewidth_1d(a)
+    g_closed = uniform_linewidth_analytic(a)
     g_sum = GAMMA + lattice_sums(a).uniform_mode(1)[1]
     width_dev = abs(g_closed - g_sum) / g_closed
 

@@ -124,7 +124,7 @@ def test_criterion_8_quantum_consistency():
     drive = PlaneWave(amplitude=0.8)
     qs = qt.build_quantum_system(geo, tr, drive)
     t_grid = np.linspace(0, 6, 7)
-    psi0 = qs.ops.ground_state()
+    psi0 = qs.ground_state()
     res = qt.run_trajectories(psi0, qs, qt.source_mode_basis(qs), t_grid,
                               n_traj=100_000, seed=2024)
     ref = qt.evolve_qme(np.outer(psi0, psi0.conj()), qs, t_grid)
@@ -137,7 +137,7 @@ def test_criterion_8_quantum_consistency():
     l3 = lli.assemble(geo3, EY)
     b0 = rng.normal(size=3) + 1j * rng.normal(size=3)
     b0 /= np.linalg.norm(b0)
-    psi = qs3.ops.single_excitation(b0)
+    psi = qs3.single_excitation(b0)
     ts = np.array([0.0, 0.5, 1.5])
     rhos = qt.evolve_qme(np.outer(psi, psi.conj()), qs3, ts,
                          rtol=1e-11, atol=1e-13)

@@ -186,20 +186,6 @@ def test_far_field_sphere_integral_gives_single_atom_rate():
     assert np.isclose(rate, 2 * GAMMA * rho_ee, rtol=1e-10)
 
 
-def test_dissipation_matrix_positive_semidefinite():
-    rng = np.random.default_rng(4)
-    for _ in range(10):
-        n = rng.integers(2, 7)
-        pos = rng.uniform(-LAMBDA, LAMBDA, size=(n, 3))
-        if np.min([np.linalg.norm(pos[i] - pos[j])
-                   for i in range(n) for j in range(i + 1, n)]) < 0.05:
-            continue
-        e = rng.normal(size=3)
-        e /= np.linalg.norm(e)
-        B = coupling_matrix(pos, e[:, None]).imag
-        assert np.linalg.eigvalsh(B).min() > -1e-9 * GAMMA
-
-
 coordinate = st.floats(-1.5 * LAMBDA, 1.5 * LAMBDA)
 direction = st.tuples(st.floats(-1, 1), st.floats(-1, 1),
                       st.floats(-1, 1)).filter(lambda v: np.linalg.norm(v) > 0.1)
@@ -243,6 +229,20 @@ def test_coupling_matrix_matches_pair_coupling(points, kind_basis):
         assert np.array_equal(C, C.T)       # complex symmetric
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(coordinate, coordinate, coordinate),
+                min_size=2, max_size=6), direction, st.booleans())
+def test_dissipation_matrix_positive_semidefinite(points, e, cartesian):
+    """B = Im of the coupling matrix is PSD for a real orientation and for
+    the Cartesian J=0 -> J'=1 basis, the two bases of the quantum model."""
+    pos = np.asarray(points)
+    assume(min_pair_distance(pos) > 0.05)
+    e = np.asarray(e) / np.linalg.norm(e)
+    basis = np.eye(3) if cartesian else e[:, None]
+    B = coupling_matrix(pos, basis).imag
+    assert np.linalg.eigvalsh(B).min() > -1e-9 * GAMMA
+
+
 def test_circular_basis_orthonormal():
     rng = np.random.default_rng(6)
     for _ in range(5):
@@ -263,7 +263,7 @@ def test_source_clicks_are_not_detections():
     tr = TransitionSpec(levels=2, orientation=(0, 1, 0))
     qs = qt.build_quantum_system(Geometry(np.zeros((1, 3))), tr,
                                  PlaneWave(amplitude=1.0))
-    res = qt.run_trajectories(qs.ops.ground_state(), qs,
+    res = qt.run_trajectories(qs.ground_state(), qs,
                               qt.source_mode_basis(qs),
                               np.linspace(0, 2, 3), 50, seed=0,
                               record_clicks=True)

@@ -247,6 +247,25 @@ def test_rt_beyond_lli_closure_and_limits():
     assert worst < 1e-10
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-80, 80), st.floats(-60, 60), st.floats(-0.99, 60),
+       st.floats(0.1, 0.9), st.floats(1e-3, 300))
+def test_rt_beyond_lli_energy_closure_every_branch(delta, omega_t, gamma_t,
+                                                   frac, rabi):
+    """R + T + F_inc = 1 on every steady branch; where a bistable window
+    exists the drive is placed inside it, away from the folds where two
+    branches merge, so that all three branches appear."""
+    from atomarray.semiclassical import bistable_intensity_window
+    window = bistable_intensity_window(delta, omega_t, gamma_t)
+    if window is not None:
+        intensity = window[0] + frac * (window[1] - window[0])
+        rabi = np.sqrt(intensity / 2.0) * GAMMA
+    reps = obs.rt_beyond_lli(delta, omega_t, gamma_t, rabi)
+    assert len(reps) == (1 if window is None else 3)
+    for rep in reps:
+        assert abs(rep.residual) < 1e-10
+
+
 def test_disorder_zero_widths_equals_fixed():
     geo = build_square_lattice(3, 3, 0.7 * LAMBDA)
     beam = GaussianBeam(waist=1.5 * LAMBDA)

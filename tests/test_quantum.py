@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atomarray import lli, quantum as qt
 from atomarray.drives import PlaneWave, no_drive
 from atomarray.errors import DimensionCapError, UndefinedG2Error
-from atomarray.geometry import LAMBDA, Geometry, build_square_lattice
+from atomarray.geometry import LAMBDA, Geometry, build_ring, build_square_lattice
 from atomarray.kernel import GAMMA, XI, green_tensor
 from atomarray.lli import TransitionSpec
 
@@ -18,6 +20,60 @@ def single_atom():
 
 def pair(d):
     return Geometry([[0, 0, 0], [0, 0, d]])
+
+
+# (levels, natoms) with product dimension levels**natoms <= 256
+layouts = st.one_of(st.tuples(st.just(2), st.integers(1, 8)),
+                    st.tuples(st.just(4), st.integers(1, 4)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(layouts)
+def test_lowering_operators_index_oracle(layout):
+    """sigma^-_{jc} maps basis index s to s - (c+1) L^(n-1-j) exactly when
+    base-L digit j of s (atom 0 most significant) is c+1, and has no other
+    nonzero entry."""
+    L, n = layout
+    S = qt.lowering_operators(n, L)
+    D, m = L**n, L - 1
+    assert S.shape == (n * m, D, D)
+    s = np.arange(D)
+    for j in range(n):
+        place = L ** (n - 1 - j)
+        digit = (s // place) % L
+        for c in range(m):
+            src = s[digit == c + 1]
+            want = np.zeros((D, D))
+            want[src - (c + 1) * place, src] = 1.0
+            assert np.array_equal(S[j * m + c], want)
+
+
+@pytest.mark.parametrize("geo, tr", [
+    (build_ring(4, 0.4 * LAMBDA), EY),
+    (Geometry([[0, 0, 0], [0, 0.1, 0.35 * LAMBDA]]),
+     TransitionSpec(levels=4, zeeman=(0.3, 0.0, 0.5)))])
+def test_observables_equal_per_operator_loops(geo, tr):
+    """The contracted observables against explicit per-operator traces."""
+    qs = qt.build_quantum_system(geo, tr, PlaneWave(amplitude=0.6))
+    rng = np.random.default_rng(8)
+    A = rng.normal(size=(qs.dim, qs.dim)) + 1j * rng.normal(size=(qs.dim, qs.dim))
+    rho = A @ A.conj().T
+    rho /= np.trace(rho).real
+    S = list(qs.lower)
+    M = len(S)
+    g = qs.ground_state()
+    corr = np.array([[np.trace(S[i].conj().T @ S[l] @ rho) for l in range(M)]
+                     for i in range(M)])
+    mean = np.array([np.trace(s @ rho) for s in S])
+    block = np.array([[g.conj() @ S[i] @ rho @ S[l].conj().T @ g
+                       for l in range(M)] for i in range(M)])
+    b = rng.normal(size=M) + 1j * rng.normal(size=M)
+    psi = sum(b[i] * S[i].conj().T @ g for i in range(M))
+    psi /= np.linalg.norm(psi)
+    assert np.max(np.abs(qt.correlation_table(rho, qs) - corr)) < 1e-14
+    assert np.max(np.abs(qt.mean_lowering(rho, qs) - mean)) < 1e-14
+    assert np.max(np.abs(qt.single_excitation_block(rho, qs) - block)) < 1e-14
+    assert np.max(np.abs(qs.single_excitation(b) - psi)) < 1e-14
 
 
 def test_single_atom_spontaneous_decay():
@@ -34,7 +90,7 @@ def test_dicke_pair_superradiant_population_decay():
     qs = qt.build_quantum_system(pair(d), EY)
     ey = np.array([0.0, 1.0, 0.0])
     g12 = XI * np.imag(ey @ green_tensor([0, 0, d]) @ ey)
-    psi = qs.ops.single_excitation([1.0, 1.0])
+    psi = qs.single_excitation([1.0, 1.0])
     rho0 = np.outer(psi, psi.conj())
     t = np.linspace(0, 1.0, 5)
     rhos = qt.evolve_qme(rho0, qs, t)
@@ -132,7 +188,7 @@ def test_single_excitation_sector_equals_coupled_dipoles():
     lsys = lli.assemble(geo, EY, no_drive())
     b0 = rng.normal(size=3) + 1j * rng.normal(size=3)
     b0 /= np.linalg.norm(b0)
-    psi0 = qs.ops.single_excitation(b0)
+    psi0 = qs.single_excitation(b0)
     rho0 = np.outer(psi0, psi0.conj())
     t = np.array([0.0, 0.8, 1.6])
     rhos = qt.evolve_qme(rho0, qs, t, rtol=1e-11, atol=1e-13)
@@ -150,7 +206,7 @@ def test_single_excitation_sector_j01():
     lsys = lli.assemble(geo, J01, no_drive())
     b0 = rng.normal(size=6) + 1j * rng.normal(size=6)
     b0 /= np.linalg.norm(b0)
-    psi0 = qs.ops.single_excitation(b0)
+    psi0 = qs.single_excitation(b0)
     rho0 = np.outer(psi0, psi0.conj())
     t = np.array([0.0, 1.0])
     rhos = qt.evolve_qme(rho0, qs, t, rtol=1e-11, atol=1e-13)
@@ -214,7 +270,7 @@ def test_directional_click_rate_matches_rate_formula():
     basis = qt.directional_basis(qs, n_theta=10, n_phi=20)
     t_relax = 8.0
     T = 28.0
-    res = qt.run_trajectories(qs.ops.ground_state(), qs, basis,
+    res = qt.run_trajectories(qs.ground_state(), qs, basis,
                               np.linspace(0, T, 15), n_traj=600, seed=5,
                               dt=4e-3)
     late = [c for c in res.clicks if c[1] > t_relax]
@@ -240,7 +296,7 @@ def test_trajectories_match_qme_pair():
     tr = TransitionSpec(levels=2, orientation=(0, 1, 0), detuning=0.3)
     qs = qt.build_quantum_system(pair(d), tr, drive)
     t = np.linspace(0, 5, 6)
-    psi0 = qs.ops.ground_state()
+    psi0 = qs.ground_state()
     res = qt.run_trajectories(psi0, qs, qt.source_mode_basis(qs), t,
                               n_traj=20_000, seed=21)
     ref = qt.evolve_qme(np.outer(psi0, psi0.conj()), qs, t)
@@ -251,7 +307,7 @@ def test_trajectories_match_qme_pair():
 def test_trajectory_determinism_per_seed():
     qs = qt.build_quantum_system(single_atom(), EY, PlaneWave(amplitude=1.0))
     t = np.linspace(0, 1, 3)
-    psi0 = qs.ops.ground_state()
+    psi0 = qs.ground_state()
     a = qt.run_trajectories(psi0, qs, qt.source_mode_basis(qs), t, 500, seed=9)
     b = qt.run_trajectories(psi0, qs, qt.source_mode_basis(qs), t, 500, seed=9)
     assert np.array_equal(a.rho, b.rho)
@@ -264,7 +320,7 @@ def test_trajectory_index_reproducible_across_ensemble_sizes():
     qs = qt.build_quantum_system(single_atom(), EY, PlaneWave(amplitude=1.0))
     basis = qt.directional_basis(qs, n_theta=4, n_phi=8)
     t = np.linspace(0, 3, 4)
-    psi0 = qs.ops.ground_state()
+    psi0 = qs.ground_state()
     small = qt.run_trajectories(psi0, qs, basis, t, 120, seed=17)
     large = qt.run_trajectories(psi0, qs, basis, t, 260, seed=17)
     early = [c for c in large.clicks if c[0] < 120]
@@ -309,7 +365,7 @@ def test_g2_from_trajectory_clicks():
     qs = qt.build_quantum_system(single_atom(), EY, PlaneWave(amplitude=R))
     basis = qt.directional_basis(qs, n_theta=8, n_phi=16)
     T = 60.0
-    res = qt.run_trajectories(qs.ops.ground_state(), qs, basis,
+    res = qt.run_trajectories(qs.ground_state(), qs, basis,
                               np.linspace(0, T, 7), n_traj=1200, seed=3,
                               dt=5e-3)
     edges = np.linspace(0.0, 4.0, 9)
@@ -336,6 +392,6 @@ def test_dimension_caps():
 def test_trajectory_rejects_nonzero_start():
     qs = qt.build_quantum_system(single_atom(), EY)
     with pytest.raises(ValueError):
-        qt.run_trajectories(qs.ops.ground_state(), qs,
+        qt.run_trajectories(qs.ground_state(), qs,
                             qt.source_mode_basis(qs),
                             np.array([1.0, 2.0]), 10, seed=0)

@@ -203,6 +203,29 @@ def test_cli_exit_code_numeric_failure(tmp_path, capsys):
     assert "DimensionCapError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override, path", [
+    ({"drive": {"kind": "plane", "polarization": [1, 0, 0]}},
+     "drive/polarization"),
+    ({"drive": {"kind": "gaussian", "polarization": [1, 0, 0]}},
+     "drive/polarization"),
+    ({"drive": {"polarization": [0, 0, 0]}}, "drive/polarization"),
+    ({"transition": {"orientation": [0, 0, 0]}}, "transition/orientation"),
+    ({"detuning_grid": {"start": -1.0, "stop": 1.0, "num": 3}},
+     "detuning_grid/num"),
+])
+def test_cli_exit_code_physically_invalid_config(tmp_path, capsys, override,
+                                                 path):
+    # schema-valid values that no beam or transition can take
+    cfg = {"scenario": "transmit",
+           "geometry": {"nx": 3, "ny": 3, "spacing_wl": 0.68},
+           "detuning_grid": {"start": -1.0, "stop": 1.0, "num": 5}}
+    cfg.update(override)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert f"config invalid at {path}:" in capsys.readouterr().err
+
+
 def test_cli_checks_scenario(tmp_path):
     manifest = run({"scenario": "checks"}, out_dir=tmp_path)
     results = json.loads((tmp_path / "checks.json").read_text())
