@@ -1,0 +1,57 @@
+"""Time `quantum.steady_state_qme` on driven N-atom rings.
+
+Usage (from the repository root; set the BLAS threads in the environment):
+
+    OPENBLAS_NUM_THREADS=1 python benchmarks/steady_state_qme.py \
+        --src src --natoms 6 7 8 --repeats 5
+
+`--src` selects the tree whose `atomarray` is timed, so two checkouts can
+be compared with the same script.  The ring matches the benchmark's qme
+workload (radius 0.4 lambda, two-level atoms along y, plane-wave Rabi
+frequency 0.8).  One untimed call per size warms caches first; a size
+whose first call raises is timed once and reported with the error.
+Prints one JSON object: per N, the median and all times in seconds and
+the residual ||L rho||_1 or the error.
+"""
+import argparse
+import json
+import statistics
+import sys
+import time
+
+parser = argparse.ArgumentParser()
+parser.add_argument("--src", default="src")
+parser.add_argument("--natoms", type=int, nargs="+", default=[6, 7, 8])
+parser.add_argument("--repeats", type=int, default=5)
+args = parser.parse_args()
+sys.path.insert(0, args.src)
+
+import numpy as np  # noqa: E402
+
+from atomarray import quantum  # noqa: E402
+from atomarray.drives import PlaneWave  # noqa: E402
+from atomarray.errors import NonConvergenceError  # noqa: E402
+from atomarray.geometry import LAMBDA, build_ring  # noqa: E402
+from atomarray.lli import TransitionSpec  # noqa: E402
+
+report = {}
+for n in args.natoms:
+    system = quantum.build_quantum_system(
+        build_ring(n, 0.4 * LAMBDA), TransitionSpec(levels=2),
+        PlaneWave(amplitude=0.8))
+    times, entry = [], {"dim": system.dim}
+    for i in range(args.repeats + 1):
+        t0 = time.perf_counter()
+        try:
+            rho = quantum.steady_state_qme(system)
+        except NonConvergenceError as err:
+            entry["error"] = f"NonConvergenceError: residual {err.residual:.2e}"
+            times.append(time.perf_counter() - t0)
+            break
+        if i > 0:
+            times.append(time.perf_counter() - t0)
+    else:
+        entry["residual"] = float(np.abs(quantum.qme_rhs(rho, system)).sum())
+    entry.update(median_s=statistics.median(times), times_s=times)
+    report[n] = entry
+print(json.dumps(report))

@@ -351,9 +351,9 @@ def run_stack(cfg, out):
     return [path]
 
 
-def run_qme(cfg, out):
+def run_qme(cfg, out, diagnostics):
     from .quantum import (build_quantum_system, evolve_qme, mean_lowering,
-                          steady_state_qme)
+                          qme_rhs, steady_state_qme)
     geo = geometry_from_config(cfg)
     tr = transition_from_config(cfg)
     system = build_quantum_system(geo, tr, drive_from_config(cfg))
@@ -366,6 +366,8 @@ def run_qme(cfg, out):
     path = out / "qme_populations.csv"
     write_csv(path, ["t[1/gamma]", "total_excited[1]"], rows)
     rho_ss = steady_state_qme(system)
+    diagnostics["qme_steady_residual"] = float(
+        np.abs(qme_rhs(rho_ss, system)).sum())
     means = mean_lowering(rho_ss, system)
     meta = out / "qme_steady.json"
     meta.write_text(json.dumps(
@@ -511,7 +513,7 @@ def run(config: dict, out_dir=None, seed=None) -> dict:
     elif scenario == "stack":
         artifacts = run_stack(config, out)
     elif scenario == "qme":
-        artifacts = run_qme(config, out)
+        artifacts = run_qme(config, out, diagnostics)
     elif scenario == "traj":
         artifacts = run_traj(config, out, seed)
     elif scenario == "g2":

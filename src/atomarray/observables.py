@@ -394,9 +394,28 @@ def lorentzian_fit(deltas, values):
     def model(d, A, d0, w, c):
         return A * w**2 / ((d - d0) ** 2 + w**2) + c
 
+    def jacobian(d, A, d0, w, c):
+        q = (d - d0) ** 2 + w**2
+        f = w**2 / q
+        return np.stack([f, 2 * A * f * (d - d0) / q,
+                         2 * A * w * (d - d0) ** 2 / q**2, np.ones_like(d)],
+                        axis=1)
+
     i0 = int(np.argmax(values))
     p0 = [values.max() - values.min(), deltas[i0],
           0.25 * (deltas[-1] - deltas[0]), values.min()]
-    popt, _ = curve_fit(model, deltas, values, p0=p0, maxfev=20000)
+    popt, _ = curve_fit(model, deltas, values, p0=p0, jac=jacobian,
+                        maxfev=20000)
+    # Levenberg-Marquardt stops where the change of the squared residual
+    # is lost to rounding, ~1e-10 from the minimum; Gauss-Newton steps
+    # drive the gradient itself to rounding, while they contract
+    last = 1e-6 * np.linalg.norm(popt)
+    for _ in range(8):
+        step = np.linalg.lstsq(jacobian(deltas, *popt),
+                               values - model(deltas, *popt), rcond=None)[0]
+        size = np.linalg.norm(step)
+        if not size < last:
+            break
+        popt, last = popt + step, size
     popt[2] = abs(popt[2])
     return popt

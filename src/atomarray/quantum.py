@@ -34,6 +34,10 @@ the form
   drho/dt = -i (Hnh rho - rho Hnh^dag) + 2 sum_m J_m rho J_m^dag,
   Hnh = H - i sum B_{il} s+_i s-_l.
 
+The steady state solves drho/dt + |G><G| Tr rho = |G><G| (so drho/dt = 0
+and Tr rho = 1) by GMRES, preconditioned with the inverse of the no-jump
+part, a Sylvester equation in the Schur basis of Hnh (`steady_state_qme`).
+
 Directional operators J(theta, phi; pol) carry solid-angle weights, double
 as photon detections, and their click rate 2<J^dag J> equals the far-field
 photon flux into the cell; their completeness sum converges to the
@@ -46,6 +50,8 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
+from scipy.linalg.lapack import ztrsyl
 
 from .errors import DimensionCapError, NonConvergenceError, UndefinedG2Error
 from .geometry import Geometry
@@ -197,27 +203,45 @@ def evolve_qme(rho0, system: QuantumSystem, t_grid, rtol=1e-9, atol=1e-11):
     return out.reshape(len(t_grid), D, D)
 
 
-def steady_state_qme(system: QuantumSystem, horizon=60.0, residual_tol=1e-9,
-                     rho0=None, max_rounds=8):
-    """Long-time evolution until ||drho/dt||_1 < residual_tol."""
-    if rho0 is None:
-        psi = system.ground_state()
-        rho = np.outer(psi, psi.conj())
-    else:
-        rho = np.asarray(rho0, dtype=complex)
-    t_elapsed = 0.0
-    resid = np.inf
-    for _ in range(max_rounds):
-        rho = evolve_qme(rho, system, np.linspace(0, horizon, 6),
-                         rtol=1e-11, atol=1e-13)[-1]
-        t_elapsed += horizon
-        resid = float(np.abs(qme_rhs(rho, system)).sum())
-        if resid < residual_tol:
-            rho = 0.5 * (rho + rho.conj().T)
-            return rho / np.trace(rho).real
-    raise NonConvergenceError(
-        f"QME steady state residual {resid:.2e} after t={t_elapsed}/gamma",
-        residual=resid)
+def steady_state_qme(system: QuantumSystem, residual_tol=1e-9, rho0=None):
+    """Solve (L + w Tr) rho = w, L the generator and w = |G><G|, by GMRES
+    from `rho0` (default w); Tr(L X) = 0 for all X, so L rho = 0 and
+    Tr rho = 1.  The right preconditioner is S^-1, S X = -i (Hnh X -
+    X Hnh^dag) - sigma X: with one Schur form Hnh = Q T Q^dag, S^-1 Y =
+    Q Z Q^dag where T Z - Z T^dag = i Q^dag Y Q (LAPACK ztrsyl).  sigma =
+    1e-3 gamma keeps S invertible where Hnh has a real eigenvalue (undriven,
+    |G> never decays).  Raises NonConvergenceError unless the result has
+    ||L rho||_1 < residual_tol."""
+    D = system.dim
+    _check_cap(D, QME_DIM_CAP, "QME")
+    generator = system.generator
+    T, Q = scipy.linalg.schur(generator.hnh - 0.5e-3j * GAMMA * np.eye(D),
+                              output="complex")
+    w = np.diag(system.ground_state())
+
+    def precondition(y):
+        Z, scale, _ = ztrsyl(T, T, Q.conj().T @ y.reshape(D, D) @ Q,
+                             trana="N", tranb="C", isgn=-1)
+        return (1j / scale) * (Q @ Z @ Q.conj().T)
+
+    def augmented(X):
+        return generator(X) + np.trace(X) * w
+
+    rho = w if rho0 is None else np.asarray(rho0, dtype=complex)
+    A = scipy.sparse.linalg.LinearOperator(
+        (D * D, D * D), dtype=complex,
+        matvec=lambda y: augmented(precondition(y)).ravel())
+    y, _ = scipy.sparse.linalg.gmres(A, (w - augmented(rho)).ravel(), rtol=0.0,
+                                     atol=1e-13, restart=50, maxiter=10)
+    rho = rho + precondition(y)
+    rho = 0.5 * (rho + rho.conj().T)
+    rho /= np.trace(rho).real
+    resid = float(np.abs(qme_rhs(rho, system)).sum())
+    if resid >= residual_tol:
+        raise NonConvergenceError(
+            f"QME steady state residual {resid:.2e} after GMRES",
+            residual=resid)
+    return rho
 
 
 def correlation_table(rho, system: QuantumSystem) -> np.ndarray:

@@ -237,7 +237,9 @@ def uniform_steady_state(delta, rabi, omega_t, gamma_t):
     roots = np.roots(poly)
     sols = []
     for y in roots:
-        if abs(y.imag) > 1e-8 * max(1.0, abs(y)) or y.real <= 0:
+        # on a fold the double root comes out as a conjugate pair split by
+        # ~sqrt(eps); keep one member of such a pair as the real root
+        if y.imag < 0 or y.imag > 1e-6 * max(1.0, abs(y)) or y.real <= 0:
             continue
         y = float(y.real)
         # Newton polish on the cubic

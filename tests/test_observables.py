@@ -421,3 +421,16 @@ def test_lorentzian_fit_recovers_width():
     A, d0, w, c = obs.lorentzian_fit(deltas, vals)
     assert np.isclose(w, 0.45, rtol=1e-6)
     assert np.isclose(d0, 0.2, atol=1e-8)
+
+
+def test_lorentzian_fit_is_converged_to_rounding():
+    # a reflectance that is not exactly Lorentzian: last-bit changes of the
+    # data must not move the fitted width beyond rounding
+    deltas = np.linspace(-1.2, 1.9, 33)
+    vals = (0.9 * 0.5**2 / ((deltas - 0.3) ** 2 + 0.5**2)
+            + 0.03 * np.sin(2 * deltas))
+    w = obs.lorentzian_fit(deltas, vals)[2]
+    rng = np.random.default_rng(4)
+    for _ in range(10):
+        bumped = vals * (1 + 1e-15 * rng.choice([-1.0, 1.0], size=vals.shape))
+        assert abs(obs.lorentzian_fit(deltas, bumped)[2] - w) < 1e-10

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from atomarray import lli, quantum as qt
 from atomarray.drives import PlaneWave, no_drive
-from atomarray.errors import DimensionCapError, UndefinedG2Error
+from atomarray.errors import (DimensionCapError, NonConvergenceError,
+                              UndefinedG2Error)
 from atomarray.geometry import LAMBDA, Geometry, build_ring, build_square_lattice
 from atomarray.kernel import GAMMA, XI, green_tensor
 from atomarray.lli import TransitionSpec
@@ -179,6 +180,81 @@ def test_driven_single_atom_matches_obe_saturation():
     assert abs(rho[1, 1].real - want) < 1e-9
 
 
+@st.composite
+def driven_small_systems(draw):
+    """Two-level atoms (1-3, random dipole orientation) or J=0->1 atoms
+    (1-2, random Zeeman shifts; D <= 16 keeps the reference evolution
+    short) at least 0.3 lambda apart, driven by a plane wave of random
+    transverse polarization and Rabi frequency in [0.1, 2]."""
+    if draw(st.booleans()):
+        natoms = draw(st.integers(1, 2))
+        shift = st.floats(-1.0, 1.0)
+        tr = TransitionSpec(levels=4, zeeman=tuple(draw(shift)
+                                                   for _ in range(3)))
+    else:
+        natoms = draw(st.integers(1, 3))
+        axis = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)])
+        assume(np.linalg.norm(axis) > 0.1)
+        tr = TransitionSpec(levels=2, orientation=tuple(axis))
+    coord = st.floats(-0.6, 0.6)
+    pos = LAMBDA * np.array([[draw(coord) for _ in range(3)]
+                             for _ in range(natoms)])
+    for i in range(natoms):
+        for j in range(i):
+            assume(np.linalg.norm(pos[i] - pos[j]) > 0.3 * LAMBDA)
+    mix = draw(st.floats(0.0, np.pi))
+    phase = draw(st.floats(0.0, 2 * np.pi))
+    pol = (0.0, np.cos(mix), np.exp(1j * phase) * np.sin(mix))
+    drive = PlaneWave(amplitude=draw(st.floats(0.1, 2.0)), polarization=pol)
+    return qt.build_quantum_system(Geometry(pos), tr, drive)
+
+
+@settings(max_examples=40, deadline=None)
+@given(driven_small_systems())
+def test_steady_state_equals_long_time_evolution(qs):
+    rho = qt.steady_state_qme(qs)
+    g = qs.ground_state()
+    late = qt.evolve_qme(np.outer(g, g.conj()), qs, [0.0, 200.0],
+                         rtol=1e-11, atol=1e-13)[-1]
+    assert np.max(np.abs(rho - late)) < 1e-8
+    assert np.abs(qt.qme_rhs(rho, qs)).sum() < 1e-9
+
+
+def test_steady_state_reports_unreachable_residual():
+    qs = qt.build_quantum_system(pair(0.5 * LAMBDA), EY, PlaneWave(0.8))
+    with pytest.raises(NonConvergenceError) as err:
+        qt.steady_state_qme(qs, residual_tol=1e-30)
+    assert 0.0 < err.value.residual < 1e-9
+
+
+@pytest.mark.parametrize("sep, axis", [(1e-3, (0, 1, 0)), (1e-3, (1, 1, 1)),
+                                       (1e-2, (1, 1, 1))])
+def test_close_pair_steady_state_equals_dense_solve(sep, axis):
+    # couplings up to ~1e6 gamma; reference: the dense Liouvillian (row-major
+    # vec) with the rho_00 equation replaced by Tr rho = 1
+    qs = qt.build_quantum_system(
+        pair(sep * LAMBDA), TransitionSpec(levels=2, orientation=axis),
+        PlaneWave(amplitude=2.0))
+    gen, eye = qs.generator, np.eye(qs.dim)
+    L = -1j * (np.kron(gen.hnh, eye) - np.kron(eye, gen.hnh.conj()))
+    L += 2 * sum(np.kron(J, J.conj()) for J in gen.jumps)
+    L[0] = eye.ravel()
+    rhs = np.zeros(qs.dim**2)
+    rhs[0] = 1.0
+    want = np.linalg.solve(L, rhs).reshape(qs.dim, qs.dim)
+    assert np.max(np.abs(qt.steady_state_qme(qs) - want)) < 1e-10
+
+
+def test_steady_state_of_seven_atom_ring():
+    qs = qt.build_quantum_system(build_ring(7, 0.4 * LAMBDA), EY,
+                                 PlaneWave(amplitude=0.8))
+    rho = qt.steady_state_qme(qs)
+    assert qs.dim == 128
+    assert np.abs(qt.qme_rhs(rho, qs)).sum() < 1e-9
+    assert abs(np.trace(rho) - 1.0) < 1e-12
+    assert np.max(np.abs(rho - rho.conj().T)) == 0.0
+
+
 def test_single_excitation_sector_equals_coupled_dipoles():
     """The one-excitation QME block evolves exactly like the LLI amplitudes."""
     rng = np.random.default_rng(7)
@@ -227,7 +303,7 @@ def test_many_body_deviation_peaks_at_intermediate_intensity():
         R = np.sqrt(I / 2)
         drive = PlaneWave(amplitude=R)
         qs = qt.build_quantum_system(geo, EY, drive)
-        rho = qt.steady_state_qme(qs, horizon=100.0)
+        rho = qt.steady_state_qme(qs)
         means_q = qt.mean_lowering(rho, qs)
         system = sc.build_obe_system(geo, EY, drive)
         st, _ = sc.steady_state_obe(system, horizon=300.0)

@@ -175,6 +175,17 @@ def test_bistable_scan_table():
     assert stable[-1].rho_ee > 2 * stable[0].rho_ee
 
 
+@pytest.mark.parametrize("offset, branches", [(0.0, 2), (1e-9, 3),
+                                              (-1e-6, 1)])
+def test_branch_count_at_the_fold(offset, branches):
+    # the lower window edge is a double root: the fold branch must be kept
+    # exactly there, split in two just inside and gone just outside
+    om, gt = 5.9375, 1.0
+    lo, _ = sc.bistable_intensity_window(0.0, om, gt)
+    rabi = np.sqrt(lo * (1.0 + offset) / 2) * GAMMA
+    assert len(sc.uniform_steady_state(0.0, rabi, om, gt)) == branches
+
+
 def test_bistable_heuristic_large_cooperativity():
     # where bistability exists the cooperativity magnitude is large (|C|>~4)
     a = 0.1 * LAMBDA

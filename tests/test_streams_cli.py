@@ -136,12 +136,14 @@ def test_cli_stack_and_bands(tmp_path):
 
 
 def test_cli_qme_and_g2(tmp_path):
-    run({"scenario": "qme", "geometry": {"kind": "square", "nx": 1, "ny": 2,
-                                         "spacing_wl": 0.5},
-         "drive": {"kind": "plane", "rabi": 0.4},
-         "t_final": 6.0, "n_times": 7}, out_dir=tmp_path)
+    manifest = run({"scenario": "qme",
+                    "geometry": {"kind": "square", "nx": 1, "ny": 2,
+                                 "spacing_wl": 0.5},
+                    "drive": {"kind": "plane", "rabi": 0.4},
+                    "t_final": 6.0, "n_times": 7}, out_dir=tmp_path)
     assert (tmp_path / "qme_populations.csv").exists()
     assert (tmp_path / "qme_steady.json").exists()
+    assert manifest["diagnostics"]["qme_steady_residual"] < 1e-9
     run({"scenario": "g2", "geometry": {"kind": "square", "nx": 1, "ny": 1},
          "drive": {"kind": "plane", "rabi": 0.35}, "tau_max": 6.0},
         out_dir=tmp_path)
