@@ -256,13 +256,13 @@ def run_transmit(cfg, out):
                                 "resonance_gamma": d0,
                                 "peak_reflectance": A + c}, indent=2))
     # far-field intensity map at the fitted resonance
+    from .kernel import direction_angles
     from .observables import farfield_amplitude, sphere_grid
     b = lli.steady_state(system, float(d0))
     nhat, _ = sphere_grid(24, 48)
     I = np.sum(np.abs(farfield_amplitude(dipole_table(system, b),
                                          geo, nhat)) ** 2, axis=1)
-    theta = np.arccos(np.clip(nhat[:, 0], -1, 1))
-    phi = np.arctan2(nhat[:, 2], nhat[:, 1])
+    theta, phi = direction_angles(nhat)
     fmap = out / "farfield_map.csv"
     write_csv(fmap, ["theta[rad]", "phi[rad]", "intensity[arb]"],
               list(zip(theta, phi, I)))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import K
+from .kernel import K, transverse
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,7 @@ class GaussianBeam:
         kt2 = (nhat[:, 1] ** 2 + nhat[:, 2] ** 2) * K**2
         f = np.exp(-kt2 * self.waist**2 / 4.0)
         pol = np.asarray(self.polarization, dtype=complex)
-        proj = pol[None, :] - nhat * (nhat @ pol)[:, None]
-        return f[:, None] * proj
+        return f[:, None] * transverse(nhat, pol)
 
 
 def no_drive():

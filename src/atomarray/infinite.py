@@ -26,7 +26,7 @@ from scipy.special import erfc, erfi
 
 from .errors import BraggResonanceError
 from .geometry import LAMBDA
-from .kernel import GAMMA, K, XI
+from .kernel import GAMMA, K, XI, direction, transverse
 from .stacked1d import layer_reflection
 
 DEFAULT_ETA_LADDER = (0.05, 0.04, 0.03)   # in units of the lattice spacing
@@ -289,14 +289,6 @@ class NonNormalResponse:
     multi_order: bool
 
 
-def incidence_direction(theta, phi):
-    """Unit wavevector with polar angle theta from the array normal (+x) and
-    azimuth phi of the in-plane component from the y axis."""
-    return np.array([np.cos(theta),
-                     np.sin(theta) * np.cos(phi),
-                     np.sin(theta) * np.sin(phi)])
-
-
 def in_plane_polarization(khat):
     """Transverse unit polarization lying in the lattice (yz) plane."""
     e = np.cross(khat, [1.0, 0.0, 0.0])
@@ -315,7 +307,7 @@ def nonnormal_response(a, theta, phi, delta, polarization=None,
     mirrored backward zeroth-order directions.  Raises a multi-order flag
     when higher Bragg channels propagate (then R+T<1 as computed here).
     """
-    khat = incidence_direction(theta, phi)
+    khat = direction(theta, phi)
     q = K * khat[1:]
     if polarization is None:
         polarization = in_plane_polarization(khat)
@@ -338,12 +330,8 @@ def nonnormal_response(a, theta, phi, delta, polarization=None,
     pref = 1j * K * XI / (2 * a**2 * cos_theta)
     khat_b = khat.copy()
     khat_b[0] = -khat_b[0]              # mirrored k_perp for the x<0 side
-
-    def project_transverse(n, v):
-        return v - n * (n @ v)
-
-    r_vec = pref * project_transverse(khat_b, rho)
-    t_vec = rhs + pref * project_transverse(khat, rho)
+    r_vec = pref * transverse(khat_b, rho)
+    t_vec = rhs + pref * transverse(khat, rho)
     R = float(np.sum(np.abs(r_vec) ** 2) / abs(rabi) ** 2)
     T = float(np.sum(np.abs(t_vec) ** 2) / abs(rabi) ** 2)
     ev = sums.collective_eigenvalues()

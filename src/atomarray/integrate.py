@@ -7,8 +7,9 @@ from scipy.integrate import solve_ivp
 from .errors import StiffnessError
 
 
-def integrate_complex(rhs, y0, t_grid, rtol=1e-10, atol=1e-12, method="DOP853"):
-    """solve_ivp wrapper for complex systems (packed into real views).
+def integrate_complex(rhs, y0, t_grid, rtol=1e-10, atol=1e-12):
+    """solve_ivp (DOP853) wrapper for complex systems (packed into real
+    views).
 
     Returns the solution at t_grid as a (nt, dim) complex array.
     """
@@ -24,7 +25,7 @@ def integrate_complex(rhs, y0, t_grid, rtol=1e-10, atol=1e-12, method="DOP853"):
 
     t0 = t_grid[0]
     sol = solve_ivp(rhs_real, (t0, t_grid[-1]), y0.copy().view(float),
-                    t_eval=t_grid, rtol=rtol, atol=atol, method=method)
+                    t_eval=t_grid, rtol=rtol, atol=atol, method="DOP853")
     if not sol.success:
         raise StiffnessError(f"integration failed: {sol.message}")
     return np.ascontiguousarray(sol.y.T).view(complex).reshape(len(t_grid), dim)

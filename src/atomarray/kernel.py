@@ -14,6 +14,13 @@ Pairwise couplings: Omega + i*gamma_pair = XI * e_nu^* . G(r_j - r_l) . e_mu.
 `coupling_matrix` assembles them for a whole array; every model (coupled
 dipoles, optical Bloch equations, master equation) takes its couplings
 from there.
+
+Far-field geometry: a direction n is `direction(theta, phi)`, theta the
+polar angle from the array normal (+x) and phi the azimuth of its in-plane
+(y, z) part from the y axis (`direction_angles` inverts it).  Light leaving
+along n carries the transverse part `transverse(n, v)` = v - n (n.v) of a
+dipole and the phase `farfield_phase(n, r_j)` = e^{-i k n.r_j} of its
+position; every far-field observable is built from these three.
 """
 from __future__ import annotations
 
@@ -37,6 +44,35 @@ FAR_FIELD_KR = 100.0
 LIGHT_CONE_EPS = 1e-9
 
 
+def direction(theta, phi) -> np.ndarray:
+    """Unit vector(s) (..., 3) at polar angle theta from the array normal
+    (+x) and azimuth phi of the in-plane part from the y axis; theta and
+    phi have the same shape."""
+    st = np.sin(theta)
+    return np.stack([np.cos(theta), st * np.cos(phi), st * np.sin(phi)],
+                    axis=-1)
+
+
+def direction_angles(nhat):
+    """(theta, phi) of unit vector(s) nhat (..., 3); inverts `direction`,
+    with phi in (-pi, pi]."""
+    return (np.arccos(np.clip(nhat[..., 0], -1.0, 1.0)),
+            np.arctan2(nhat[..., 2], nhat[..., 1]))
+
+
+def transverse(nhat, v):
+    """v - n (n.v): the part of the vector(s) v (..., 3) transverse to the
+    unit vector(s) nhat (..., 3); leading axes broadcast."""
+    return v - nhat * np.einsum("...i,...i->...", nhat, v)[..., None]
+
+
+def farfield_phase(nhat, positions):
+    """Far-field phases e^{-i k n.r_j}: (M, N) for directions (M, 3) and
+    positions (N, 3).  The argument is real (a complex one costs a complex
+    product and a complex exp)."""
+    return np.exp(-1j * (K * nhat @ np.asarray(positions, dtype=float).T))
+
+
 def circular_basis(quantization_axis=(0.0, 0.0, 1.0)) -> np.ndarray:
     """Columns (e_-1, e_0, e_+1) of the circular polarization basis for the
     given quantization axis: e_pm = mp(x' pm i y')/sqrt(2), e_0 = z'."""
@@ -44,7 +80,7 @@ def circular_basis(quantization_axis=(0.0, 0.0, 1.0)) -> np.ndarray:
     z = z / np.linalg.norm(z)
     # any unit vector not parallel to z seeds the transverse pair
     seed = np.array([1.0, 0.0, 0.0]) if abs(z[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    x = seed - z * (seed @ z)
+    x = transverse(z, seed)
     x /= np.linalg.norm(x)
     y = np.cross(z, x)
     em = (x - 1j * y) / np.sqrt(2.0)
@@ -127,10 +163,9 @@ def far_field_kernel(rhat, r, r_j, dipole, threshold=FAR_FIELD_KR) -> np.ndarray
             f"far-field kernel needs k*r > {threshold}; got {K * r}")
     rhat = np.asarray(rhat, dtype=float)
     rhat = rhat / np.linalg.norm(rhat)
-    d = np.asarray(dipole, dtype=complex)
-    transverse = d - rhat * (rhat @ d)
-    phase = np.exp(1j * (K * r - K * rhat @ np.asarray(r_j)))
-    return (K**2 / (4 * np.pi * r)) * phase * transverse
+    phase = np.exp(1j * K * r) * farfield_phase(rhat, r_j)
+    return (K**2 / (4 * np.pi * r)) * phase * transverse(
+        rhat, np.asarray(dipole, dtype=complex))
 
 
 def green_1d(x) -> complex:

@@ -20,7 +20,8 @@ from . import lli
 from .errors import (DegenerateConfigurationError, ResonantSingularityError,
                      SingularSeparationError)
 from .geometry import Geometry, sample_positions
-from .kernel import GAMMA, K, XI, coupling_matrix, green_tensor
+from .kernel import (GAMMA, K, XI, coupling_matrix, farfield_phase,
+                     green_tensor, transverse)
 from .lli import TransitionSpec
 
 # default product quadrature on a hemisphere (Gauss-Legendre x uniform phi)
@@ -72,20 +73,13 @@ def sphere_grid(n_theta=N_THETA, n_phi=N_PHI):
     return np.vstack([nf, nb]), np.concatenate([wf, wb])
 
 
-def _farfield_phase(nhat, positions) -> np.ndarray:
-    """(M, N) phases e^{-i k n.r_j}, from a real argument (a complex one
-    costs a complex product and a complex exp)."""
-    return np.exp(-1j * (K * nhat @ positions.T))
-
-
 def farfield_amplitude(dipoles, geometry: Geometry, nhat) -> np.ndarray:
     """(M, 3) far-zone amplitude F with E_s(r n) ~ (e^{ikr}/r) F(n):
     F = XI (k^2/4pi) sum_j e^{-i k n.r_j} (n x p_j) x n."""
     nhat = np.atleast_2d(nhat)
     p = np.asarray(dipoles, dtype=complex)
-    vec = _farfield_phase(nhat, geometry.positions) @ p        # (M, 3)
-    vec = vec - nhat * np.einsum("mi,mi->m", nhat, vec)[:, None]
-    return XI * K**2 / (4 * np.pi) * vec
+    vec = farfield_phase(nhat, geometry.positions) @ p         # (M, 3)
+    return XI * K**2 / (4 * np.pi) * transverse(nhat, vec)
 
 
 @dataclass(frozen=True)
@@ -118,23 +112,23 @@ def farfield_detector(geometry: Geometry, beam, n_theta=N_THETA, n_phi=N_PHI,
     """
     nf, wf = hemisphere_grid(n_theta, n_phi, forward=True)
     nb, wb = hemisphere_grid(n_theta, n_phi, forward=False)
-    norm = np.sum(wf * np.einsum("mi,mi->m", beam.farfield_mode(nf).conj(),
-                                 beam.farfield_mode(nf))).real
+    # the beam's (transverse) far-zone mode, once per hemisphere
+    mf, mb = beam.farfield_mode(nf), beam.farfield_mode(nb)
+    norm = np.sum(wf * np.einsum("mi,mi->m", mf.conj(), mf)).real
     if collection_half_angle < np.pi / 2:
         keepf = nf[:, 0] >= np.cos(collection_half_angle)
         keepb = nb[:, 0] <= -np.cos(collection_half_angle)
-        nf, wf = nf[keepf], wf[keepf]
-        nb, wb = nb[keepb], wb[keepb]
+        nf, wf, mf = nf[keepf], wf[keepf], mf[keepf]
+        nb, wb, mb = nb[keepb], wb[keepb], mb[keepb]
     # Fraunhofer far-zone amplitude of the beam: (-i k w0^2 / 2 r) e^{ikr} f_in
     a_in = -1j * K * beam.waist**2 / 2.0 * beam.amplitude
     scale = XI * K**2 / (4 * np.pi) / (a_in * norm)
 
-    def weights(nhat, w):
-        mode = w[:, None] * beam.farfield_mode(nhat).conj()
-        mode = mode - nhat * np.einsum("mi,mi->m", nhat, mode)[:, None]
-        return scale * (_farfield_phase(nhat, geometry.positions).T @ mode)
+    def weights(nhat, w, mode):
+        return scale * (farfield_phase(nhat, geometry.positions).T
+                        @ (w[:, None] * mode.conj()))
 
-    return Detector(weights(nf, wf), weights(nb, wb))
+    return Detector(weights(nf, wf, mf), weights(nb, wb, mb))
 
 
 def transmission_reflection(dipoles, geometry: Geometry, beam,
@@ -205,7 +199,7 @@ def farfield_rate_quadrature(corr, geometry: Geometry, transition: TransitionSpe
     m = basis.shape[1]
     n = len(pos)
     C = np.asarray(corr, dtype=complex).reshape(n, m, n, m)
-    phase = _farfield_phase(nhat, pos)                  # (M, N)
+    phase = farfield_phase(nhat, pos)                   # (M, N)
     ne = nhat.astype(complex) @ basis                   # (M, m)
     pol = (basis.conj().T @ basis)[None, :, :] - ne[:, :, None].conj() * ne[:, None, :]
     val = np.einsum("Mj,Ml,Mnm,jnlm->M", phase, phase.conj(), pol, C,

@@ -38,10 +38,15 @@ The steady state solves drho/dt + |G><G| Tr rho = |G><G| (so drho/dt = 0
 and Tr rho = 1) by GMRES, preconditioned with the inverse of the no-jump
 part, a Sylvester equation in the Schur basis of Hnh (`steady_state_qme`).
 
-Directional operators J(theta, phi; pol) carry solid-angle weights, double
-as photon detections, and their click rate 2<J^dag J> equals the far-field
-photon flux into the cell; their completeness sum converges to the
-dissipator as the angular grid refines.
+Light leaves the array through the far field: `farfield_operators` builds
+E(n, pol) = sum_{jc} (pol^* . e_c) e^{-i k n.r_j} s-_{jc} for a stack of
+directions and polarizations in one contraction, from the far-field
+primitives of `kernel`.  The g2 detection operator is one of them, and the
+directional jump operators J(theta, phi; pol) are all of them on a
+solid-angle grid, times sqrt((3 gamma/8 pi) dOmega).  Directional jumps
+double as photon detections, their click rate 2<J^dag J> equals the
+far-field photon flux into the cell, and their completeness sum converges
+to the dissipator as the angular grid refines.
 """
 from __future__ import annotations
 
@@ -56,7 +61,8 @@ from scipy.linalg.lapack import ztrsyl
 from .errors import DimensionCapError, NonConvergenceError, UndefinedG2Error
 from .geometry import Geometry
 from .integrate import integrate_complex
-from .kernel import GAMMA, K, coupling_matrix
+from .kernel import (GAMMA, coupling_matrix, direction, direction_angles,
+                     farfield_phase, transverse)
 from .lli import TransitionSpec, block_diagonal
 from .observables import sphere_grid
 
@@ -166,9 +172,9 @@ class QmeGenerator:
 
 
 def build_quantum_system(geometry: Geometry, transition: TransitionSpec,
-                         drive=None, dim_cap=QME_DIM_CAP) -> QuantumSystem:
+                         drive=None) -> QuantumSystem:
     n = geometry.natoms
-    _check_cap(transition.levels**n, dim_cap, "Hilbert space")
+    _check_cap(transition.levels**n, QME_DIM_CAP, "Hilbert space")
     lower = lowering_operators(n, transition.levels)
 
     C = coupling_matrix(geometry.positions, transition.basis)
@@ -279,39 +285,43 @@ def source_mode_basis(system: QuantumSystem) -> JumpBasis:
     return JumpBasis(system.source_jump_ops())
 
 
+def farfield_operators(system: QuantumSystem, nhat, pols) -> np.ndarray:
+    """(K, D, D) far-field lowering operators, one per direction nhat[k]
+    (K, 3) and detected polarization pols[k] (K, 3):
+
+        E_k = sum_{jc} (pol_k^* . e_c) e^{-i k n_k.r_j} sigma^-_{jc},
+
+    one contraction over the lowering-operator table (no normalization)."""
+    phases = farfield_phase(nhat, system.geometry.positions)     # (K, N)
+    coef = np.asarray(pols).conj() @ system.transition.basis      # (K, m)
+    amps = (phases[:, :, None] * coef[:, None, :]).reshape(len(coef), -1)
+    return np.tensordot(amps, system.lower, axes=1)
+
+
 def directional_basis(system: QuantumSystem, n_theta=12, n_phi=24) -> JumpBasis:
     """Photon-detection jump operators on a product solid-angle grid, one
     channel per transverse polarization:
 
-        J(n, pol) = sqrt((3 gamma/8 pi) dOmega) *
-                    sum_{jc} (pol . e_c) e^{-i k n.r_j} sigma^-_{jc}.
+        J(n, pol) = sqrt((3 gamma/8 pi) dOmega) * E(n, pol),
 
-    The grid sum of J^dag J converges to the pairwise dissipator as the
-    grid refines, and 2<J^dag J> is the photon flux into the cell.
+    E the `farfield_operators`; channels are ordered by direction, then
+    polarization, and a polarization that no dipole component radiates
+    into is dropped.  The grid sum of J^dag J converges to the pairwise
+    dissipator as the grid refines, and 2<J^dag J> is the photon flux into
+    the cell.
     """
     nhat, w = sphere_grid(n_theta, n_phi)
-    basis = system.transition.basis
-    pos = system.geometry.positions
-    ops, dirs = [], []
-    amp0 = 3.0 * GAMMA / (8.0 * np.pi)
-    for i, nh in enumerate(nhat):
-        seed = (np.array([0.0, 1.0, 0.0]) if abs(nh[0]) > 0.5
-                else np.array([1.0, 0.0, 0.0]))
-        e1 = seed - nh * (seed @ nh)
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(nh, e1)
-        phases = np.exp(-1j * K * pos @ nh)
-        theta = float(np.arccos(np.clip(nh[0], -1.0, 1.0)))
-        phi = float(np.arctan2(nh[2], nh[1]))
-        for pol in (e1, e2):
-            coef = pol.astype(complex) @ basis          # (ncomp,)
-            if np.max(np.abs(coef)) < 1e-14:
-                continue
-            J = np.tensordot(np.outer(phases, coef).ravel(), system.lower,
-                             axes=1)
-            ops.append(np.sqrt(amp0 * w[i]) * J)
-            dirs.append((theta, phi))
-    return JumpBasis(np.array(ops), np.asarray(dirs))
+    # transverse pair: e1 from a seed axis away from n, e2 = n x e1
+    seed = np.where(np.abs(nhat[:, :1]) > 0.5, [0.0, 1.0, 0.0],
+                    [1.0, 0.0, 0.0])
+    e1 = transverse(nhat, seed)
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    pols = np.stack([e1, np.cross(nhat, e1)], axis=1).reshape(-1, 3)
+    keep = np.max(np.abs(pols @ system.transition.basis), axis=1) >= 1e-14
+    idx = np.repeat(np.arange(len(nhat)), 2)[keep]
+    ops = farfield_operators(system, nhat[idx], pols[keep])
+    ops *= np.sqrt(3.0 * GAMMA / (8.0 * np.pi) * w[idx])[:, None, None]
+    return JumpBasis(ops, np.column_stack(direction_angles(nhat[idx])))
 
 
 def dissipator_completeness(system: QuantumSystem, basis: JumpBasis) -> float:
@@ -335,8 +345,7 @@ class TrajectoryResult:
 
 
 def run_trajectories(psi0, system: QuantumSystem, jump_basis: JumpBasis,
-                     t_grid, n_traj, seed, dt=2e-3,
-                     record_clicks=None) -> TrajectoryResult:
+                     t_grid, n_traj, seed, dt=2e-3) -> TrajectoryResult:
     """Monte Carlo wave-function unraveling, vectorized over trajectories.
 
     Fixed-step scheme: exact non-Hermitian propagation over dt (dense
@@ -347,16 +356,15 @@ def run_trajectories(psi0, system: QuantumSystem, jump_basis: JumpBasis,
     stream per chunk, so any (seed, trajectory index) pair reproduces
     independently of n_traj and scheduling.
 
-    Clicks are recorded only for bases with detection directions (source
-    modes are not photon detections) unless `record_clicks` overrides.
+    Clicks are recorded if and only if the basis has detection directions
+    (source modes are not photon detections).
     """
     D = system.dim
     _check_cap(D, TRAJ_DIM_CAP, "trajectory state")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid[0] != 0.0:
         raise ValueError("trajectory t_grid must start at 0")
-    if record_clicks is None:
-        record_clicks = jump_basis.directions is not None
+    record_clicks = jump_basis.directions is not None
 
     Jarr = jump_basis.operators
     JdJ_each = np.einsum("mji,mjk->mik", Jarr.conj(), Jarr)
@@ -434,9 +442,8 @@ def run_trajectories(psi0, system: QuantumSystem, jump_basis: JumpBasis,
         done += bsz
     rho_acc /= n_traj
     pop_acc /= n_traj
-    detections = bool(record_clicks) and jump_basis.directions is not None
     return TrajectoryResult(t_grid, rho_acc, clicks, n_traj, pop_acc,
-                            clicks_are_detections=detections)
+                            clicks_are_detections=record_clicks)
 
 
 def trace_distance(rho_a, rho_b) -> float:
@@ -449,27 +456,19 @@ def trace_distance(rho_a, rho_b) -> float:
 
 def detection_operator(system: QuantumSystem, theta, phi,
                        polarization=None) -> np.ndarray:
-    """Far-field detection operator along (theta, phi), normalization-free
-    (the scale cancels in g2): phased sum of lowering operators weighted by
-    the detected polarization's overlap with each dipole component.  For
-    multi-component transitions the default polarization is the transverse
-    projection of the dominant component."""
-    nh = np.array([np.cos(theta), np.sin(theta) * np.cos(phi),
-                   np.sin(theta) * np.sin(phi)])
-    basis = system.transition.basis
+    """Far-field detection operator E(n, pol) along n = (theta, phi)
+    (`farfield_operators`), normalization-free (the scale cancels in g2).
+    The default polarization is the transverse projection of the dominant
+    dipole component."""
+    nh = direction(theta, phi)
     if polarization is None:
-        proj = basis - np.outer(nh, nh.astype(complex) @ basis)
-        norms = np.real(np.einsum("ic,ic->c", proj.conj(), proj))
-        pol = proj[:, int(np.argmax(norms))]
-        pol = pol / np.linalg.norm(pol)
+        proj = transverse(nh, system.transition.basis.T)      # (m, 3)
+        norms = np.real(np.einsum("ci,ci->c", proj.conj(), proj))
+        pol = proj[int(np.argmax(norms))]
     else:
-        pol = np.asarray(polarization, dtype=complex)
-        pol = pol - nh * (nh.astype(complex) @ pol)
-        pol = pol / np.linalg.norm(pol)
-    coef = pol.conj() @ basis
-    pos = system.geometry.positions
-    phases = np.exp(-1j * K * pos @ nh)
-    return np.tensordot(np.outer(phases, coef).ravel(), system.lower, axes=1)
+        pol = transverse(nh, np.asarray(polarization, dtype=complex))
+    pol = pol / np.linalg.norm(pol)
+    return farfield_operators(system, nh[None], pol[None])[0]
 
 
 def g2_regression(system: QuantumSystem, tau_grid, theta=0.0, phi=0.0,

@@ -1,6 +1,7 @@
 """Effective 1D electrodynamics for stacked, uniformly excited planar
 arrays: coupled-layer dynamics, transfer matrices, system reflection and
-transmission, and the consistency checks behind the reduction.
+transmission (one Redheffer-star composition of per-layer scattering
+matrices, `system_rt`), and the consistency checks behind the reduction.
 
 Each layer is a superatom with collective linewidth gamma_1d (= gamma +
 gamma~ of its uniform mode, 3 pi gamma/(k a)^2 for an infinite square
@@ -122,7 +123,7 @@ def system_rt_direct(stack: LayerStack, delta, rabi=1.0):
 
 
 # ---------------------------------------------------------------------------
-# transfer matrices
+# transfer and scattering matrices
 
 def layer_transfer(r: complex) -> np.ndarray:
     """Transfer matrix of one array with reflection amplitude r:
@@ -147,22 +148,14 @@ def layer_reflection(delta, gamma_1d, shift=0.0, loss_factor=1.0):
     return -1j * (gamma_1d * loss_factor) / (delta + shift + 1j * gamma_1d)
 
 
-def system_transfer(stack: LayerStack, delta) -> np.ndarray:
-    """Composed transfer matrix of the whole stack."""
-    T = np.eye(2, dtype=complex)
-    r_layers = layer_reflection(delta, stack.gamma_1d, stack.shift,
-                                stack.loss_factor)
-    for j, r in enumerate(r_layers):
-        if j > 0:
-            T = T @ propagation(stack.x[j] - stack.x[j - 1])
-        T = T @ layer_transfer(r)
-    return T
-
-
-def system_rt_scattering(stack: LayerStack, delta):
-    """r/t by Redheffer-star composition of per-layer scattering matrices
-    (regular even at per-layer perfect reflection, where the transfer
-    matrix is singular)."""
+def system_rt(stack: LayerStack, delta):
+    """r/t of the stack by Redheffer-star composition of the per-layer
+    scattering matrices (each layer followed by free propagation to the
+    next), mapped from the entry/exit local frames to the global frame of
+    the coupled-layer route (wave coefficients of e^{+-ikx} about the
+    origin).  Regular at per-layer perfect reflection, where the transfer
+    matrix is singular; raises PerfectReflectionError only when the
+    composition itself is resonant."""
     S = None
     r_layers = layer_reflection(delta, stack.gamma_1d, stack.shift,
                                 stack.loss_factor)
@@ -171,31 +164,9 @@ def system_rt_scattering(stack: LayerStack, delta):
                   if j + 1 < stack.nlayers else 0.0)
         sj = layer_scattering(r, d_next=d_next)
         S = sj if S is None else redheffer_star(S, sj)
-    return complex(S[0, 0]), complex(S[1, 0])
-
-
-def system_rt(stack: LayerStack, delta):
-    """r/t of the stack from the inverse of the composed transfer matrix:
-    t = 1/[T^-1]_11, r = [T^-1]_21 / [T^-1]_11, mapped from the entry/exit
-    local frames to the global frame used by the coupled-layer route (wave
-    coefficients of e^{+-ikx} about the origin).  Falls back to the
-    scattering-matrix composition when a layer reflects perfectly."""
-    try:
-        T = system_transfer(stack, delta)
-        cond = np.linalg.cond(T)
-    except (PerfectReflectionError, np.linalg.LinAlgError):
-        T, cond = None, np.inf
-    if not np.isfinite(cond) or cond > 1e5:
-        # the transfer product loses ~cond digits near per-layer or
-        # composite resonances; the scattering composition is stable
-        t_loc, r_loc = system_rt_scattering(stack, delta)
-    else:
-        Tinv = np.linalg.inv(T)
-        t_loc = 1.0 / Tinv[0, 0]
-        r_loc = Tinv[1, 0] / Tinv[0, 0]
     span = stack.x[-1] - stack.x[0]
-    t = t_loc * np.exp(-1j * K * span)
-    r = r_loc * np.exp(2j * K * stack.x[0])
+    t = S[0, 0] * np.exp(-1j * K * span)
+    r = S[1, 0] * np.exp(2j * K * stack.x[0])
     return complex(t), complex(r)
 
 

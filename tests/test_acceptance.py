@@ -275,7 +275,8 @@ def test_criterion_11_one_dimensional_reduction():
             scale = np.max(np.abs(rho))
             worst = max(worst, float(np.max(np.abs(rho - m3d)) / scale))
 
-    # transfer-matrix r/t equals the coupled-layer steady state to 1e-8
+    # scattering-composition r/t equals the coupled-layer steady state to
+    # 1e-8
     stack = s1d.LayerStack.uniform([0.0, 0.75 * LAMBDA, 1.5 * LAMBDA],
                                    g1d, om)
     tm_dev = 0.0
@@ -286,7 +287,7 @@ def test_criterion_11_one_dimensional_reduction():
 
     ok = worst < 0.02 and tm_dev < 1e-8
     report(11, ok, f"max 3D/1D amplitude deviation {worst:.4f}; "
-           f"transfer-matrix vs steady-state dev {tm_dev:.1e}")
+           f"scattering-composition vs steady-state dev {tm_dev:.1e}")
 
 
 def test_criterion_12_appendix_verification():

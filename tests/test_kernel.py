@@ -7,9 +7,11 @@ from atomarray.errors import (NearFieldRequestError, OnLightConeError,
                               SingularSeparationError)
 from atomarray.geometry import LAMBDA, min_pair_distance
 from atomarray.kernel import (GAMMA, K, XI, circular_basis, coupling_matrix,
-                              far_field_kernel, green_1d, green_tensor,
-                              kernel_matrix_element, momentum_kernel_2d,
-                              momentum_kernel_3d, pair_coupling)
+                              direction_angles, far_field_kernel,
+                              green_1d, green_tensor, kernel_matrix_element,
+                              momentum_kernel_2d, momentum_kernel_3d,
+                              pair_coupling, transverse)
+from atomarray.kernel import direction as polar_direction
 
 
 def green_term_by_term(rvec):
@@ -254,6 +256,39 @@ def test_circular_basis_orthonormal():
     assert np.allclose(U[:, 1], [0, 0, 1])
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.floats(1e-3, np.pi - 1e-3), st.floats(-np.pi + 1e-3, np.pi))
+def test_direction_angles_round_trip(theta, phi):
+    n = polar_direction(theta, phi)
+    assert abs(np.linalg.norm(n) - 1.0) < 1e-15
+    th, ph = direction_angles(n)
+    assert abs(th - theta) < 1e-12
+    assert abs(ph - phi) < 1e-12 / np.sin(theta)
+    # grids broadcast: one (3,) row per angle pair
+    grid = polar_direction(np.array([theta, 0.5]), np.array([phi, -1.0]))
+    assert np.array_equal(grid[0], n)
+
+
+component = st.floats(-5, 5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(direction, min_size=1, max_size=4),
+       st.lists(st.tuples(*[component] * 6), min_size=1, max_size=4))
+def test_transverse_idempotent_and_orthogonal(dirs, comps):
+    n = np.array(dirs[:len(comps)])
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    c = np.array(comps[:len(n)])
+    v = c[:, :3] + 1j * c[:, 3:]
+    p = transverse(n, v)
+    scale = max(1.0, np.max(np.abs(v)))
+    assert np.max(np.abs(np.einsum("mi,mi->m", n, p))) < 1e-14 * scale
+    assert np.max(np.abs(transverse(n, p) - p)) < 1e-14 * scale
+    # a single direction broadcasts over many vectors and vice versa
+    assert np.allclose(transverse(n[0], v), [transverse(n[0], x) for x in v],
+                       rtol=0, atol=1e-15 * scale)
+
+
 def test_source_clicks_are_not_detections():
     from atomarray.errors import UndefinedG2Error
     from atomarray.geometry import Geometry
@@ -265,8 +300,7 @@ def test_source_clicks_are_not_detections():
                                  PlaneWave(amplitude=1.0))
     res = qt.run_trajectories(qs.ground_state(), qs,
                               qt.source_mode_basis(qs),
-                              np.linspace(0, 2, 3), 50, seed=0,
-                              record_clicks=True)
+                              np.linspace(0, 2, 3), 50, seed=0)
     assert not res.clicks_are_detections
     with pytest.raises(UndefinedG2Error):
         qt.g2_from_clicks(res, np.linspace(0, 1, 5))

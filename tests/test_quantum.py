@@ -8,7 +8,7 @@ from atomarray.drives import PlaneWave, no_drive
 from atomarray.errors import (DimensionCapError, NonConvergenceError,
                               UndefinedG2Error)
 from atomarray.geometry import LAMBDA, Geometry, build_ring, build_square_lattice
-from atomarray.kernel import GAMMA, XI, green_tensor
+from atomarray.kernel import GAMMA, K, XI, green_tensor
 from atomarray.lli import TransitionSpec
 
 EY = TransitionSpec(levels=2, orientation=(0.0, 1.0, 0.0))
@@ -332,6 +332,77 @@ def test_directional_basis_converges_to_dissipator():
     assert errs[0] > errs[-1]
 
 
+def directional_basis_loop(system, n_theta, n_phi):
+    """Reference: one direction at a time, a transverse pair (e1 from a
+    seed axis, e2 = n x e1) per direction, a channel per polarization that
+    some dipole component radiates into."""
+    from atomarray.observables import sphere_grid
+    nhat, w = sphere_grid(n_theta, n_phi)
+    basis = system.transition.basis
+    pos = system.geometry.positions
+    ops, dirs = [], []
+    amp0 = 3.0 * GAMMA / (8.0 * np.pi)
+    for i, nh in enumerate(nhat):
+        seed = (np.array([0.0, 1.0, 0.0]) if abs(nh[0]) > 0.5
+                else np.array([1.0, 0.0, 0.0]))
+        e1 = seed - nh * (seed @ nh)
+        e1 /= np.linalg.norm(e1)
+        e2 = np.cross(nh, e1)
+        phases = np.exp(-1j * K * pos @ nh)
+        theta = float(np.arccos(np.clip(nh[0], -1.0, 1.0)))
+        phi = float(np.arctan2(nh[2], nh[1]))
+        for pol in (e1, e2):
+            coef = pol.astype(complex) @ basis
+            if np.max(np.abs(coef)) < 1e-14:
+                continue
+            J = np.tensordot(np.outer(phases, coef).ravel(), system.lower,
+                             axes=1)
+            ops.append(np.sqrt(amp0 * w[i]) * J)
+            dirs.append((theta, phi))
+    return np.array(ops), np.asarray(dirs)
+
+
+FARFIELD_SYSTEMS = {
+    "tilted_ring": (build_ring(3, 0.4 * LAMBDA),
+                    TransitionSpec(levels=2, orientation=(0.3, 0.8, -0.5))),
+    "zeeman_pair": (pair(0.3 * LAMBDA),
+                    TransitionSpec(levels=4, zeeman=(0.3, 0.0, 0.5))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FARFIELD_SYSTEMS))
+@pytest.mark.parametrize("grid", [(4, 8), (7, 11)])
+def test_directional_basis_equals_direction_loop(name, grid):
+    geo, tr = FARFIELD_SYSTEMS[name]
+    qs = qt.build_quantum_system(geo, tr, PlaneWave(amplitude=0.5))
+    want_ops, want_dirs = directional_basis_loop(qs, *grid)
+    basis = qt.directional_basis(qs, *grid)
+    assert basis.operators.shape == want_ops.shape
+    assert np.array_equal(basis.directions, want_dirs)
+    dev = np.max(np.abs(basis.operators - want_ops))
+    assert dev <= 1e-14 * np.max(np.abs(want_ops))
+
+
+def test_detection_operator_is_a_directional_channel():
+    from atomarray.observables import sphere_grid
+    geo, tr = FARFIELD_SYSTEMS["zeeman_pair"]
+    qs = qt.build_quantum_system(geo, tr)
+    nhat, w = sphere_grid(3, 5)
+    basis = qt.directional_basis(qs, 3, 5)
+    # J=0 -> J'=1 radiates into every polarization: two channels each
+    assert len(basis.operators) == 2 * len(nhat)
+    for i, nh in enumerate(nhat):
+        seed = [0.0, 1.0, 0.0] if abs(nh[0]) > 0.5 else [1.0, 0.0, 0.0]
+        e1 = seed - nh * (nh @ seed)
+        e1 /= np.linalg.norm(e1)
+        theta, phi = basis.directions[2 * i]
+        for p, pol in enumerate((e1, np.cross(nh, e1))):
+            J = basis.operators[2 * i + p]
+            E = qt.detection_operator(qs, theta, phi, pol)
+            scale = np.sqrt(3.0 * GAMMA / (8.0 * np.pi) * w[i])
+            assert np.max(np.abs(E - J / scale)) < 1e-12 * np.max(np.abs(E))
+
+
 def test_directional_click_rate_matches_rate_formula():
     """Total directional click rate in steady state equals the rate formula
     evaluated on the QME correlations (within Monte-Carlo error)."""
@@ -461,8 +532,7 @@ def test_g2_undefined_without_rate():
 
 def test_dimension_caps():
     with pytest.raises(DimensionCapError):
-        qt.build_quantum_system(build_square_lattice(4, 4, 0.5 * LAMBDA), EY,
-                                dim_cap=qt.QME_DIM_CAP)
+        qt.build_quantum_system(build_square_lattice(4, 4, 0.5 * LAMBDA), EY)
 
 
 def test_trajectory_rejects_nonzero_start():

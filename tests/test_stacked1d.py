@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from atomarray import stacked1d as s1d
@@ -57,6 +57,23 @@ def test_transfer_matrix_matches_direct_steady_state():
                 continue
             assert abs(t_tm - t_di) < 1e-8
             assert abs(r_tm - r_di) < 1e-8
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.51, 1.5), min_size=1, max_size=4),
+       st.floats(0.05, 1.0), st.floats(0.2, 2.0), st.floats(-1.0, 1.0),
+       st.floats(-4.0, 4.0))
+def test_system_rt_matches_direct_for_unequal_lossy_stacks(
+        spacings_wl, loss, g1d, shift, delta):
+    x = np.concatenate([[0.0], np.cumsum(spacings_wl)]) * LAMBDA
+    stack = s1d.LayerStack.uniform(x, g1d, shift, loss_factor=loss)
+    # the direct solve is the reference only where it is well conditioned
+    # (a lossless stack has exact cavity resonances, e.g. d = lambda/2)
+    assume(np.linalg.cond(s1d._coupling_matrix(stack, delta)) < 1e4)
+    t, r = s1d.system_rt(stack, delta)
+    t_di, r_di = s1d.system_rt_direct(stack, delta)
+    assert abs(t - t_di) < 1e-10
+    assert abs(r - r_di) < 1e-10
 
 
 def test_half_wave_cavity_resonance_is_singular():
