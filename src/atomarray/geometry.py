@@ -167,15 +167,15 @@ def lattice_geometry(nx: int, ny: int, spec: LatticeTrapSpec) -> Geometry:
 
 
 def sample_positions(geometry: Geometry, rng: np.random.Generator,
-                     widths=None, min_separation: float = MIN_SEPARATION,
-                     max_attempts: int = 100) -> Geometry:
+                     widths=None,
+                     min_separation: float = MIN_SEPARATION) -> Geometry:
     """One stochastic realization of the atom positions.
 
     Each site is displaced by independent Gaussians whose per-axis 1/e
     half-widths are `widths` (default: the geometry's own fluctuation);
     a half-width ell means std = ell/sqrt(2).  Configurations with a pair
-    closer than `min_separation` are redrawn; after `max_attempts`
-    failures a DegenerateConfigurationError is raised.
+    closer than `min_separation` are redrawn; after 100 failures a
+    DegenerateConfigurationError is raised.
     """
     if widths is None:
         widths = geometry.fluctuation
@@ -187,11 +187,11 @@ def sample_positions(geometry: Geometry, rng: np.random.Generator,
     if not np.any(widths > 0):
         return geometry
     sigma = widths / np.sqrt(2.0)
-    for _ in range(max_attempts):
+    for _ in range(100):
         jitter = rng.normal(0.0, 1.0, size=geometry.positions.shape) * sigma
         pos = geometry.positions + jitter
         if min_pair_distance(pos) >= min_separation:
             return Geometry(pos, geometry.site_labels, tuple(widths))
     raise DegenerateConfigurationError(
-        f"no valid configuration in {max_attempts} attempts "
+        "no valid configuration in 100 attempts "
         f"(min separation {min_separation}/k)")

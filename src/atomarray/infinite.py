@@ -64,7 +64,6 @@ class LatticeSums:
     q: np.ndarray
     coupling: np.ndarray
     raw: dict
-    g_max: int
 
     @property
     def omega(self) -> np.ndarray:
@@ -121,7 +120,7 @@ def _richardson(etas, values):
     return np.linalg.solve(A, np.asarray(values))[0]
 
 
-def lattice_sums(a: float, q=(0.0, 0.0), eta_ladder=None, g_max=None) -> LatticeSums:
+def lattice_sums(a: float, q=(0.0, 0.0), eta_ladder=None) -> LatticeSums:
     """Collective coupling matrix Omega~(q) + i gamma~(q) for a square
     lattice of spacing a at in-plane Bloch vector q = (q_y, q_z)."""
     if a <= 0:
@@ -133,19 +132,16 @@ def lattice_sums(a: float, q=(0.0, 0.0), eta_ladder=None, g_max=None) -> Lattice
     for eta in eta_ladder:
         if eta <= 0:
             raise ValueError("regulator widths must be positive")
-        if g_max is None:
-            # suppress the largest shell below SHELL_SUPPRESSION
-            nmax = int(np.ceil(np.sqrt(-np.log(SHELL_SUPPRESSION))
-                               * a / (np.pi * eta))) + 2
-        else:
-            nmax = int(g_max)
+        # suppress the largest shell below SHELL_SUPPRESSION
+        nmax = int(np.ceil(np.sqrt(-np.log(SHELL_SUPPRESSION))
+                           * a / (np.pi * eta))) + 2
         raw[eta] = XI * _sum_matrix(a, q, eta, nmax)
     etas = list(raw)
     coupling = np.zeros((3, 3), dtype=complex)
     for i in range(3):
         for j in range(3):
             coupling[i, j] = _richardson(etas, [raw[e][i, j] for e in etas])
-    return LatticeSums(a, q, coupling, raw, nmax)
+    return LatticeSums(a, q, coupling, raw)
 
 
 def uniform_linewidth_analytic(a: float) -> float:
@@ -167,10 +163,11 @@ def single_mode_rt(delta, omega_t, gamma_t):
     return r, 1.0 + r
 
 
-def zero_shift_spacings(a_min=0.05 * LAMBDA, a_max=0.999 * LAMBDA, samples=80):
+def zero_shift_spacings():
     """Lattice constants a < lambda where the uniform-mode collective shift
-    Omega~(q=0) vanishes (near a/lambda ~ 0.2 and 0.8)."""
-    grid = np.linspace(a_min, a_max, samples)
+    Omega~(q=0) vanishes (near a/lambda ~ 0.2 and 0.8), bracketed on 80
+    spacings from 0.05 to 0.999 lambda."""
+    grid = np.linspace(0.05 * LAMBDA, 0.999 * LAMBDA, 80)
 
     def shift(a):
         return lattice_sums(a).uniform_mode(1)[0]
@@ -244,10 +241,11 @@ def two_mode_finite_size_reflection(params: TwoModeParams):
                                            + params.ups_i * params.ups_p)
 
 
-def two_mode_exceptional_point(params: TwoModeParams, tol=1e-9) -> bool:
-    """True when |dbar| = |ups_I - ups_P|/2 (eigenvector coalescence of the
-    two-mode non-Hermitian matrix, exact for delta_P = delta_I)."""
-    return abs(abs(params.dbar) - abs(params.ups_i - params.ups_p) / 2.0) < tol
+def two_mode_exceptional_point(params: TwoModeParams) -> bool:
+    """True when |dbar| = |ups_I - ups_P|/2 to 1e-9 (eigenvector
+    coalescence of the two-mode non-Hermitian matrix, exact for
+    delta_P = delta_I)."""
+    return abs(abs(params.dbar) - abs(params.ups_i - params.ups_p) / 2.0) < 1e-9
 
 
 def two_mode_evolve(params: TwoModeParams, delta0, t_grid, rho0=(0.0, 0.0)):

@@ -37,7 +37,7 @@ XI = 6.0 * np.pi * GAMMA / K**3
 # below this separation the 1/r^3 terms are considered unusable
 SINGULAR_SEPARATION = 1e-9
 
-# default far-field radiation-zone threshold (k*r > this)
+# far-field radiation-zone threshold (k*r > this)
 FAR_FIELD_KR = 100.0
 
 # guard width around the light circle for momentum kernels
@@ -152,15 +152,15 @@ def kernel_matrix_element(rvec, e_nu, e_mu) -> complex:
     return complex(np.conj(np.asarray(e_nu)) @ G @ np.asarray(e_mu))
 
 
-def far_field_kernel(rhat, r, r_j, dipole, threshold=FAR_FIELD_KR) -> np.ndarray:
+def far_field_kernel(rhat, r, r_j, dipole) -> np.ndarray:
     """Radiation-zone field of a unit-amplitude dipole at r_j observed at
     distance r along direction rhat:
 
         (k^2 / 4 pi r) e^{i(kr - k rhat.r_j)} (rhat x d) x rhat
     """
-    if K * r <= threshold:
+    if K * r <= FAR_FIELD_KR:
         raise NearFieldRequestError(
-            f"far-field kernel needs k*r > {threshold}; got {K * r}")
+            f"far-field kernel needs k*r > {FAR_FIELD_KR}; got {K * r}")
     rhat = np.asarray(rhat, dtype=float)
     rhat = rhat / np.linalg.norm(rhat)
     phase = np.exp(1j * K * r) * farfield_phase(rhat, r_j)

@@ -208,18 +208,18 @@ def match_mode(eigensystem: EigenSystem, target) -> int:
                                          eigensystem)))
 
 
-def uniform_target(n_atoms: int, component: int, ncomp: int = 3) -> np.ndarray:
-    """Uniform phase-coherent target vector polarized along one Cartesian
-    component (0=x out of plane, 1=y, 2=z)."""
-    t = np.zeros(n_atoms * ncomp)
-    t[component::ncomp] = 1.0
+def uniform_target(n_atoms: int, component: int) -> np.ndarray:
+    """Uniform phase-coherent target vector of three-component atoms,
+    polarized along one Cartesian component (0=x out of plane, 1=y, 2=z)."""
+    t = np.zeros(n_atoms * 3)
+    t[component::3] = 1.0
     return t
 
 
-def eigen_table(system: CouplingSystem, drive_state=None):
+def eigen_table(system: CouplingSystem):
     """Rows (index, shift, linewidth, occupation) for CSV export; the
-    occupation column refers to `drive_state` (steady state if None)."""
+    occupation column refers to the steady state."""
     es = eigenmodes(system)
-    b = steady_state(system) if drive_state is None else np.asarray(drive_state)
+    b = steady_state(system)
     occ = mode_occupation(b, es) if np.linalg.norm(b) > 0 else np.zeros(system.size)
     return [(j, es.shifts[j], es.linewidths[j], occ[j]) for j in range(system.size)]

@@ -279,6 +279,11 @@ class JumpBasis:
     operators: np.ndarray
     directions: np.ndarray = None
 
+    def decay_operator(self) -> np.ndarray:
+        """sum_m J_m^dag J_m, one product of the stacked (K*D, D) rows."""
+        rows = self.operators.reshape(-1, self.operators.shape[-1])
+        return rows.conj().T @ rows
+
 
 def source_mode_basis(system: QuantumSystem) -> JumpBasis:
     """Collective decay channels; never interpreted as photon detections."""
@@ -327,8 +332,8 @@ def directional_basis(system: QuantumSystem, n_theta=12, n_phi=24) -> JumpBasis:
 def dissipator_completeness(system: QuantumSystem, basis: JumpBasis) -> float:
     """Operator-norm deviation of sum_m J_m^dag J_m from the pairwise
     dissipator (zero for source modes, grid-limited for directional)."""
-    JdJ = sum(J.conj().T @ J for J in basis.operators)
-    return float(np.linalg.norm(JdJ - system.dissipator_operator(), 2))
+    return float(np.linalg.norm(
+        basis.decay_operator() - system.dissipator_operator(), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +354,15 @@ def run_trajectories(psi0, system: QuantumSystem, jump_basis: JumpBasis,
     """Monte Carlo wave-function unraveling, vectorized over trajectories.
 
     Fixed-step scheme: exact non-Hermitian propagation over dt (dense
-    propagator), jump decision per step from the exact norm loss, channel
-    drawn from the instantaneous rates <J^dag J>.  The step size is reduced
-    automatically if the per-step jump probability would exceed 0.1.
-    Trajectories are processed in chunks of TRAJ_CHUNK with one child RNG
-    stream per chunk, so any (seed, trajectory index) pair reproduces
-    independently of n_traj and scheduling.
+    propagator) and a jump decision per step from the exact norm loss.  A
+    jump applies every J_m to the state in one product with the stacked
+    operators and keeps the jumped state J_m psi drawn with weight
+    ||J_m psi||^2.  dt is halved until the per-step jump probability is at
+    most 0.1; then each interval of the uniform `t_grid` (which starts at 0)
+    gets a whole number of equal steps no longer than dt.  Trajectories are
+    processed in chunks of TRAJ_CHUNK with one child RNG stream per chunk,
+    so any (seed, trajectory index) pair reproduces independently of n_traj
+    and scheduling.
 
     Clicks are recorded if and only if the basis has detection directions
     (source modes are not photon detections).
@@ -364,37 +372,32 @@ def run_trajectories(psi0, system: QuantumSystem, jump_basis: JumpBasis,
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid[0] != 0.0:
         raise ValueError("trajectory t_grid must start at 0")
+    interval = np.diff(t_grid)
+    if (len(interval) == 0 or interval[0] <= 0
+            or np.ptp(interval) > 1e-9 * interval[0]):
+        raise ValueError("trajectory t_grid must be uniform and increasing "
+                         "with >= 2 points")
     record_clicks = jump_basis.directions is not None
 
-    Jarr = jump_basis.operators
-    JdJ_each = np.einsum("mji,mjk->mik", Jarr.conj(), Jarr)
-    JdJ_tot = np.sum(JdJ_each, axis=0)
+    K = len(jump_basis.operators)
+    # stacked[j, m*D + i] = J_m[i, j]: psi @ stacked holds every J_m psi
+    stacked = jump_basis.operators.transpose(2, 0, 1).reshape(D, K * D)
+    JdJ_tot = jump_basis.decay_operator()
     # cap the worst-case per-step jump probability at 0.1
     max_rate = float(np.linalg.norm(JdJ_tot, 2))
     while 2.0 * max_rate * dt > 0.1:
         dt /= 2.0
-
+    per_out = int(np.ceil(interval[0] / dt - 1e-9))
+    dt = interval[0] / per_out
+    n_steps = per_out * len(interval)
     Hnh = system.hamiltonian - 1j * JdJ_tot
-    U = scipy.linalg.expm(-1j * Hnh * dt)
-    Ut = U.T.copy()
-
-    n_steps = int(np.round(t_grid[-1] / dt))
-    if abs(n_steps * dt - t_grid[-1]) > 1e-9:
-        n_steps = int(np.ceil(t_grid[-1] / dt))
-        dt = t_grid[-1] / n_steps
-        U = scipy.linalg.expm(-1j * Hnh * dt)
-        Ut = U.T.copy()
-    out_idx = np.rint(t_grid / dt).astype(int)
-    if np.any(np.abs(out_idx * dt - t_grid) > 1e-8 * max(1.0, t_grid[-1])):
-        raise ValueError("t_grid points must be commensurate with dt")
+    Ut = scipy.linalg.expm(-1j * Hnh * dt).T.copy()
 
     psi0 = np.asarray(psi0, dtype=complex)
     psi0 = psi0 / np.linalg.norm(psi0)
 
     rho_acc = np.zeros((len(t_grid), D, D), dtype=complex)
-    pop_acc = np.zeros(len(t_grid))
     clicks = []
-    pop_op = system.population_operator()
 
     streams = np.random.SeedSequence(seed).spawn(
         (n_traj + TRAJ_CHUNK - 1) // TRAJ_CHUNK)
@@ -403,11 +406,7 @@ def run_trajectories(psi0, system: QuantumSystem, jump_basis: JumpBasis,
         bsz = min(TRAJ_CHUNK, n_traj - done)
         rng = np.random.default_rng(ss)
         psi = np.tile(psi0, (bsz, 1))
-        ptr = 0
-        if out_idx[0] == 0:
-            rho_acc[0] += np.einsum("bi,bj->ij", psi, psi.conj())
-            pop_acc[0] += np.einsum("bi,ij,bj->", psi.conj(), pop_op, psi).real
-            ptr = 1
+        rho_acc[0] += np.einsum("bi,bj->ij", psi, psi.conj())
         for step in range(1, n_steps + 1):
             psi = psi @ Ut
             nrm2 = np.einsum("bi,bi->b", psi.conj(), psi).real
@@ -415,34 +414,29 @@ def run_trajectories(psi0, system: QuantumSystem, jump_basis: JumpBasis,
             # function of (seed, chunk, step), independent of n_traj
             u_jump = rng.random(TRAJ_CHUNK)[:bsz]
             u_pick = rng.random(TRAJ_CHUNK)[:bsz]
-            jumpers = u_jump < (1.0 - nrm2)
-            if np.any(jumpers):
-                pj = psi[jumpers]
-                rates = np.einsum("bi,mij,bj->bm", pj.conj(), JdJ_each,
-                                  pj).real
-                rates = np.clip(rates, 0.0, None)
+            psi /= np.sqrt(nrm2)[:, None]
+            jumpers = np.nonzero(u_jump < (1.0 - nrm2))[0]
+            if len(jumpers):
+                jumped = (psi[jumpers] @ stacked).reshape(-1, K, D)
+                rates = np.einsum("bmi,bmi->bm", jumped.conj(), jumped).real
                 cum = np.cumsum(rates, axis=1)
-                u2 = u_pick[jumpers][:, None] * cum[:, -1:]
-                pick = np.minimum((u2 > cum).sum(axis=1), len(Jarr) - 1)
-                newpsi = np.einsum("mij,bj->bmi", Jarr, pj)
-                chosen = newpsi[np.arange(len(pj)), pick]
-                chosen /= np.linalg.norm(chosen, axis=1, keepdims=True)
-                psi[jumpers] = chosen
+                u2 = u_pick[jumpers, None] * cum[:, -1:]
+                pick = (u2 > cum).sum(axis=1)
+                chosen = jumped[np.arange(len(jumpers)), pick]
+                psi[jumpers] = chosen / np.linalg.norm(chosen, axis=1,
+                                                       keepdims=True)
                 if record_clicks:
                     tj = step * dt
-                    for b, ch in zip(np.nonzero(jumpers)[0], pick):
+                    for b, ch in zip(jumpers, pick):
                         clicks.append((done + int(b), tj, int(ch)))
-            keep = ~jumpers
-            psi[keep] = psi[keep] / np.sqrt(nrm2[keep, None])
-            if ptr < len(out_idx) and step == out_idx[ptr]:
-                rho_acc[ptr] += np.einsum("bi,bj->ij", psi, psi.conj())
-                pop_acc[ptr] += np.einsum("bi,ij,bj->",
-                                          psi.conj(), pop_op, psi).real
-                ptr += 1
+            if step % per_out == 0:
+                rho_acc[step // per_out] += np.einsum("bi,bj->ij", psi,
+                                                      psi.conj())
         done += bsz
     rho_acc /= n_traj
-    pop_acc /= n_traj
-    return TrajectoryResult(t_grid, rho_acc, clicks, n_traj, pop_acc,
+    populations = np.einsum("ij,tji->t", system.population_operator(),
+                            rho_acc).real
+    return TrajectoryResult(t_grid, rho_acc, clicks, n_traj, populations,
                             clicks_are_detections=record_clicks)
 
 

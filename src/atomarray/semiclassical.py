@@ -141,18 +141,18 @@ def integrate_obe(state0: SemiclassicalState, system: ObeSystem, t_grid,
     return [SemiclassicalState.unflatten(row, n, m) for row in traj]
 
 
-def steady_state_obe(system: ObeSystem, state0=None, horizon=200.0,
-                     residual_tol=1e-10, refine=True):
-    """March to the attractor, then damped-Newton refine.
+def steady_state_obe(system: ObeSystem, horizon=200.0, residual_tol=1e-10,
+                     refine=True):
+    """March from the ground state to the attractor, then damped-Newton
+    refine.
 
     Returns (state, residual).  Raises NonConvergenceError with the
     trajectory tail attached when no stationary point is reached (possible
     in bistable/oscillatory regimes).
     """
     n, m = system.natoms, system.ncomp
-    state = state0 or SemiclassicalState.ground(n, m)
     t_grid = np.linspace(0.0, horizon, 41)
-    traj = integrate_obe(state, system, t_grid)
+    traj = integrate_obe(SemiclassicalState.ground(n, m), system, t_grid)
     state = traj[-1]
 
     def fun(y):
@@ -314,13 +314,11 @@ class BistabilityScan:
     bistable: bool
 
 
-def bistability_scan(a, delta_grid, intensity_grid, sums=None) -> BistabilityScan:
+def bistability_scan(a, delta_grid, intensity_grid) -> BistabilityScan:
     """Root/stability table of the uniform mode over a (Delta, I) grid for
     one lattice spacing (I in units of I_sat, |R|^2 = I/2 in gamma units)."""
     from .infinite import lattice_sums
-    if sums is None:
-        sums = lattice_sums(a)
-    omega_t, gamma_t = sums.uniform_mode(1)
+    omega_t, gamma_t = lattice_sums(a).uniform_mode(1)
     rows = []
     any_bi = False
     for d in delta_grid:
@@ -334,17 +332,14 @@ def bistability_scan(a, delta_grid, intensity_grid, sums=None) -> BistabilitySca
     return BistabilityScan(a, omega_t, gamma_t, rows, any_bi)
 
 
-def has_bistable_window(a, sums=None, delta_span=None, samples=1601) -> bool:
-    """Whether any detuning yields a bistable intensity window at spacing a,
-    confirmed by a two-stable-branch root solve at a witness intensity."""
+def has_bistable_window(a) -> bool:
+    """Whether any of 1601 detunings in +-(6 |Omega~| + 6) gamma yields a
+    bistable intensity window at spacing a, confirmed by a two-stable-branch
+    root solve at a witness intensity."""
     from .infinite import lattice_sums
-    if sums is None:
-        sums = lattice_sums(a)
-    omega_t, gamma_t = sums.uniform_mode(1)
-    if delta_span is None:
-        span = 6.0 * abs(omega_t) + 6.0
-        delta_span = (-span, span)
-    for d in np.linspace(*delta_span, samples):
+    omega_t, gamma_t = lattice_sums(a).uniform_mode(1)
+    span = 6.0 * abs(omega_t) + 6.0
+    for d in np.linspace(-span, span, 1601):
         window = bistable_intensity_window(d, omega_t, gamma_t)
         if window is None:
             continue

@@ -220,7 +220,7 @@ def band_edge_shift(d, gamma_1d) -> float:
 # ---------------------------------------------------------------------------
 # spatial-integration checks of the 1D reduction
 
-def f_integral_quadrature(n: int, x: float, kval=K) -> complex:
+def f_integral_quadrature(n: int, x: float) -> complex:
     """F_n = int_|x|^inf e^{i k R} / R^n dR by oscillatory quadrature
     (QAWF for the semi-infinite Fourier transform)."""
     ax = abs(x)
@@ -233,9 +233,9 @@ def f_integral_quadrature(n: int, x: float, kval=K) -> complex:
     # the n = 1 tail converges only conditionally; QAWF saturates around
     # 1e-11 absolute there, while faster-decaying integrands go deeper
     epsabs = 1e-11 if n == 1 else 1e-14
-    re, _ = quad(f, ax, np.inf, weight="cos", wvar=kval, limit=800,
+    re, _ = quad(f, ax, np.inf, weight="cos", wvar=K, limit=800,
                  epsabs=epsabs)
-    im, _ = quad(f, ax, np.inf, weight="sin", wvar=kval, limit=800,
+    im, _ = quad(f, ax, np.inf, weight="sin", wvar=K, limit=800,
                  epsabs=epsabs)
     return re + 1j * im
 
@@ -263,19 +263,19 @@ def planar_field_integrand(rho, x):
                + (1.0 / kr**2 - 1j / kr) * (3 * rho**2 / R**2 - 2.0)))
 
 
-def disk_integrated_field(x, radius, taper_start=0.5, n_points=400_000):
+def disk_integrated_field(x, radius):
     """Integrate the uniform sheet's scattered field over a disk of the
     given radius (unit dipole density): int_0^rho0 rho drho f(rho) with the
-    substitution rho drho = R dR, and a smooth cosine taper beyond
-    taper_start*R1 standing in for the convergence factor.  The exact
-    infinite-sheet value is (i k / 2) e^{ik|x|}."""
+    substitution rho drho = R dR on 400,000 trapezoid points, and a smooth
+    cosine taper beyond R1/2 standing in for the convergence factor.  The
+    exact infinite-sheet value is (i k / 2) e^{ik|x|}."""
     R0 = abs(x)
     R1 = np.sqrt(x * x + radius * radius)
-    R = np.linspace(R0, R1, n_points)
+    R = np.linspace(R0, R1, 400_000)
     rho = np.sqrt(np.maximum(R * R - x * x, 0.0))
     vals = planar_field_integrand(rho, x) * R
     w = np.ones_like(R)
-    t0 = taper_start * R1
+    t0 = 0.5 * R1
     sel = R > t0
     w[sel] = 0.5 * (1.0 + np.cos(np.pi * (R[sel] - t0) / (R1 - t0)))
     return np.trapezoid(vals * w, R)

@@ -426,6 +426,27 @@ def test_directional_click_rate_matches_rate_formula():
     assert abs(rate - n_s) < 4 * sigma + 0.02 * n_s
 
 
+def test_directional_channel_draw_matches_channel_rates():
+    """Clicks of a driven atom fall into each polar ring of directions with
+    the ring's share of the steady-state rates sum_m Tr(J_m^dag J_m rho)."""
+    qs = qt.build_quantum_system(single_atom(), EY, PlaneWave(amplitude=0.6))
+    rho_ss = qt.steady_state_qme(qs)
+    basis = qt.directional_basis(qs, n_theta=6, n_phi=12)
+    rates = np.einsum("mji,mjk,ki->m", basis.operators.conj(),
+                      basis.operators, rho_ss).real
+    rings, ring = np.unique(basis.directions[:, 0], return_inverse=True)
+    want = np.bincount(ring, weights=rates) / rates.sum()
+
+    t_relax, T = 4.0, 24.0
+    res = qt.run_trajectories(qs.ground_state(), qs, basis,
+                              np.linspace(0, T, 7), n_traj=300, seed=2,
+                              dt=5e-3)
+    late = np.array([ch for _, t, ch in res.clicks if t > t_relax])
+    got = np.bincount(ring[late], minlength=len(rings)) / len(late)
+    sigma = np.sqrt(want * (1 - want) / len(late))
+    assert np.all(np.abs(got - want) < 4 * sigma + 5e-3)
+
+
 def test_trajectories_single_atom_decay():
     qs = qt.build_quantum_system(single_atom(), EY)
     psi0 = np.array([0.0, 1.0], dtype=complex)
@@ -541,3 +562,12 @@ def test_trajectory_rejects_nonzero_start():
         qt.run_trajectories(qs.ground_state(), qs,
                             qt.source_mode_basis(qs),
                             np.array([1.0, 2.0]), 10, seed=0)
+
+
+def test_trajectory_rejects_nonuniform_grid():
+    qs = qt.build_quantum_system(single_atom(), EY)
+    for t in ([0.0, 0.5, 2.0], [0.0], [0.0, 0.0]):
+        with pytest.raises(ValueError, match="uniform"):
+            qt.run_trajectories(qs.ground_state(), qs,
+                                qt.source_mode_basis(qs), np.array(t), 10,
+                                seed=0)

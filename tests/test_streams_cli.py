@@ -164,6 +164,21 @@ def test_cli_traj_scenario(tmp_path):
     assert max(dists) < 0.2
 
 
+def test_cli_traj_grid_not_a_multiple_of_dt(tmp_path):
+    # the output interval 1/3 is no whole multiple of the default step
+    # 2e-3, so each interval gets a whole number of shorter steps
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"scenario": "traj",
+         "geometry": {"kind": "ring", "natoms": 2, "radius_wl": 0.4},
+         "drive": {"kind": "plane", "rabi": 0.8},
+         "n_trajectories": 10, "t_final": 1.0, "n_times": 4}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "trajectories.csv").read_text().splitlines()
+    assert len(lines) == 1 + 4
+
+
 def test_cli_disorder_roundtrip_bitstable(tmp_path):
     cfg = {"scenario": "disorder", "seed": 11,
            "geometry": {"nx": 3, "ny": 3, "spacing_wl": 0.68,
