@@ -11,16 +11,20 @@ workload (ring of 6 two-level atoms along y, radius 0.4 lambda, plane-wave
 Rabi frequency 0.8, 1024 trajectories from the ground state to t = 1 on a
 3-point grid, seed 0), once with the source-mode jump basis and once with
 the CLI's 8 x 16 directional basis.  One untimed call per basis warms
-caches first.  Prints one JSON object: per basis, the channel count, the
-median and all times in seconds, the ensemble excited population at t = 1
-and, for the directional basis, the number of clicks (two trees that draw
-the same jumps agree on both, the population to rounding).
+caches first.  After the timed calls, one more call per basis runs under
+`tracemalloc`, which records the peak of the memory that numpy and Python
+allocate while the basis is built and the trajectories run.  Prints one
+JSON object: per basis, the channel count, the median and all times in
+seconds, that peak in MB, the ensemble excited population at t = 1 and,
+for the directional basis, the number of clicks (two trees that draw the
+same jumps agree on both, the population to rounding).
 """
 import argparse
 import json
 import statistics
 import sys
 import time
+import tracemalloc
 
 parser = argparse.ArgumentParser()
 parser.add_argument("--src", default="src")
@@ -39,23 +43,34 @@ system = quantum.build_quantum_system(
     build_ring(6, 0.4 * LAMBDA), TransitionSpec(levels=2),
     PlaneWave(amplitude=0.8))
 bases = {
-    "source": quantum.source_mode_basis(system),
-    "directional_8x16": quantum.directional_basis(system, n_theta=8,
-                                                  n_phi=16),
+    "source": lambda: quantum.source_mode_basis(system),
+    "directional_8x16": lambda: quantum.directional_basis(system, n_theta=8,
+                                                          n_phi=16),
 }
 t_grid = np.linspace(0.0, 1.0, 3)
 
+
+def run(basis):
+    return quantum.run_trajectories(system.ground_state(), system, basis,
+                                    t_grid, 1024, seed=0)
+
+
 report = {}
-for name, basis in bases.items():
+for name, make_basis in bases.items():
+    basis = make_basis()
     times = []
     for i in range(args.repeats + 1):
         t0 = time.perf_counter()
-        res = quantum.run_trajectories(system.ground_state(), system, basis,
-                                       t_grid, 1024, seed=0)
+        res = run(basis)
         if i > 0:
             times.append(time.perf_counter() - t0)
-    report[name] = {"channels": len(basis.operators),
+    tracemalloc.start()
+    run(make_basis())
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    report[name] = {"channels": len(basis.amplitudes),
                     "median_s": statistics.median(times), "times_s": times,
+                    "tracemalloc_peak_mb": peak / 1e6,
                     "population_t1": float(res.populations[-1])}
     if res.clicks_are_detections:
         report[name]["clicks"] = len(res.clicks)

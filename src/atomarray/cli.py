@@ -552,11 +552,6 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     try:
-        validate_config(config)
-    except ConfigError as err:
-        print(str(err), file=sys.stderr)
-        return 2
-    try:
         manifest = run(config, out_dir=args.out, seed=args.seed)
     except ConfigError as err:
         print(str(err), file=sys.stderr)

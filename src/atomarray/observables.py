@@ -173,15 +173,10 @@ def saq_incoherent_rate(populations, means) -> float:
 
 def scattering_rates(corr, means, geometry, transition) -> dict:
     """All three rates from a correlation table and the one-body means."""
-    pops = np.real(np.diag(np.asarray(corr)))
-    m = transition.components
-    per_atom_pop = pops.reshape(-1, m).sum(axis=1)
-    per_atom_mean = np.abs(np.asarray(means).reshape(-1, m)) ** 2
-    n_inc = 2.0 * GAMMA * float(np.sum(per_atom_pop - per_atom_mean.sum(axis=1)))
     return {
         "n_s": total_scattering_rate(corr, geometry, transition),
         "n_c": coherent_scattering_rate(means, geometry, transition),
-        "n_inc_saq": n_inc,
+        "n_inc_saq": saq_incoherent_rate(np.real(np.diag(corr)), means),
     }
 
 

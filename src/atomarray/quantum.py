@@ -23,13 +23,14 @@ as in the coupled-dipole module.  Every operator and observable is a
 contraction over the stacked lowering operators of `lowering_operators`,
 whose docstring states the product-space layout.
 
-Jump operators: diagonalizing B = sum_m beta_m w_m w_m^T gives collective
-decay channels J_m = sqrt(beta_m) w_m . Sigma with real orthonormal w_m,
-which reproduce the dissipator exactly (when the coherent and dissipative
-coupling matrices commute, the w_m coincide with coupled-dipole eigenmodes
-and beta_m with the collective linewidths).  The one generator of the
-master equation (`QuantumSystem.generator`) is built once per system in
-the form
+Jump operators: each channel is J_k = sum_i a_{ki} s-_i, so a `JumpBasis`
+is a (K, M) amplitude matrix A over the lowering table.  Diagonalizing
+B = sum_m beta_m w_m w_m^T gives the collective decay channels, rows
+a_m = sqrt(beta_m) w_m^T with real orthonormal w_m, which reproduce the
+dissipator exactly (when the coherent and dissipative coupling matrices
+commute, the w_m coincide with coupled-dipole eigenmodes and beta_m with
+the collective linewidths).  The one generator of the master equation
+(`QuantumSystem.generator`) is built once per system in the form
 
   drho/dt = -i (Hnh rho - rho Hnh^dag) + 2 sum_m J_m rho J_m^dag,
   Hnh = H - i sum B_{il} s+_i s-_l.
@@ -38,13 +39,14 @@ The steady state solves drho/dt + |G><G| Tr rho = |G><G| (so drho/dt = 0
 and Tr rho = 1) by GMRES, preconditioned with the inverse of the no-jump
 part, a Sylvester equation in the Schur basis of Hnh (`steady_state_qme`).
 
-Light leaves the array through the far field: `farfield_operators` builds
+Light leaves the array through the far field: `farfield_coefficients`
+gives the amplitude rows (pol^* . e_c) e^{-i k n.r_j} of
 E(n, pol) = sum_{jc} (pol^* . e_c) e^{-i k n.r_j} s-_{jc} for a stack of
-directions and polarizations in one contraction, from the far-field
-primitives of `kernel`.  The g2 detection operator is one of them, and the
-directional jump operators J(theta, phi; pol) are all of them on a
-solid-angle grid, times sqrt((3 gamma/8 pi) dOmega).  Directional jumps
-double as photon detections, their click rate 2<J^dag J> equals the
+directions and polarizations, from the far-field primitives of `kernel`.
+The g2 detection operator is one of them contracted with the lowering
+table, and the directional jump operators J(theta, phi; pol) are all of
+them on a solid-angle grid, times sqrt((3 gamma/8 pi) dOmega).  Directional
+jumps double as photon detections, their click rate 2<J^dag J> equals the
 far-field photon flux into the cell, and their completeness sum converges
 to the dissipator as the angular grid refines.
 """
@@ -114,8 +116,6 @@ class QuantumSystem:
     lower: np.ndarray            # (M, D, D) from lowering_operators
     hamiltonian: np.ndarray      # drive + detuning/Zeeman + coherent couplings
     bmatrix: np.ndarray          # dissipative matrix, M x M real symmetric
-    channel_rates: np.ndarray    # eigenvalues of bmatrix (>= 0)
-    channel_modes: np.ndarray    # orthonormal eigenvector columns
 
     @property
     def dim(self) -> int:
@@ -133,13 +133,6 @@ class QuantumSystem:
         psi = b @ self.lower[:, 0, :].conj()
         return psi / np.linalg.norm(psi)
 
-    def source_jump_ops(self) -> np.ndarray:
-        """(M, D, D) stacked J_m = sqrt(beta_m) w_m . Sigma over the decay
-        channels."""
-        beta = np.clip(self.channel_rates, 0.0, None)
-        return np.tensordot(self.channel_modes * np.sqrt(beta), self.lower,
-                            axes=(0, 0))
-
     def dissipator_operator(self) -> np.ndarray:
         """sum B_{il} s+_i s-_l (equals sum_m J_m^dag J_m)."""
         return pair_sum(self.bmatrix, self.lower)
@@ -152,7 +145,7 @@ class QuantumSystem:
         """The master-equation generator, built once per system."""
         return QmeGenerator(
             self.hamiltonian - 1j * self.dissipator_operator(),
-            self.source_jump_ops())
+            source_mode_basis(self).operators(self.lower))
 
 
 class QmeGenerator:
@@ -186,8 +179,7 @@ def build_quantum_system(geometry: Geometry, transition: TransitionSpec,
         R = transition.rabi(drive.field(geometry.positions)).reshape(-1)
         pump = np.tensordot(R, lower.conj().transpose(0, 2, 1), axes=1)
         H -= pump + pump.conj().T                  # sum R s+ + R* s-
-    rates, modes = np.linalg.eigh(B)
-    return QuantumSystem(geometry, transition, lower, H, B, rates, modes)
+    return QuantumSystem(geometry, transition, lower, H, B)
 
 
 def qme_rhs(rho, system: QuantumSystem) -> np.ndarray:
@@ -273,34 +265,41 @@ def single_excitation_block(rho, system: QuantumSystem) -> np.ndarray:
 
 @dataclass
 class JumpBasis:
-    """A stack of (K, D, D) jump operators; directional bases carry the
-    (theta, phi) of each channel so clicks double as photon detection
-    records."""
-    operators: np.ndarray
+    """Jump operators J_k = sum_i a_{ki} s-_i as the rows of a (K, M)
+    amplitude matrix over the lowering-operator table; directional bases
+    carry the (theta, phi) of each channel so clicks double as photon
+    detection records."""
+    amplitudes: np.ndarray
     directions: np.ndarray = None
 
-    def decay_operator(self) -> np.ndarray:
-        """sum_m J_m^dag J_m, one product of the stacked (K*D, D) rows."""
-        rows = self.operators.reshape(-1, self.operators.shape[-1])
-        return rows.conj().T @ rows
+    def operators(self, lower) -> np.ndarray:
+        """The dense (K, D, D) stack of J_k, for callers that need it."""
+        return np.tensordot(self.amplitudes, lower, axes=1)
+
+    def decay_operator(self, lower) -> np.ndarray:
+        """sum_k J_k^dag J_k = sum_{il} (A^H A)_{il} s+_i s-_l."""
+        A = self.amplitudes
+        return pair_sum(A.conj().T @ A, lower)
 
 
 def source_mode_basis(system: QuantumSystem) -> JumpBasis:
-    """Collective decay channels; never interpreted as photon detections."""
-    return JumpBasis(system.source_jump_ops())
+    """Collective decay channels a_m = sqrt(beta_m) w_m^T from
+    B = sum_m beta_m w_m w_m^T; never interpreted as photon detections."""
+    rates, modes = np.linalg.eigh(system.bmatrix)
+    beta = np.clip(rates, 0.0, None)
+    return JumpBasis((modes * np.sqrt(beta)).T)
 
 
-def farfield_operators(system: QuantumSystem, nhat, pols) -> np.ndarray:
-    """(K, D, D) far-field lowering operators, one per direction nhat[k]
-    (K, 3) and detected polarization pols[k] (K, 3):
+def farfield_coefficients(system: QuantumSystem, nhat, pols) -> np.ndarray:
+    """(K, M) amplitude rows of the far-field lowering operators, one per
+    direction nhat[k] (K, 3) and detected polarization pols[k] (K, 3):
 
-        E_k = sum_{jc} (pol_k^* . e_c) e^{-i k n_k.r_j} sigma^-_{jc},
+        E_k = sum_{jc} (pol_k^* . e_c) e^{-i k n_k.r_j} sigma^-_{jc}
 
-    one contraction over the lowering-operator table (no normalization)."""
+    (no normalization)."""
     phases = farfield_phase(nhat, system.geometry.positions)     # (K, N)
     coef = np.asarray(pols).conj() @ system.transition.basis      # (K, m)
-    amps = (phases[:, :, None] * coef[:, None, :]).reshape(len(coef), -1)
-    return np.tensordot(amps, system.lower, axes=1)
+    return (phases[:, :, None] * coef[:, None, :]).reshape(len(coef), -1)
 
 
 def directional_basis(system: QuantumSystem, n_theta=12, n_phi=24) -> JumpBasis:
@@ -309,11 +308,11 @@ def directional_basis(system: QuantumSystem, n_theta=12, n_phi=24) -> JumpBasis:
 
         J(n, pol) = sqrt((3 gamma/8 pi) dOmega) * E(n, pol),
 
-    E the `farfield_operators`; channels are ordered by direction, then
-    polarization, and a polarization that no dipole component radiates
-    into is dropped.  The grid sum of J^dag J converges to the pairwise
-    dissipator as the grid refines, and 2<J^dag J> is the photon flux into
-    the cell.
+    stored as the `farfield_coefficients` rows of E times the square root;
+    channels are ordered by direction, then polarization, and a
+    polarization that no dipole component radiates into is dropped.  The
+    grid sum of J^dag J converges to the pairwise dissipator as the grid
+    refines, and 2<J^dag J> is the photon flux into the cell.
     """
     nhat, w = sphere_grid(n_theta, n_phi)
     # transverse pair: e1 from a seed axis away from n, e2 = n x e1
@@ -324,16 +323,17 @@ def directional_basis(system: QuantumSystem, n_theta=12, n_phi=24) -> JumpBasis:
     pols = np.stack([e1, np.cross(nhat, e1)], axis=1).reshape(-1, 3)
     keep = np.max(np.abs(pols @ system.transition.basis), axis=1) >= 1e-14
     idx = np.repeat(np.arange(len(nhat)), 2)[keep]
-    ops = farfield_operators(system, nhat[idx], pols[keep])
-    ops *= np.sqrt(3.0 * GAMMA / (8.0 * np.pi) * w[idx])[:, None, None]
-    return JumpBasis(ops, np.column_stack(direction_angles(nhat[idx])))
+    amps = farfield_coefficients(system, nhat[idx], pols[keep])
+    amps *= np.sqrt(3.0 * GAMMA / (8.0 * np.pi) * w[idx])[:, None]
+    return JumpBasis(amps, np.column_stack(direction_angles(nhat[idx])))
 
 
 def dissipator_completeness(system: QuantumSystem, basis: JumpBasis) -> float:
     """Operator-norm deviation of sum_m J_m^dag J_m from the pairwise
     dissipator (zero for source modes, grid-limited for directional)."""
+    A = basis.amplitudes
     return float(np.linalg.norm(
-        basis.decay_operator() - system.dissipator_operator(), 2))
+        pair_sum(A.conj().T @ A - system.bmatrix, system.lower), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -355,14 +355,16 @@ def run_trajectories(psi0, system: QuantumSystem, jump_basis: JumpBasis,
 
     Fixed-step scheme: exact non-Hermitian propagation over dt (dense
     propagator) and a jump decision per step from the exact norm loss.  A
-    jump applies every J_m to the state in one product with the stacked
-    operators and keeps the jumped state J_m psi drawn with weight
-    ||J_m psi||^2.  dt is halved until the per-step jump probability is at
-    most 0.1; then each interval of the uniform `t_grid` (which starts at 0)
-    gets a whole number of equal steps no longer than dt.  Trajectories are
-    processed in chunks of TRAJ_CHUNK with one child RNG stream per chunk,
-    so any (seed, trajectory index) pair reproduces independently of n_traj
-    and scheduling.
+    jump applies every lowering operator to the state in one product with
+    the stacked (D, M*D) lowering table, draws channel k with weight
+    ||J_k psi||^2, read off the basis amplitudes and the Gram matrix of
+    the s-_i psi, and keeps J_k psi = sum_i a_{ki} s-_i psi; no (K, D, D)
+    stack is formed.  dt is halved until the per-step jump probability
+    is at most 0.1; then each interval of the uniform `t_grid` (which starts
+    at 0) gets a whole number of equal steps no longer than dt.
+    Trajectories are processed in chunks of TRAJ_CHUNK with one child RNG
+    stream per chunk, so any (seed, trajectory index) pair reproduces
+    independently of n_traj and scheduling.
 
     Clicks are recorded if and only if the basis has detection directions
     (source modes are not photon detections).
@@ -379,10 +381,11 @@ def run_trajectories(psi0, system: QuantumSystem, jump_basis: JumpBasis,
                          "with >= 2 points")
     record_clicks = jump_basis.directions is not None
 
-    K = len(jump_basis.operators)
-    # stacked[j, m*D + i] = J_m[i, j]: psi @ stacked holds every J_m psi
-    stacked = jump_basis.operators.transpose(2, 0, 1).reshape(D, K * D)
-    JdJ_tot = jump_basis.decay_operator()
+    A = jump_basis.amplitudes
+    M = len(system.lower)
+    # lowered[j, i*D + r] = s-_i[r, j]: psi @ lowered holds every s-_i psi
+    lowered = system.lower.transpose(2, 0, 1).reshape(D, M * D)
+    JdJ_tot = jump_basis.decay_operator(system.lower)
     # cap the worst-case per-step jump probability at 0.1
     max_rate = float(np.linalg.norm(JdJ_tot, 2))
     while 2.0 * max_rate * dt > 0.1:
@@ -417,12 +420,14 @@ def run_trajectories(psi0, system: QuantumSystem, jump_basis: JumpBasis,
             psi /= np.sqrt(nrm2)[:, None]
             jumpers = np.nonzero(u_jump < (1.0 - nrm2))[0]
             if len(jumpers):
-                jumped = (psi[jumpers] @ stacked).reshape(-1, K, D)
-                rates = np.einsum("bmi,bmi->bm", jumped.conj(), jumped).real
+                low = (psi[jumpers] @ lowered).reshape(-1, M, D)
+                # ||J_k psi||^2 = a_k^H G a_k, G_il = <s-_i psi|s-_l psi>
+                gram = low.conj() @ low.transpose(0, 2, 1)
+                rates = np.sum((A.conj() @ gram) * A, axis=2).real
                 cum = np.cumsum(rates, axis=1)
                 u2 = u_pick[jumpers, None] * cum[:, -1:]
                 pick = (u2 > cum).sum(axis=1)
-                chosen = jumped[np.arange(len(jumpers)), pick]
+                chosen = np.einsum("bi,bid->bd", A[pick], low)
                 psi[jumpers] = chosen / np.linalg.norm(chosen, axis=1,
                                                        keepdims=True)
                 if record_clicks:
@@ -450,10 +455,10 @@ def trace_distance(rho_a, rho_b) -> float:
 
 def detection_operator(system: QuantumSystem, theta, phi,
                        polarization=None) -> np.ndarray:
-    """Far-field detection operator E(n, pol) along n = (theta, phi)
-    (`farfield_operators`), normalization-free (the scale cancels in g2).
-    The default polarization is the transverse projection of the dominant
-    dipole component."""
+    """Far-field detection operator E(n, pol) along n = (theta, phi), its
+    `farfield_coefficients` row over the lowering table, normalization-free
+    (the scale cancels in g2).  The default polarization is the transverse
+    projection of the dominant dipole component."""
     nh = direction(theta, phi)
     if polarization is None:
         proj = transverse(nh, system.transition.basis.T)      # (m, 3)
@@ -462,7 +467,8 @@ def detection_operator(system: QuantumSystem, theta, phi,
     else:
         pol = transverse(nh, np.asarray(polarization, dtype=complex))
     pol = pol / np.linalg.norm(pol)
-    return farfield_operators(system, nh[None], pol[None])[0]
+    row = farfield_coefficients(system, nh[None], pol[None])[0]
+    return np.tensordot(row, system.lower, axes=1)
 
 
 def g2_regression(system: QuantumSystem, tau_grid, theta=0.0, phi=0.0,

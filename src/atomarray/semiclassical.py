@@ -91,10 +91,6 @@ class ObeSystem:
     def ncomp(self) -> int:
         return self.rabi.shape[1]
 
-    def with_drive(self, rabi) -> "ObeSystem":
-        return ObeSystem(self.coupling, self.level,
-                         np.asarray(rabi, dtype=complex), self.transition)
-
 
 def build_obe_system(geometry: Geometry, transition: TransitionSpec,
                      drive=None) -> ObeSystem:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -332,6 +333,23 @@ def test_directional_basis_converges_to_dissipator():
     assert errs[0] > errs[-1]
 
 
+@settings(max_examples=25, deadline=None)
+@given(driven_small_systems(), st.integers(0, 2**32 - 1))
+def test_decay_operator_equals_sum_of_dense_jumps(qs, seed):
+    """sum_k J_k^dag J_k as the pair sum of A^H A equals the sum over the
+    materialised (K, D, D) jump operators: source modes, a directional
+    grid and random complex amplitudes."""
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=(5, len(qs.lower), 2)) @ [1.0, 1j]
+    bases = [qt.source_mode_basis(qs), qt.directional_basis(qs, 3, 6),
+             qt.JumpBasis(amps)]
+    for basis in bases:
+        ops = basis.operators(qs.lower)
+        want = np.einsum("kji,kjl->il", ops.conj(), ops)
+        dev = np.max(np.abs(basis.decay_operator(qs.lower) - want))
+        assert dev <= 1e-14 * np.max(np.abs(want))
+
+
 def directional_basis_loop(system, n_theta, n_phi):
     """Reference: one direction at a time, a transverse pair (e1 from a
     seed axis, e2 = n x e1) per direction, a channel per polarization that
@@ -377,9 +395,9 @@ def test_directional_basis_equals_direction_loop(name, grid):
     qs = qt.build_quantum_system(geo, tr, PlaneWave(amplitude=0.5))
     want_ops, want_dirs = directional_basis_loop(qs, *grid)
     basis = qt.directional_basis(qs, *grid)
-    assert basis.operators.shape == want_ops.shape
+    assert basis.operators(qs.lower).shape == want_ops.shape
     assert np.array_equal(basis.directions, want_dirs)
-    dev = np.max(np.abs(basis.operators - want_ops))
+    dev = np.max(np.abs(basis.operators(qs.lower) - want_ops))
     assert dev <= 1e-14 * np.max(np.abs(want_ops))
 
 
@@ -390,14 +408,14 @@ def test_detection_operator_is_a_directional_channel():
     nhat, w = sphere_grid(3, 5)
     basis = qt.directional_basis(qs, 3, 5)
     # J=0 -> J'=1 radiates into every polarization: two channels each
-    assert len(basis.operators) == 2 * len(nhat)
+    assert len(basis.operators(qs.lower)) == 2 * len(nhat)
     for i, nh in enumerate(nhat):
         seed = [0.0, 1.0, 0.0] if abs(nh[0]) > 0.5 else [1.0, 0.0, 0.0]
         e1 = seed - nh * (nh @ seed)
         e1 /= np.linalg.norm(e1)
         theta, phi = basis.directions[2 * i]
         for p, pol in enumerate((e1, np.cross(nh, e1))):
-            J = basis.operators[2 * i + p]
+            J = basis.operators(qs.lower)[2 * i + p]
             E = qt.detection_operator(qs, theta, phi, pol)
             scale = np.sqrt(3.0 * GAMMA / (8.0 * np.pi) * w[i])
             assert np.max(np.abs(E - J / scale)) < 1e-12 * np.max(np.abs(E))
@@ -432,8 +450,8 @@ def test_directional_channel_draw_matches_channel_rates():
     qs = qt.build_quantum_system(single_atom(), EY, PlaneWave(amplitude=0.6))
     rho_ss = qt.steady_state_qme(qs)
     basis = qt.directional_basis(qs, n_theta=6, n_phi=12)
-    rates = np.einsum("mji,mjk,ki->m", basis.operators.conj(),
-                      basis.operators, rho_ss).real
+    ops = basis.operators(qs.lower)
+    rates = np.einsum("mji,mjk,ki->m", ops.conj(), ops, rho_ss).real
     rings, ring = np.unique(basis.directions[:, 0], return_inverse=True)
     want = np.bincount(ring, weights=rates) / rates.sum()
 
@@ -445,6 +463,56 @@ def test_directional_channel_draw_matches_channel_rates():
     got = np.bincount(ring[late], minlength=len(rings)) / len(late)
     sigma = np.sqrt(want * (1 - want) / len(late))
     assert np.all(np.abs(got - want) < 4 * sigma + 5e-3)
+
+
+def run_trajectories_dense(psi0, system, basis, t_grid, n_traj, seed):
+    """Reference: the fixed-step loop of `run_trajectories` (one chunk)
+    with the jump operators stored densely, one trajectory at a time.  The
+    stacked (D, K*D) table stacked[j, k*D + i] = J_k[i, j] gives every
+    J_k psi, and its rows give sum_k J_k^dag J_k; same steps, same draws."""
+    ops = basis.operators(system.lower)
+    K, D, _ = ops.shape
+    stacked = ops.transpose(2, 0, 1).reshape(D, K * D)
+    rows = ops.reshape(K * D, D)
+    JdJ = rows.conj().T @ rows
+    dt = 2e-3
+    while 2.0 * np.linalg.norm(JdJ, 2) * dt > 0.1:
+        dt /= 2.0
+    per_out = int(np.ceil((t_grid[1] - t_grid[0]) / dt - 1e-9))
+    dt = (t_grid[1] - t_grid[0]) / per_out
+    U = scipy.linalg.expm(-1j * (system.hamiltonian - 1j * JdJ) * dt).T
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    psi = np.tile(psi0 / np.linalg.norm(psi0), (n_traj, 1))
+    rho, clicks = [psi.T @ psi.conj()], []
+    for step in range(1, per_out * (len(t_grid) - 1) + 1):
+        psi = psi @ U
+        nrm2 = np.sum(np.abs(psi) ** 2, axis=1)
+        u_jump = rng.random(qt.TRAJ_CHUNK)[:n_traj]
+        u_pick = rng.random(qt.TRAJ_CHUNK)[:n_traj]
+        psi /= np.sqrt(nrm2)[:, None]
+        for b in np.nonzero(u_jump < 1.0 - nrm2)[0]:
+            jumped = (psi[b] @ stacked).reshape(K, D)
+            cum = np.cumsum(np.sum(np.abs(jumped) ** 2, axis=1))
+            ch = int(np.sum(u_pick[b] * cum[-1] > cum))
+            psi[b] = jumped[ch] / np.linalg.norm(jumped[ch])
+            clicks.append((int(b), step * dt, ch))
+        if step % per_out == 0:
+            rho.append(psi.T @ psi.conj())
+    return np.array(rho) / n_traj, clicks
+
+
+@pytest.mark.parametrize("name", sorted(FARFIELD_SYSTEMS))
+def test_jump_step_equals_dense_reference(name):
+    geo, tr = FARFIELD_SYSTEMS[name]
+    qs = qt.build_quantum_system(geo, tr, PlaneWave(amplitude=0.8))
+    basis = qt.directional_basis(qs, 4, 8)
+    t = np.linspace(0.0, 3.0, 4)
+    res = qt.run_trajectories(qs.ground_state(), qs, basis, t, 50, seed=13)
+    rho, clicks = run_trajectories_dense(qs.ground_state(), qs, basis, t,
+                                         50, seed=13)
+    assert len(clicks) > 50
+    assert res.clicks == clicks
+    assert np.max(np.abs(res.rho - rho)) < 1e-12
 
 
 def test_trajectories_single_atom_decay():
