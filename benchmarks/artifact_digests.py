@@ -48,8 +48,7 @@ def runs():
             yield f"{name}" + ("" if seed is None else f"@{seed}"), cfg, seed
     yield "stack_default", {"scenario": "stack"}, None
     yield "stack_unequal", {"scenario": "stack", "geometry": {
-        "kind": "stack", "spacing_wl": 0.55,
-        "separations_wl": [0.6, 0.8, 0.55, 0.7]}}, None
+        "spacing_wl": 0.55, "separations_wl": [0.6, 0.8, 0.55, 0.7]}}, None
     yield "g2_single_atom", {
         "scenario": "g2", "geometry": {"kind": "square", "nx": 1, "ny": 1},
         "drive": {"kind": "plane", "rabi": 0.35}}, None

@@ -1,5 +1,8 @@
 """Scenario runner: JSON configs in, CSV/JSON artifacts + run manifest out.
 
+`SCENARIOS` maps each scenario to its handler and the config keys it reads;
+a key that the scenario does not read in that config is a config error.
+
 Exit codes: 0 ok, 2 config error, 3 numeric failure (an atomarray error
 type from `errors` or a LinAlgError).  Any other exception is a bug and
 propagates with its traceback.
@@ -11,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+from collections import namedtuple
 import hashlib
 import json
 import sys
@@ -26,103 +31,9 @@ from .geometry import (LAMBDA, Geometry, LatticeTrapSpec, build_bilayer,
                        wannier_width)
 from .streams import seed_streams
 
-SCENARIOS = ("spectrum", "eigen", "transmit", "bistab", "bands", "stack",
-              "qme", "traj", "g2", "disorder", "checks")
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["scenario"],
-    "additionalProperties": False,
-    "properties": {
-        "scenario": {"enum": list(SCENARIOS)},
-        "seed": {"type": "integer", "minimum": 0},
-        "geometry": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["square", "bilayer", "stack", "ring"]},
-                "nx": {"type": "integer", "minimum": 1},
-                "ny": {"type": "integer", "minimum": 1},
-                "spacing_wl": {"type": "number", "exclusiveMinimum": 0},
-                "separation_wl": {"type": "number", "exclusiveMinimum": 0},
-                "separations_wl": {"type": "array",
-                                   "items": {"type": "number",
-                                             "exclusiveMinimum": 0}},
-                "natoms": {"type": "integer", "minimum": 2},
-                "radius_wl": {"type": "number", "exclusiveMinimum": 0},
-                "lattice_depth": {"type": "number", "exclusiveMinimum": 0},
-                "ell_x_wl": {"type": "number", "minimum": 0},
-            },
-        },
-        "transition": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "levels": {"enum": [2, 4]},
-                "orientation": {"type": "array", "items": {"type": "number"},
-                                "minItems": 3, "maxItems": 3},
-                "zeeman": {"type": "array", "items": {"type": "number"},
-                           "minItems": 3, "maxItems": 3},
-            },
-        },
-        "drive": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["plane", "gaussian"]},
-                "rabi": {"type": "number"},
-                "waist_wl": {"type": "number", "exclusiveMinimum": 0},
-                "polarization": {"type": "array", "items": {"type": "number"},
-                                 "minItems": 3, "maxItems": 3},
-            },
-        },
-        "detuning_grid": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["start", "stop", "num"],
-            "properties": {
-                "start": {"type": "number"},
-                "stop": {"type": "number"},
-                "num": {"type": "integer", "minimum": 2},
-            },
-        },
-        "intensity_grid": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["start", "stop", "num"],
-            "properties": {
-                "start": {"type": "number", "exclusiveMinimum": 0},
-                "stop": {"type": "number", "exclusiveMinimum": 0},
-                "num": {"type": "integer", "minimum": 2},
-            },
-        },
-        "spacing_grid_wl": {"type": "array",
-                            "items": {"type": "number", "exclusiveMinimum": 0}},
-        "q_path": {"type": "array",
-                   "items": {"type": "array", "items": {"type": "number"},
-                             "minItems": 2, "maxItems": 2}},
-        "n_realizations": {"type": "integer", "minimum": 2},
-        "n_trajectories": {"type": "integer", "minimum": 1},
-        "jump_basis": {"enum": ["source", "directional"]},
-        "t_final": {"type": "number", "exclusiveMinimum": 0},
-        "n_times": {"type": "integer", "minimum": 2},
-        "tau_max": {"type": "number", "exclusiveMinimum": 0},
-        "out_dir": {"type": "string"},
-    },
-}
-
 
 class ConfigError(ValueError):
     pass
-
-
-def validate_config(config: dict) -> None:
-    import jsonschema
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as err:
-        path = "/".join(str(p) for p in err.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {path}: {err.message}") from None
 
 
 def geometry_from_config(cfg: dict) -> Geometry:
@@ -172,6 +83,11 @@ def drive_from_config(cfg: dict):
                         amplitude=amp, polarization=pol)
 
 
+def _array(cfg: dict):
+    return (geometry_from_config(cfg), transition_from_config(cfg),
+            drive_from_config(cfg))
+
+
 def detuning_grid(cfg, default=(-4.0, 4.0, 81)):
     g = cfg.get("detuning_grid")
     if g is None:
@@ -189,9 +105,9 @@ def write_csv(path: Path, header, rows):
 
 
 # ---------------------------------------------------------------------------
-# scenario handlers: each returns a list of artifact paths
+# scenario handlers: (cfg, out, seed, diagnostics) -> list of artifact paths
 
-def run_spectrum(cfg, out):
+def run_spectrum(cfg, out, seed, diagnostics):
     """Uniform-mode (infinite lattice) spectrum with energy balance, plus
     the LLI amplitude response."""
     from .infinite import lattice_sums, single_mode_rt
@@ -215,11 +131,9 @@ def run_spectrum(cfg, out):
     return [path, resp]
 
 
-def run_eigen(cfg, out):
+def run_eigen(cfg, out, seed, diagnostics):
     from . import lli
-    geo = geometry_from_config(cfg)
-    tr = transition_from_config(cfg)
-    system = lli.assemble(geo, tr, drive_from_config(cfg))
+    system = lli.assemble(*_array(cfg))
     table = lli.eigen_table(system)
     path = out / "eigenmodes.csv"
     write_csv(path, ["mode[1]", "shift[gamma]", "linewidth[gamma]",
@@ -232,18 +146,12 @@ def run_eigen(cfg, out):
     return [path, hist]
 
 
-def run_transmit(cfg, out):
+def run_transmit(cfg, out, seed, diagnostics):
     from . import lli
     from .observables import (dipole_table, farfield_detector, lorentzian_fit,
                               spectrum)
-    geo = geometry_from_config(cfg)
-    tr = transition_from_config(cfg)
-    beam = drive_from_config(cfg)
+    geo, tr, beam = _array(cfg)
     deltas = detuning_grid(cfg)
-    if len(deltas) < 4:
-        raise ConfigError("config invalid at detuning_grid/num: the "
-                          "Lorentzian fit of the reflectance needs at least "
-                          "4 detunings")
     system = lli.assemble(geo, tr, beam)
     t, r = spectrum(system, farfield_detector(geo, beam), deltas)
     R = np.abs(r) ** 2
@@ -269,20 +177,19 @@ def run_transmit(cfg, out):
     return [path, meta, fmap]
 
 
-def run_bistab(cfg, out):
+def run_bistab(cfg, out, seed, diagnostics):
     from .infinite import lattice_sums
-    from .semiclassical import (has_bistable_window, max_bistable_spacing,
-                                uniform_steady_state)
+    from .semiclassical import has_bistable_window, uniform_steady_state
     grid = cfg.get("spacing_grid_wl")
     paths = []
     if grid:
         a_grid = [s * LAMBDA for s in grid]
-        amax = max_bistable_spacing(a_grid)
         rows = [(a / LAMBDA, int(has_bistable_window(a))) for a in a_grid]
         p = out / "bistable_spacings.csv"
         write_csv(p, ["spacing[lambda]", "bistable[0/1]"], rows)
         (out / "bistab_summary.json").write_text(json.dumps(
-            {"max_bistable_spacing_wl": amax / LAMBDA,
+            {"max_bistable_spacing_wl": max((s for s, f in rows if f),
+                                            default=0.0),
              "analytic_bound_wl": float(np.sqrt(np.pi / 3) / (2 * np.pi))},
             indent=2))
         paths += [p, out / "bistab_summary.json"]
@@ -303,7 +210,7 @@ def run_bistab(cfg, out):
     return paths + [p]
 
 
-def run_bands(cfg, out):
+def run_bands(cfg, out, seed, diagnostics):
     from .infinite import band_structure
     a = cfg.get("geometry", {}).get("spacing_wl", 0.5) * LAMBDA
     qpath = cfg.get("q_path")
@@ -333,7 +240,7 @@ def run_bands(cfg, out):
     return [path]
 
 
-def run_stack(cfg, out):
+def run_stack(cfg, out, seed, diagnostics):
     from .stacked1d import LayerStack, system_rt
     g = cfg.get("geometry", {})
     a = g.get("spacing_wl", 0.55) * LAMBDA
@@ -351,12 +258,10 @@ def run_stack(cfg, out):
     return [path]
 
 
-def run_qme(cfg, out, diagnostics):
+def run_qme(cfg, out, seed, diagnostics):
     from .quantum import (build_quantum_system, evolve_qme, mean_lowering,
                           qme_rhs, steady_state_qme)
-    geo = geometry_from_config(cfg)
-    tr = transition_from_config(cfg)
-    system = build_quantum_system(geo, tr, drive_from_config(cfg))
+    system = build_quantum_system(*_array(cfg))
     tgrid = np.linspace(0, cfg.get("t_final", 20.0), cfg.get("n_times", 41))
     psi0 = system.ground_state()
     rhos = evolve_qme(np.outer(psi0, psi0.conj()), system, tgrid)
@@ -376,12 +281,10 @@ def run_qme(cfg, out, diagnostics):
     return [path, meta]
 
 
-def run_traj(cfg, out, seed):
+def run_traj(cfg, out, seed, diagnostics):
     from .quantum import (build_quantum_system, directional_basis, evolve_qme,
                           run_trajectories, source_mode_basis, trace_distance)
-    geo = geometry_from_config(cfg)
-    tr = transition_from_config(cfg)
-    system = build_quantum_system(geo, tr, drive_from_config(cfg))
+    system = build_quantum_system(*_array(cfg))
     tgrid = np.linspace(0, cfg.get("t_final", 5.0), cfg.get("n_times", 11))
     psi0 = system.ground_state()
     n_traj = cfg.get("n_trajectories", 2000)
@@ -408,11 +311,9 @@ def run_traj(cfg, out, seed):
     return artifacts
 
 
-def run_g2(cfg, out):
+def run_g2(cfg, out, seed, diagnostics):
     from .quantum import build_quantum_system, g2_analytic, g2_regression
-    geo = geometry_from_config(cfg)
-    tr = transition_from_config(cfg)
-    system = build_quantum_system(geo, tr, drive_from_config(cfg))
+    system = build_quantum_system(*_array(cfg))
     tau = np.linspace(0, cfg.get("tau_max", 10.0), 101)
     vals = g2_regression(system, tau)
     rabi = cfg.get("drive", {}).get("rabi", 1.0)
@@ -427,12 +328,9 @@ def run_g2(cfg, out):
 
 def run_disorder(cfg, out, seed, diagnostics):
     from .observables import disorder_average
-    geo = geometry_from_config(cfg)
-    tr = transition_from_config(cfg)
-    beam = drive_from_config(cfg)
     n = cfg.get("n_realizations", 16)
     deltas = detuning_grid(cfg, default=(-3, 3, 25))
-    reps = disorder_average(geo, tr, beam, n, seed_streams(seed, n), deltas)
+    reps = disorder_average(*_array(cfg), n, seed_streams(seed, n), deltas)
     rows = [(d, abs(rep.mean_t) ** 2, abs(rep.mean_r) ** 2, rep.stderr_t,
              rep.stderr_r) for d, rep in zip(deltas, reps)]
     path = out / "disorder_spectrum.csv"
@@ -443,10 +341,9 @@ def run_disorder(cfg, out, seed, diagnostics):
     return [path]
 
 
-def run_checks(cfg, out):
+def run_checks(cfg, out, seed, diagnostics):
     """Verification bundle: appendix integrals, rate-formula equivalence on
     random configurations, and uniform-mode energy closure."""
-    from .geometry import Geometry
     from .lli import TransitionSpec
     from .observables import (farfield_rate_quadrature, rt_beyond_lli,
                               total_scattering_rate)
@@ -491,6 +388,181 @@ def run_checks(cfg, out):
     return [path]
 
 
+# A handler and the config keys it reads: `reads` maps each top-level key to
+# None (read whole), its set of sub-keys read, or a function of its value
+# that returns that set.  `rule` is a JSON schema on the values.
+Scenario = namedtuple("Scenario", "handler reads rule", defaults=[{}])
+
+
+def _reads(*whole, **sections) -> dict:
+    return dict.fromkeys(("scenario", "out_dir", *whole)) | sections
+
+
+# geometry keys of each finite-array kind, besides kind and lattice_depth
+LATTICE_KEYS = {"nx", "ny", "spacing_wl"}
+GEOMETRY_KEYS = {"square": LATTICE_KEYS, "ring": {"natoms", "radius_wl"},
+                 "bilayer": LATTICE_KEYS | {"separation_wl"},
+                 "stack": LATTICE_KEYS | {"separations_wl"}}
+
+# the keys of a finite array: what _array reads.  With lattice_depth, the
+# trap spacing sets the Wannier width, on a ring too.
+ARRAY = {
+    "geometry": lambda g: {"kind", "lattice_depth",
+                           *GEOMETRY_KEYS[g.get("kind", "square")]}
+    | ({"ell_x_wl", "spacing_wl"} if "lattice_depth" in g else set()),
+    "transition": lambda t: {
+        "levels", "orientation" if t.get("levels", 2) == 2 else "zeeman"},
+    "drive": lambda d: {"kind", "rabi", "polarization"} | (
+        {"waist_wl"} if d.get("kind", "gaussian") == "gaussian" else set()),
+}
+
+SCENARIOS = {
+    "spectrum": Scenario(run_spectrum, _reads(
+        "detuning_grid", geometry={"spacing_wl"}, drive={"rabi"})),
+    "eigen": Scenario(run_eigen, _reads(**ARRAY)),
+    "transmit": Scenario(run_transmit, _reads("detuning_grid", **ARRAY), {
+        "properties": {"detuning_grid": {"properties": {"num": {
+            "minimum": 4, "description": "the Lorentzian fit of the "
+            "reflectance needs at least 4 detunings"}}}}}),
+    "bistab": Scenario(run_bistab, _reads(
+        "spacing_grid_wl", "intensity_grid", "detuning_grid",
+        geometry={"spacing_wl"})),
+    "bands": Scenario(run_bands, _reads("q_path", geometry={"spacing_wl"})),
+    "stack": Scenario(run_stack, _reads(
+        "detuning_grid", geometry={"spacing_wl", "separations_wl"})),
+    "qme": Scenario(run_qme, _reads("t_final", "n_times", **ARRAY)),
+    "traj": Scenario(run_traj, _reads(
+        "t_final", "n_times", "n_trajectories", "jump_basis", "seed",
+        **ARRAY)),
+    "g2": Scenario(run_g2, _reads("tau_max", **ARRAY)),
+    "disorder": Scenario(run_disorder, _reads(
+        "n_realizations", "detuning_grid", "seed", **ARRAY)),
+    "checks": Scenario(run_checks, _reads()),
+}
+
+CONFIG_SCHEMA = {
+    "type": "object",
+    "required": ["scenario"],
+    "additionalProperties": False,
+    "properties": {
+        "scenario": {"enum": list(SCENARIOS)},
+        "seed": {"type": "integer", "minimum": 0},
+        "geometry": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "kind": {"enum": ["square", "bilayer", "stack", "ring"]},
+                "nx": {"type": "integer", "minimum": 1},
+                "ny": {"type": "integer", "minimum": 1},
+                "spacing_wl": {"type": "number", "exclusiveMinimum": 0},
+                "separation_wl": {"type": "number", "exclusiveMinimum": 0},
+                "separations_wl": {"type": "array",
+                                   "items": {"type": "number",
+                                             "exclusiveMinimum": 0}},
+                "natoms": {"type": "integer", "minimum": 2},
+                "radius_wl": {"type": "number", "exclusiveMinimum": 0},
+                "lattice_depth": {"type": "number", "exclusiveMinimum": 0},
+                "ell_x_wl": {"type": "number", "minimum": 0},
+            },
+        },
+        "transition": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "levels": {"enum": [2, 4]},
+                "orientation": {"type": "array", "items": {"type": "number"},
+                                "minItems": 3, "maxItems": 3},
+                "zeeman": {"type": "array", "items": {"type": "number"},
+                           "minItems": 3, "maxItems": 3, "prefixItems": [
+                               {"type": "number"}, {"const": 0, "description":
+                                   "the m = 0 level has no linear Zeeman "
+                                   "shift"}]},
+            },
+        },
+        "drive": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "kind": {"enum": ["plane", "gaussian"]},
+                "rabi": {"type": "number"},
+                "waist_wl": {"type": "number", "exclusiveMinimum": 0},
+                "polarization": {"type": "array", "items": {"type": "number"},
+                                 "minItems": 3, "maxItems": 3},
+            },
+        },
+        "detuning_grid": {
+            "type": "object",
+            "additionalProperties": False,
+            "required": ["start", "stop", "num"],
+            "properties": {
+                "start": {"type": "number"},
+                "stop": {"type": "number"},
+                "num": {"type": "integer", "minimum": 2},
+            },
+        },
+        "intensity_grid": {
+            "type": "object",
+            "additionalProperties": False,
+            "required": ["start", "stop", "num"],
+            "properties": {
+                "start": {"type": "number", "exclusiveMinimum": 0},
+                "stop": {"type": "number", "exclusiveMinimum": 0},
+                "num": {"type": "integer", "minimum": 2},
+            },
+        },
+        "spacing_grid_wl": {"type": "array",
+                            "items": {"type": "number", "exclusiveMinimum": 0}},
+        "q_path": {"type": "array",
+                   "items": {"type": "array", "items": {"type": "number"},
+                             "minItems": 2, "maxItems": 2}},
+        "n_realizations": {"type": "integer", "minimum": 2},
+        "n_trajectories": {"type": "integer", "minimum": 1},
+        "jump_basis": {"enum": ["source", "directional"]},
+        "t_final": {"type": "number", "exclusiveMinimum": 0},
+        "n_times": {"type": "integer", "minimum": 2},
+        "tau_max": {"type": "number", "exclusiveMinimum": 0},
+        "out_dir": {"type": "string"},
+    },
+}
+
+
+@functools.cache
+def _validator(scenario=None):
+    # the tests check every schema against the meta-schema, so this does not
+    from jsonschema import Draft202012Validator as Validator
+    return Validator(SCENARIOS[scenario].rule if scenario else CONFIG_SCHEMA)
+
+
+def _check(config: dict, scenario=None) -> None:
+    """Raise the best-matching error, worded by its clause's description."""
+    from jsonschema.exceptions import best_match
+    err = best_match(_validator(scenario).iter_errors(config))
+    if err is not None:
+        path = "/".join(str(p) for p in err.absolute_path) or "<root>"
+        raise ConfigError(f"config invalid at {path}: "
+                          f"{err.schema.get('description', err.message)}")
+
+
+def _unread(config: dict, reads: dict):
+    """Paths of the keys of `config` that a scenario's `reads` leaves out."""
+    for key, value in config.items():
+        if key not in reads:
+            yield key
+        elif reads[key] is not None:
+            sub = reads[key](value) if callable(reads[key]) else reads[key]
+            yield from (f"{key}/{k}" for k in value if k not in sub)
+
+
+def validate_config(config: dict) -> None:
+    _check(config)
+    name = config["scenario"]
+    path = next(_unread(config, SCENARIOS[name].reads), None)
+    if path is not None:
+        raise ConfigError(f"config invalid at {path}: scenario {name!r} does "
+                          "not read this key in this config")
+    _check(config, name)
+
+
 def run(config: dict, out_dir=None, seed=None) -> dict:
     """Execute one scenario; returns the manifest dict."""
     validate_config(config)
@@ -500,28 +572,7 @@ def run(config: dict, out_dir=None, seed=None) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
     diagnostics = {}
-    if scenario == "spectrum":
-        artifacts = run_spectrum(config, out)
-    elif scenario == "eigen":
-        artifacts = run_eigen(config, out)
-    elif scenario == "transmit":
-        artifacts = run_transmit(config, out)
-    elif scenario == "bistab":
-        artifacts = run_bistab(config, out)
-    elif scenario == "bands":
-        artifacts = run_bands(config, out)
-    elif scenario == "stack":
-        artifacts = run_stack(config, out)
-    elif scenario == "qme":
-        artifacts = run_qme(config, out, diagnostics)
-    elif scenario == "traj":
-        artifacts = run_traj(config, out, seed)
-    elif scenario == "g2":
-        artifacts = run_g2(config, out)
-    elif scenario == "disorder":
-        artifacts = run_disorder(config, out, seed, diagnostics)
-    else:
-        artifacts = run_checks(config, out)
+    artifacts = SCENARIOS[scenario].handler(config, out, seed, diagnostics)
     import scipy
     manifest = {
         "scenario": scenario,

@@ -69,7 +69,6 @@ from .lli import TransitionSpec, block_diagonal
 from .observables import sphere_grid
 
 QME_DIM_CAP = 4096          # density-matrix evolution
-TRAJ_DIM_CAP = 65536        # pure-state trajectories
 TRAJ_CHUNK = 4096           # trajectories per RNG stream
 
 
@@ -370,7 +369,6 @@ def run_trajectories(psi0, system: QuantumSystem, jump_basis: JumpBasis,
     (source modes are not photon detections).
     """
     D = system.dim
-    _check_cap(D, TRAJ_DIM_CAP, "trajectory state")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid[0] != 0.0:
         raise ValueError("trajectory t_grid must start at 0")

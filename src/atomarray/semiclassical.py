@@ -281,7 +281,7 @@ def bistable_intensity_window(delta, omega_t, gamma_t):
 
     The window exists exactly when the drive-intensity map I(y) of the
     cubic is non-monotone, i.e. P(u) = u^3 - (|c|^2 - 2 Re(c) A) u
-    + 2 A |c|^2 has two roots above A (c = 2 C A, u = A + 2y)."""
+    + 2 A |c|^2 has two distinct roots above A (c = 2 C A, u = A + 2y)."""
     A = delta**2 + GAMMA**2
     c = (omega_t + 1j * gamma_t) / (delta + 1j * GAMMA) * A
     b2 = abs(c) ** 2
@@ -289,7 +289,8 @@ def bistable_intensity_window(delta, omega_t, gamma_t):
     r = np.roots(P)
     real = np.sort(r[np.abs(r.imag) < 1e-9 * np.maximum(1.0, np.abs(r.real))].real)
     ups = real[real > A]
-    if len(ups) < 2:
+    # np.roots splits the double root of the cusp by ~sqrt(eps)
+    if len(ups) < 2 or ups[-1] - ups[-2] <= 1e-6 * ups[-1]:
         return None
 
     def intensity(u):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from atomarray import lli, observables as obs
@@ -250,6 +250,7 @@ def test_rt_beyond_lli_closure_and_limits():
 @settings(max_examples=200, deadline=None)
 @given(st.floats(-80, 80), st.floats(-60, 60), st.floats(-0.99, 60),
        st.floats(0.1, 0.9), st.floats(1e-3, 300))
+@example(0.0, 0.0, 8.0, 0.5, 1.0)        # the cusp: a window of zero width
 def test_rt_beyond_lli_energy_closure_every_branch(delta, omega_t, gamma_t,
                                                    frac, rabi):
     """R + T + F_inc = 1 on every steady branch; where a bistable window

@@ -1,4 +1,8 @@
+import importlib.util
 import json
+import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +65,93 @@ def test_cli_rejects_removed_config_keys(tmp_path, capsys):
             "allowed ('threads' was unexpected)") in capsys.readouterr().err
 
 
+TINY = {"nx": 2, "ny": 2, "spacing_wl": 0.6}
+GRID = {"start": -1.0, "stop": 1.0, "num": 3}
+
+
+@pytest.mark.parametrize("cfg, path", [
+    # another scenario's top-level key
+    ({"scenario": "eigen", "geometry": TINY, "n_trajectories": 10},
+     "n_trajectories"),
+    # seed on a deterministic scenario
+    ({"scenario": "g2", "geometry": {"nx": 1, "ny": 1},
+      "drive": {"kind": "plane"}, "seed": 3}, "seed"),
+    # a geometry key of another kind
+    ({"scenario": "eigen", "geometry": {**TINY, "natoms": 5}},
+     "geometry/natoms"),
+    ({"scenario": "eigen",
+      "geometry": {"kind": "ring", "natoms": 3, "spacing_wl": 0.3}},
+     "geometry/spacing_wl"),
+    # ell_x_wl without lattice_depth
+    ({"scenario": "eigen", "geometry": {**TINY, "ell_x_wl": 0.1}},
+     "geometry/ell_x_wl"),
+    # orientation at levels 4, zeeman at levels 2
+    ({"scenario": "eigen", "geometry": TINY,
+      "transition": {"levels": 4, "orientation": [0, 0, 1]}},
+     "transition/orientation"),
+    ({"scenario": "eigen", "geometry": TINY,
+      "transition": {"zeeman": [0.2, 0.0, 0.1]}}, "transition/zeeman"),
+    # waist_wl on a plane drive
+    ({"scenario": "eigen", "geometry": TINY,
+      "drive": {"kind": "plane", "waist_wl": 2.0}}, "drive/waist_wl"),
+    # any physics key on checks
+    ({"scenario": "checks", "geometry": {"spacing_wl": 0.5}}, "geometry"),
+    # geometry.kind where no finite array is built
+    ({"scenario": "spectrum", "geometry": {"kind": "square"},
+      "detuning_grid": GRID}, "geometry/kind"),
+    ({"scenario": "bands", "geometry": {"kind": "square"},
+      "q_path": [[0.0, 0.0]]}, "geometry/kind"),
+    ({"scenario": "stack", "geometry": {"kind": "stack"},
+      "detuning_grid": GRID}, "geometry/kind"),
+    ({"scenario": "bistab", "geometry": {"kind": "square"},
+      "detuning_grid": GRID, "intensity_grid": {"start": 1.0, "stop": 2.0,
+                                                "num": 2}},
+     "geometry/kind"),
+])
+def test_cli_rejects_ignored_keys(tmp_path, capsys, cfg, path):
+    # each key is valid for some scenario but has no effect on this run
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert (f"config invalid at {path}: scenario {cfg['scenario']!r} does "
+            "not read this key") in capsys.readouterr().err
+
+
+def test_config_schemas_are_valid():
+    from jsonschema import Draft202012Validator
+
+    from atomarray.cli import CONFIG_SCHEMA, SCENARIOS
+    Draft202012Validator.check_schema(CONFIG_SCHEMA)
+    for scenario in SCENARIOS.values():
+        Draft202012Validator.check_schema(scenario.rule)
+
+
+def _module(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_shipped_configs_validate(monkeypatch):
+    # the benchmark workloads, the README example and the artifact-digest
+    # runs; importing the digest script pins the BLAS thread variables and
+    # extends sys.path, both undone here
+    root = Path(__file__).resolve().parent.parent
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    digests = _module(root / "benchmarks" / "artifact_digests.py")
+    configs = [cfg for sizes in digests.workloads.SIZES.values()
+               for cfg in sizes.values()]
+    configs += [cfg for _, cfg, _ in digests.runs()]
+    readme = (root / "README.md").read_text()
+    configs.append(json.loads(re.search(
+        r"Example config:\s*```json\n(.*?)```", readme, re.S).group(1)))
+    for cfg in configs:
+        validate_config(cfg)
+
+
 def test_cli_rejects_removed_flags(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scenario": "checks"}))
@@ -72,10 +163,11 @@ def test_cli_rejects_removed_flags(tmp_path):
 def test_cli_bug_is_not_a_numeric_failure(tmp_path, monkeypatch):
     from atomarray import cli
 
-    def broken(cfg, out):
+    def broken(cfg, out, seed, diagnostics):
         raise TypeError("a bug, not physics")
 
-    monkeypatch.setattr(cli, "run_spectrum", broken)
+    monkeypatch.setitem(cli.SCENARIOS, "spectrum",
+                        cli.SCENARIOS["spectrum"]._replace(handler=broken))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scenario": "spectrum"}))
     with pytest.raises(TypeError, match="a bug"):
@@ -229,6 +321,8 @@ def test_cli_exit_code_numeric_failure(tmp_path, capsys):
     ({"transition": {"orientation": [0, 0, 0]}}, "transition/orientation"),
     ({"detuning_grid": {"start": -1.0, "stop": 1.0, "num": 3}},
      "detuning_grid/num"),
+    ({"transition": {"levels": 4, "zeeman": [0.2, 0.3, 0.1]}},
+     "transition/zeeman/1"),
 ])
 def test_cli_exit_code_physically_invalid_config(tmp_path, capsys, override,
                                                  path):
@@ -263,3 +357,14 @@ def test_cli_bistab_scenario(tmp_path):
     assert lines[0].split(",")[2] == "branch[1]"
     nstable = {int(r.split(",")[2]) for r in lines[1:]}
     assert nstable
+
+
+def test_cli_bistab_spacing_grid(tmp_path):
+    cfg = {"scenario": "bistab", "spacing_grid_wl": [0.1, 0.5],
+           "detuning_grid": {"start": -1.0, "stop": 0.0, "num": 2},
+           "intensity_grid": {"start": 1.0, "stop": 10.0, "num": 2}}
+    run(cfg, out_dir=tmp_path)
+    summary = json.loads((tmp_path / "bistab_summary.json").read_text())
+    assert summary["max_bistable_spacing_wl"] == 0.1
+    lines = (tmp_path / "bistable_spacings.csv").read_text().splitlines()
+    assert lines == ["spacing[lambda],bistable[0/1]", "0.1,1", "0.5,0"]
