@@ -51,6 +51,10 @@ def geometry_from_config(cfg: dict) -> Geometry:
     else:
         geo = build_ring(g.get("natoms", 8), g.get("radius_wl", 1.0) * LAMBDA)
     if "lattice_depth" in g:
+        if kind == "ring" and "spacing_wl" not in g:
+            raise ConfigError("config invalid at geometry/spacing_wl: a ring "
+                              "in a lattice trap needs the trap spacing, "
+                              "which sets the Wannier width")
         spec = LatticeTrapSpec(a, g["lattice_depth"],
                                g.get("ell_x_wl", 0.0) * LAMBDA)
         geo = geo.with_fluctuation(wannier_width(spec), spec.ell_x)
@@ -65,7 +69,8 @@ def transition_from_config(cfg: dict):
         raise ConfigError("config invalid at transition/orientation: the "
                           "dipole orientation must be a nonzero vector")
     return TransitionSpec(levels=t.get("levels", 2), orientation=orientation,
-                          zeeman=tuple(t.get("zeeman", (0, 0, 0))))
+                          zeeman=tuple(t.get("zeeman", (0, 0, 0))),
+                          detuning=t.get("detuning", 0.0))
 
 
 def drive_from_config(cfg: dict):
@@ -134,7 +139,9 @@ def run_spectrum(cfg, out, seed, diagnostics):
 def run_eigen(cfg, out, seed, diagnostics):
     from . import lli
     system = lli.assemble(*_array(cfg))
-    table = lli.eigen_table(system)
+    es = lli.eigenmodes(system)
+    diagnostics["eigen_blocks"] = list(es.blocks)
+    table = lli.eigen_table(system, es)
     path = out / "eigenmodes.csv"
     write_csv(path, ["mode[1]", "shift[gamma]", "linewidth[gamma]",
                      "occupation[1]"], table)
@@ -415,6 +422,10 @@ ARRAY = {
     "drive": lambda d: {"kind", "rabi", "polarization"} | (
         {"waist_wl"} if d.get("kind", "gaussian") == "gaussian" else set()),
 }
+# the quantum scenarios also read the laser detuning of the transition;
+# the classical ones sweep it (detuning_grid) or do not drive
+QUANTUM_ARRAY = ARRAY | {
+    "transition": lambda t: ARRAY["transition"](t) | {"detuning"}}
 
 SCENARIOS = {
     "spectrum": Scenario(run_spectrum, _reads(
@@ -430,11 +441,11 @@ SCENARIOS = {
     "bands": Scenario(run_bands, _reads("q_path", geometry={"spacing_wl"})),
     "stack": Scenario(run_stack, _reads(
         "detuning_grid", geometry={"spacing_wl", "separations_wl"})),
-    "qme": Scenario(run_qme, _reads("t_final", "n_times", **ARRAY)),
+    "qme": Scenario(run_qme, _reads("t_final", "n_times", **QUANTUM_ARRAY)),
     "traj": Scenario(run_traj, _reads(
         "t_final", "n_times", "n_trajectories", "jump_basis", "seed",
-        **ARRAY)),
-    "g2": Scenario(run_g2, _reads("tau_max", **ARRAY)),
+        **QUANTUM_ARRAY)),
+    "g2": Scenario(run_g2, _reads("tau_max", **QUANTUM_ARRAY)),
     "disorder": Scenario(run_disorder, _reads(
         "n_realizations", "detuning_grid", "seed", **ARRAY)),
     "checks": Scenario(run_checks, _reads()),
@@ -470,6 +481,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "levels": {"enum": [2, 4]},
+                "detuning": {"type": "number"},
                 "orientation": {"type": "array", "items": {"type": "number"},
                                 "minItems": 3, "maxItems": 3},
                 "zeeman": {"type": "array", "items": {"type": "number"},

@@ -154,6 +154,30 @@ def build_ring(n: int, radius: float) -> Geometry:
     return Geometry(pos, np.arange(n))
 
 
+def coordinate_mirrors(positions) -> dict:
+    """The coordinate mirrors x -> -x, y -> -y, z -> -z (axes 0, 1, 2)
+    that map the positions onto themselves: {axis: perm}, where atom
+    perm[j] sits at the mirror image of atom j.
+
+    Positions are matched on a grid of 1e-9 times the array's extent, so
+    a mirror that holds only to rounding (a ring's cosines) is proposed
+    too; whatever uses a mirror decides whether it is a symmetry.
+    """
+    pos = np.asarray(positions, dtype=float)
+    key = np.round(pos / (1e-9 * max(1.0, np.abs(pos).max()))).astype(np.int64)
+    order = np.lexsort(key.T)
+    mirrors = {}
+    for axis in range(3):
+        image = key.copy()
+        image[:, axis] *= -1
+        image_order = np.lexsort(image.T)
+        if np.array_equal(image[image_order], key[order]):
+            perm = np.empty(len(pos), dtype=int)
+            perm[image_order] = order
+            mirrors[axis] = perm
+    return mirrors
+
+
 def wannier_width(spec: LatticeTrapSpec) -> float:
     """In-plane 1/e half-width of the on-site ground-state density,
     ell = a * s**(-1/4) / pi."""

@@ -12,6 +12,12 @@ Two level structures are supported:
   not).  Zeeman shifts of the m = nu sublevels, entering as detunings
   Delta - nu*delta_nu, make the per-atom level block of dH
   (`TransitionSpec.level_block`) a 3x3 Hermitian matrix in this basis.
+
+`eigenmodes` diagonalises H in blocks: the coordinate mirrors of a
+symmetric array that act on every atom's dipole components as +-1 and
+leave H invariant are diagonal in a real orthogonal orbit-sum basis
+(`mirror_basis`), which splits a centred square J=0 -> J'=1 lattice into
+eight blocks.  An array without such a mirror is one block.
 """
 from __future__ import annotations
 
@@ -21,7 +27,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ResonantSingularityError
-from .geometry import Geometry
+from .geometry import Geometry, coordinate_mirrors
 from .kernel import circular_basis, coupling_matrix
 
 COND_LIMIT = 1e12
@@ -170,6 +176,7 @@ class EigenSystem:
     eigenvalues: np.ndarray
     vectors: np.ndarray          # columns v_j
     anomalous: np.ndarray        # modes where v^T v ~ 0 (renormalized by max)
+    blocks: tuple = ()           # sizes of the blocks H was solved in
 
     @property
     def shifts(self) -> np.ndarray:
@@ -180,16 +187,151 @@ class EigenSystem:
         return self.eigenvalues.imag
 
 
+MIRROR_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class MirrorBasis:
+    """Real orthogonal basis Q of the amplitudes adapted to the coordinate
+    mirrors that leave H invariant.  Column a of Q is the orbit sum
+    sum_g coefs[g, a] e_rows[g, a] over the |G| elements of the mirror
+    group (a site that several elements reach is summed as often), with
+    entries +-1/sqrt(|orbit|) and one parity under every kept mirror;
+    columns offsets[s]:offsets[s+1] share theirs, so Q^T H Q is block
+    diagonal with blocks of `sizes`."""
+    mirrors: tuple               # kept mirror axes (0, 1, 2 = x, y, z)
+    rows: np.ndarray             # (|G|, M) amplitude indices
+    coefs: np.ndarray            # (|G|, M) their coefficients
+    offsets: np.ndarray
+
+    @property
+    def sizes(self) -> list:
+        return np.diff(self.offsets).tolist()
+
+
+def _project(X: np.ndarray, rows, coefs) -> np.ndarray:
+    """Q^T X for the columns (rows, coefs) of Q."""
+    return sum(c[:, None] * X[r] for r, c in zip(rows, coefs))
+
+
+def _expand(v: np.ndarray, rows, coefs, size: int) -> np.ndarray:
+    """Q v for the columns (rows, coefs) of Q; one group element's rows
+    are distinct, so each += touches a site once."""
+    out = np.zeros((size, v.shape[1]), dtype=complex)
+    for r, c in zip(rows, coefs):
+        out[r] += c[:, None] * v
+    return out
+
+
+def _signed_permutation(system: CouplingSystem, axis: int, perm):
+    """(idx, sign) of the mirror on the amplitudes, U e_i = sign_i e_idx_i,
+    or None where its per-atom action basis^H R basis is not diagonal +-1
+    (a dipole tilted off the mirror's axis and plane)."""
+    basis = system.transition.basis
+    R = np.ones(3)
+    R[axis] = -1.0
+    action = basis.conj().T @ (R[:, None] * basis)
+    sign = np.sign(action.diagonal().real)
+    if np.abs(action - np.diag(sign)).max() > MIRROR_TOL:
+        return None
+    m = len(sign)
+    return ((perm[:, None] * m + np.arange(m)).ravel(),
+            np.tile(sign, len(perm)))
+
+
+def _invariant(H: np.ndarray, idx, sign, rows: int = 128) -> bool:
+    """U H U^T == H to MIRROR_TOL relative, one slab of rows at a time."""
+    tol = MIRROR_TOL * np.abs(H).max()
+    for lo in range(0, len(H), rows):
+        sl = slice(lo, lo + rows)
+        image = np.take(H[idx[sl]], idx, axis=1)
+        image *= sign[sl, None]
+        image *= sign
+        image -= H[sl]
+        if np.abs(image).max() > tol:
+            return False
+    return True
+
+
+def mirror_basis(system: CouplingSystem) -> MirrorBasis:
+    """Orbit-sum basis of the mirrors that `geometry.coordinate_mirrors`
+    proposes and that leave H invariant.  With none kept, Q = 1 and the
+    whole of H is one block."""
+    M = system.size
+    mirrors, idx, sign = [], [np.arange(M)], [np.ones(M)]
+    for axis, perm in coordinate_mirrors(system.geometry.positions).items():
+        op = _signed_permutation(system, axis, perm)
+        if op is None or not _invariant(system.H, *op):
+            continue
+        mirrors.append(axis)
+        # the group grows by the new mirror's products with every element
+        # so far: U_a U_g e_i = sign_g[i] sign_a[idx_g[i]] e_idx_a[idx_g[i]]
+        a_idx, a_sign = op
+        idx, sign = (idx + [a_idx[i] for i in idx],
+                     sign + [s * a_sign[i] for i, s in zip(idx, sign)])
+    img, sgn = np.array(idx), np.array(sign)          # (|G|, M) each
+    n_group = len(img)
+    reps = np.flatnonzero(img.min(axis=0) == np.arange(M))
+    img, sgn = img[:, reps], sgn[:, reps]
+    stab = img == reps                                # (|G|, orbits)
+    # each site of an orbit is reached by |stabilizer| group elements
+    scale = 1.0 / np.sqrt(n_group * stab.sum(axis=0))
+    rows, coefs, offsets = [], [], [0]
+    for sector in range(n_group):
+        parity = [(-1) ** bin(sector & g).count("1") for g in range(n_group)]
+        coef = np.array(parity)[:, None] * sgn
+        # an orbit carries this sector unless its stabilizer flips it
+        live = np.flatnonzero(~(stab & (coef < 0)).any(axis=0))
+        if len(live) == 0:
+            continue
+        rows.append(img[:, live])
+        coefs.append(coef[:, live] * scale[live])
+        offsets.append(offsets[-1] + len(live))
+    return MirrorBasis(tuple(mirrors), np.hstack(rows), np.hstack(coefs),
+                       np.array(offsets))
+
+
 def eigenmodes(system: CouplingSystem) -> EigenSystem:
-    """Full eigendecomposition of the coupling matrix H."""
-    evals, vecs = scipy.linalg.eig(system.H)
+    """Eigendecomposition of the coupling matrix H, block by block.
+
+    A coordinate mirror x -> -x, y -> -y or z -> -z is used if it permutes
+    the atoms (`geometry.coordinate_mirrors`), acts on each atom's dipole
+    components as +-1 (basis^H R basis diagonal +-1, which a tilted
+    two-level dipole fails) and leaves H invariant to MIRROR_TOL (which
+    disorder, or a Zeeman term added to H, fails).  The kept mirrors split
+    H into blocks Q_s^T H Q_s (`mirror_basis`), complex symmetric like H;
+    each is solved by `scipy.linalg.eig` and its vectors are mapped back
+    by Q_s.  Q is applied through its index and coefficient tables, never
+    as a dense matrix.  With no mirror kept, H is one block.  Q is real
+    orthogonal, so v^T v = 1 and the `anomalous` rule mean what they mean
+    for a full eigensolve.
+
+    The eigenvalues do not depend on the blocks.  The modes of a
+    degenerate eigenvalue do: they are a basis of its eigenspace, here
+    the one whose vectors each have one parity under every mirror, so
+    that modes of one cluster are v^T v-orthogonal (a full eigensolve
+    returns an arbitrary, in general not orthogonal, basis), and with
+    them the occupations of `mode_occupation`.
+    """
+    basis = mirror_basis(system)
+    vecs = np.empty((system.size, system.size), dtype=complex)
+    sectors = [(basis.rows[:, lo:hi], basis.coefs[:, lo:hi])
+               for lo, hi in zip(basis.offsets[:-1], basis.offsets[1:])]
+    solved = [scipy.linalg.eig(_project(_project(system.H, *q).T, *q).T,
+                               overwrite_a=True) for q in sectors]
+    evals = np.concatenate([w for w, _ in solved])
+    order = np.argsort(evals.imag)
+    # each block's vectors go straight to their columns in `order`
+    column = np.empty_like(order)
+    column[order] = np.arange(len(order))
+    for lo, q, (_, v) in zip(basis.offsets, sectors, solved):
+        vecs[:, column[lo:lo + v.shape[1]]] = _expand(v, *q, system.size)
     norms = np.einsum("ij,ij->j", vecs, vecs)
     anomalous = np.abs(norms) < 1e-12
-    scale = np.where(anomalous, np.max(np.abs(vecs), axis=0).astype(complex),
-                     np.sqrt(norms + 0j))
-    vecs = vecs / scale
-    order = np.argsort(evals.imag)
-    return EigenSystem(evals[order], vecs[:, order], anomalous[order])
+    scale = np.sqrt(norms + 0j)
+    scale[anomalous] = np.abs(vecs[:, anomalous]).max(axis=0)
+    vecs /= scale
+    return EigenSystem(evals[order], vecs, anomalous, tuple(basis.sizes))
 
 
 def mode_occupation(b, eigensystem: EigenSystem) -> np.ndarray:
@@ -216,10 +358,10 @@ def uniform_target(n_atoms: int, component: int) -> np.ndarray:
     return t
 
 
-def eigen_table(system: CouplingSystem):
-    """Rows (index, shift, linewidth, occupation) for CSV export; the
-    occupation column refers to the steady state."""
-    es = eigenmodes(system)
+def eigen_table(system: CouplingSystem, es: EigenSystem):
+    """Rows (index, shift, linewidth, occupation) of the eigenmodes `es`
+    of `system` for CSV export; the occupation column refers to the
+    steady state."""
     b = steady_state(system)
     occ = mode_occupation(b, es) if np.linalg.norm(b) > 0 else np.zeros(system.size)
     return [(j, es.shifts[j], es.linewidths[j], occ[j]) for j in range(system.size)]

@@ -9,8 +9,8 @@ from atomarray.errors import DegenerateConfigurationError
 from atomarray.geometry import (LAMBDA, Geometry, LatticeTrapSpec,
                                 build_bilayer, build_ring,
                                 build_square_lattice, build_stack,
-                                min_pair_distance, sample_positions,
-                                wannier_width)
+                                coordinate_mirrors, min_pair_distance,
+                                sample_positions, wannier_width)
 
 
 def test_single_site_lattice():
@@ -201,3 +201,20 @@ def test_builders_are_pure(nx, ny, a):
     g2 = build_square_lattice(nx, ny, a)
     assert np.array_equal(g1.positions, g2.positions)
     assert g1.natoms == nx * ny
+
+
+@pytest.mark.parametrize("geo, axes", [
+    (build_square_lattice(3, 4, 1.0), {0, 1, 2}),
+    (build_stack(2, 3, 1.0, [0.4, 0.7]), {1, 2}),
+    # an odd ring has no y -> -y image of its atom at phi = 0
+    (build_ring(5, 1.0), {0, 2}),
+    (build_ring(6, 1.0), {0, 1, 2}),
+    (Geometry([[0.1, 0.0, 0.0], [0.0, 0.2, 0.3]]), set()),
+])
+def test_coordinate_mirrors_permute_the_positions(geo, axes):
+    mirrors = coordinate_mirrors(geo.positions)
+    assert set(mirrors) == axes
+    for axis, perm in mirrors.items():
+        image = geo.positions.copy()
+        image[:, axis] *= -1
+        assert np.allclose(geo.positions[perm], image, rtol=0, atol=1e-12)

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from atomarray import lli
 from atomarray.drives import GaussianBeam, PlaneWave, no_drive
 from atomarray.errors import ResonantSingularityError
-from atomarray.geometry import (LAMBDA, Geometry, build_ring,
-                                build_square_lattice)
+from atomarray.geometry import (LAMBDA, Geometry, build_bilayer, build_ring,
+                                build_square_lattice, build_stack,
+                                sample_positions)
 from atomarray.kernel import GAMMA, XI, green_tensor
 from atomarray.lli import (CouplingSystem, TransitionSpec, assemble,
                            eigenmodes, evolve, match_mode, mode_occupation,
@@ -252,3 +256,142 @@ def test_gaussian_drive_profile():
     rho2 = np.sum(geo.positions[:, 1:] ** 2, axis=1)
     assert np.allclose(np.abs(f), np.exp(-rho2 / (1.5 * LAMBDA) ** 2),
                        rtol=1e-12)
+
+
+# --- block eigensolve against a full eigensolve -----------------------------
+
+TILTED = TransitionSpec(levels=2, orientation=(1.0, 0.1, 0.0))
+ZEEMAN = TransitionSpec(levels=4, zeeman=(0.3, 0.0, -0.1))
+
+
+def with_level_block(system):
+    """The system with its Zeeman level block dH moved into H, which then
+    is not complex symmetric: its circular modes have v^T v = 0."""
+    return CouplingSystem(system.H + system.dH, system.dH, system.f,
+                          system.geometry, system.transition)
+
+
+@st.composite
+def symmetric_systems(draw):
+    """Small arrays of every kind the block eigensolve must handle: the
+    mirrors each keeps differ, and the last three break some or all."""
+    kind = draw(st.sampled_from(["square", "bilayer", "stack", "ring",
+                                 "tilted", "zeeman", "disordered"]))
+    a = draw(st.floats(0.2, 0.8)) * LAMBDA
+    nx = draw(st.integers(1, 4))
+    ny = draw(st.integers(1, 4).filter(lambda n: n != nx))
+    tr = draw(st.sampled_from([EY, J01, TransitionSpec(
+        levels=2, orientation=(1.0, 0.0, 0.0))]))
+    if kind == "bilayer":
+        geo = build_bilayer(nx, ny, a, draw(st.floats(0.1, 0.7)) * LAMBDA)
+    elif kind == "stack":
+        geo = build_stack(nx, ny, a, [0.3 * LAMBDA, 0.45 * LAMBDA])
+    elif kind == "ring":
+        geo = build_ring(draw(st.integers(2, 9)),
+                         draw(st.floats(0.15, 1.0)) * LAMBDA)
+    else:
+        geo = build_square_lattice(nx, ny, a)
+    if kind == "tilted":
+        tr = TILTED
+    if kind == "disordered":
+        # a sampled pair keeps the rotation axis through its atoms: its
+        # transverse modes are degenerate, no coordinate mirror splits
+        # them, and the occupation of either is not fixed by the eigenspace
+        assume(geo.natoms >= 3)
+        geo = sample_positions(geo, np.random.default_rng(draw(
+            st.integers(0, 2**32 - 1))), 0.05 * LAMBDA)
+    if kind == "zeeman":
+        return kind, with_level_block(assemble(geo, ZEEMAN))
+    return kind, assemble(geo, tr)
+
+
+def uniform_state(system):
+    """Every atom's amplitude along one dipole component: a state with one
+    parity under every mirror that permutes the atoms."""
+    m = system.transition.components
+    return uniform_target(system.size // m, m - 1) if m == 3 else np.ones(
+        system.size)
+
+
+def assert_matches_full_eigensolve(system, symmetric=True):
+    H = system.H
+    es = eigenmodes(system)
+    w, V = scipy.linalg.eig(H)
+    # eigenvalues, paired by distance
+    rows, cols = linear_sum_assignment(
+        np.abs(w[:, None] - es.eigenvalues[None, :]))
+    assert np.max(np.abs(w[rows] - es.eigenvalues[cols])) < 1e-12
+    assert np.all(np.diff(es.linewidths) >= 0)
+    norm = np.linalg.norm(H, 2)
+    for j in range(system.size):
+        v = es.vectors[:, j]
+        assert (np.linalg.norm(H @ v - es.eigenvalues[j] * v)
+                <= 1e-10 * norm * np.linalg.norm(v))
+    if not symmetric:
+        return
+    assert not es.anomalous.any()
+    assert np.max(np.abs(es.vectors.T @ es.vectors
+                         - np.eye(system.size))) < 1e-8
+    # occupations summed over each degenerate cluster: a cluster's
+    # spectral projector P does not depend on the basis of its modes, and
+    # for a state of one parity (P b)^T (P b) is the summed |v^T b|^2
+    b = uniform_state(system)
+    occ = mode_occupation(b, es)
+    tol = 1e-9 * norm
+    want, got, seen = [], [], np.zeros(len(w), bool)
+    for i in range(len(w)):
+        if seen[i]:
+            continue
+        cluster = np.abs(w - w[i]) < tol
+        seen |= cluster
+        Vc = V[:, cluster]
+        pb = Vc @ np.linalg.solve(Vc.T @ Vc, Vc.T @ b)
+        want.append(abs(pb @ pb))
+        got.append(occ[np.abs(es.eigenvalues - w[i]) < tol].sum())
+    assert np.max(np.abs(np.array(want) / sum(want) - got)) < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(symmetric_systems())
+def test_block_eigenmodes_match_full_eigensolve(case):
+    kind, system = case
+    assert_matches_full_eigensolve(system, symmetric=kind != "zeeman")
+
+
+@pytest.mark.parametrize("geo, tr, mirrors", [
+    (build_square_lattice(3, 4, 0.6 * LAMBDA), J01, (0, 1, 2)),
+    (build_square_lattice(4, 3, 0.6 * LAMBDA),
+     TransitionSpec(levels=2, orientation=(1.0, 0.0, 0.0)), (0, 1, 2)),
+    (build_square_lattice(4, 3, 0.6 * LAMBDA), TILTED, (2,)),
+    (build_ring(7, LAMBDA), J01, (0, 2)),
+    (sample_positions(build_square_lattice(4, 3, 0.6 * LAMBDA),
+                      np.random.default_rng(3), 0.05 * LAMBDA), J01, ()),
+])
+def test_mirrors_kept(geo, tr, mirrors):
+    assert lli.mirror_basis(assemble(geo, tr)).mirrors == mirrors
+
+
+def test_mirrors_kept_zeeman_in_H():
+    # the Zeeman block couples x and y components, which the x and y
+    # mirrors flip one at a time; the z mirror flips neither
+    sys_ = with_level_block(assemble(build_square_lattice(3, 4, 0.6 * LAMBDA),
+                                     ZEEMAN))
+    assert lli.mirror_basis(sys_).mirrors == (2,)
+    assert lli.mirror_basis(assemble(sys_.geometry, ZEEMAN)).mirrors == (
+        0, 1, 2)
+
+
+def test_mirror_basis_is_orthogonal_orbit_sums():
+    sys_ = assemble(build_square_lattice(16, 16, 0.55 * LAMBDA), J01)
+    basis = lli.mirror_basis(sys_)
+    assert sorted(basis.sizes) == [64] * 4 + [128] * 4
+    Q = np.zeros((sys_.size, sys_.size))
+    for rows, coefs in zip(basis.rows, basis.coefs):
+        Q[rows, np.arange(sys_.size)] += coefs
+    assert np.max(np.abs(Q.T @ Q - np.eye(sys_.size))) < 1e-15
+    # entries +-1/sqrt(|orbit|); x -> -x fixes the atoms of the planar
+    # array, so an orbit has at most 4 sites
+    counts = np.count_nonzero(Q, axis=0)
+    assert np.allclose(np.abs(Q).max(axis=0), 1 / np.sqrt(counts))
+    assert np.allclose(np.abs(Q).sum(axis=0), np.sqrt(counts))
+    assert counts.max() == 4

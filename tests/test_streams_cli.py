@@ -107,6 +107,12 @@ GRID = {"start": -1.0, "stop": 1.0, "num": 3}
       "detuning_grid": GRID, "intensity_grid": {"start": 1.0, "stop": 2.0,
                                                 "num": 2}},
      "geometry/kind"),
+    # the laser detuning outside the quantum scenarios
+    ({"scenario": "transmit", "geometry": TINY, "transition": {
+        "detuning": 0.5}, "detuning_grid": {**GRID, "num": 4}},
+     "transition/detuning"),
+    ({"scenario": "eigen", "geometry": TINY,
+      "transition": {"levels": 4, "detuning": 0.5}}, "transition/detuning"),
 ])
 def test_cli_rejects_ignored_keys(tmp_path, capsys, cfg, path):
     # each key is valid for some scenario but has no effect on this run
@@ -200,6 +206,23 @@ def test_cli_eigen_scenario(tmp_path):
     assert lines[0].split(",")[1] == "shift[gamma]"
     assert len(lines) == 17
     assert (tmp_path / "linewidth_histogram.csv").exists()
+    # two-level dipoles along y: the y and z mirrors split the 4x4 array
+    # (x -> -x leaves every amplitude as it is)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["diagnostics"]["eigen_blocks"] == [4, 4, 4, 4]
+
+
+def test_cli_ring_trap_needs_its_spacing(tmp_path, capsys):
+    ring = {"kind": "ring", "natoms": 3, "radius_wl": 0.4,
+            "lattice_depth": 50.0}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "eigen", "geometry": ring}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert ("config invalid at geometry/spacing_wl: a ring in a lattice "
+            "trap needs the trap spacing") in capsys.readouterr().err
+    cfg.write_text(json.dumps({"scenario": "eigen", "geometry": {
+        **ring, "spacing_wl": 0.5}}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 0
 
 
 def test_cli_transmit_scenario(tmp_path):
@@ -242,6 +265,23 @@ def test_cli_qme_and_g2(tmp_path):
     lines = (tmp_path / "g2.csv").read_text().splitlines()
     row1 = lines[1].split(",")
     assert abs(float(row1[1])) < 1e-8      # antibunching at tau = 0
+
+
+def test_cli_qme_transition_detuning(tmp_path):
+    cfg = {"scenario": "qme", "geometry": {"kind": "ring", "natoms": 2,
+                                           "radius_wl": 0.4},
+           "drive": {"kind": "plane", "rabi": 0.8}, "t_final": 2.0,
+           "n_times": 3}
+
+    def steady(transition):
+        out = tmp_path / str(len(list(tmp_path.iterdir())))
+        run({**cfg, "transition": transition}, out_dir=out)
+        return (out / "qme_steady.json").read_bytes()
+    unset = steady({})
+    assert steady({"detuning": 0.0}) == unset
+    moved = json.loads(steady({"detuning": 1.5}))
+    # off resonance the pair scatters less and is less excited
+    assert moved["steady_population"] < json.loads(unset)["steady_population"]
 
 
 def test_cli_traj_scenario(tmp_path):
