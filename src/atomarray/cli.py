@@ -423,7 +423,8 @@ ARRAY = {
         {"waist_wl"} if d.get("kind", "gaussian") == "gaussian" else set()),
 }
 # the quantum scenarios also read the laser detuning of the transition;
-# the classical ones sweep it (detuning_grid) or do not drive
+# transmit and disorder sweep it (detuning_grid), and eigen reports the
+# occupations of its steady state at resonance
 QUANTUM_ARRAY = ARRAY | {
     "transition": lambda t: ARRAY["transition"](t) | {"detuning"}}
 

@@ -176,7 +176,7 @@ class EigenSystem:
     eigenvalues: np.ndarray
     vectors: np.ndarray          # columns v_j
     anomalous: np.ndarray        # modes where v^T v ~ 0 (renormalized by max)
-    blocks: tuple = ()           # sizes of the blocks H was solved in
+    blocks: tuple                # sizes of the blocks H was solved in
 
     @property
     def shifts(self) -> np.ndarray:
@@ -188,6 +188,7 @@ class EigenSystem:
 
 
 MIRROR_TOL = 1e-12
+DEGENERATE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -211,7 +212,10 @@ class MirrorBasis:
 
 def _project(X: np.ndarray, rows, coefs) -> np.ndarray:
     """Q^T X for the columns (rows, coefs) of Q."""
-    return sum(c[:, None] * X[r] for r, c in zip(rows, coefs))
+    out = coefs[0][:, None] * X[rows[0]]
+    for r, c in zip(rows[1:], coefs[1:]):
+        out += c[:, None] * X[r]
+    return out
 
 
 def _expand(v: np.ndarray, rows, coefs, size: int) -> np.ndarray:
@@ -239,9 +243,10 @@ def _signed_permutation(system: CouplingSystem, axis: int, perm):
             np.tile(sign, len(perm)))
 
 
-def _invariant(H: np.ndarray, idx, sign, rows: int = 128) -> bool:
+def _invariant(H: np.ndarray, idx, sign) -> bool:
     """U H U^T == H to MIRROR_TOL relative, one slab of rows at a time."""
     tol = MIRROR_TOL * np.abs(H).max()
+    rows = 128
     for lo in range(0, len(H), rows):
         sl = slice(lo, lo + rows)
         image = np.take(H[idx[sl]], idx, axis=1)
@@ -291,6 +296,29 @@ def mirror_basis(system: CouplingSystem) -> MirrorBasis:
                        np.array(offsets))
 
 
+def _runs(idx: np.ndarray, key: np.ndarray, tol: float) -> list:
+    """The runs of two or more of idx, sorted by key, whose consecutive
+    keys differ by less than tol."""
+    idx = idx[np.argsort(key[idx])]
+    cut = np.flatnonzero(np.diff(key[idx]) >= tol) + 1
+    return [idx[lo:hi] for lo, hi in zip(np.r_[0, cut], np.r_[cut, len(idx)])
+            if hi - lo > 1]
+
+
+def _orthonormalise_clusters(w: np.ndarray, v: np.ndarray) -> None:
+    """Re-base, in place, the vectors of every cluster of eigenvalues
+    within DEGENERATE_TOL (relative) to v^T v = 1 by the symmetric
+    orthogonalisation V (V^T V)^(-1/2); `scipy.linalg.eig` returns a
+    basis of a degenerate eigenspace that is not v^T v-orthogonal.  A
+    cluster whose Gram matrix is singular (v^T v ~ 0) is left as it is."""
+    tol = DEGENERATE_TOL * max(np.abs(w).max(), 1.0)
+    for run in _runs(np.arange(len(w)), w.real, tol):
+        for c in _runs(run, w.imag, tol):
+            gram = v[:, c].T @ v[:, c]
+            if np.linalg.cond(gram) < 1e8:
+                v[:, c] = v[:, c] @ np.linalg.inv(scipy.linalg.sqrtm(gram))
+
+
 def eigenmodes(system: CouplingSystem) -> EigenSystem:
     """Eigendecomposition of the coupling matrix H, block by block.
 
@@ -308,10 +336,14 @@ def eigenmodes(system: CouplingSystem) -> EigenSystem:
 
     The eigenvalues do not depend on the blocks.  The modes of a
     degenerate eigenvalue do: they are a basis of its eigenspace, here
-    the one whose vectors each have one parity under every mirror, so
-    that modes of one cluster are v^T v-orthogonal (a full eigensolve
-    returns an arbitrary, in general not orthogonal, basis), and with
-    them the occupations of `mode_occupation`.
+    one whose vectors each have one parity under every mirror.  Modes of
+    one cluster that lie in different blocks are v^T v-orthogonal; a
+    cluster inside one block (no mirror splits it) is re-based to
+    v^T v = 1 (`_orthonormalise_clusters`), because `scipy.linalg.eig`
+    returns an arbitrary, in general not orthogonal, basis.  Which basis
+    that is still sets the per-mode occupations of `mode_occupation` in
+    such a cluster, and their sum where the state reaches several of its
+    modes.
     """
     basis = mirror_basis(system)
     vecs = np.empty((system.size, system.size), dtype=complex)
@@ -319,6 +351,8 @@ def eigenmodes(system: CouplingSystem) -> EigenSystem:
                for lo, hi in zip(basis.offsets[:-1], basis.offsets[1:])]
     solved = [scipy.linalg.eig(_project(_project(system.H, *q).T, *q).T,
                                overwrite_a=True) for q in sectors]
+    for w, v in solved:
+        _orthonormalise_clusters(w, v)
     evals = np.concatenate([w for w, _ in solved])
     order = np.argsort(evals.imag)
     # each block's vectors go straight to their columns in `order`
