@@ -26,6 +26,7 @@ from scipy.special import erfc, erfi
 
 from .errors import BraggResonanceError
 from .geometry import LAMBDA
+from .integrate import affine_evolve
 from .kernel import GAMMA, K, XI, direction, transverse
 from .stacked1d import layer_reflection
 
@@ -249,17 +250,10 @@ def two_mode_exceptional_point(params: TwoModeParams) -> bool:
 
 
 def two_mode_evolve(params: TwoModeParams, delta0, t_grid, rho0=(0.0, 0.0)):
-    """Integrate the two coupled mode amplitudes under constant drive."""
-    from .integrate import integrate_complex
-
-    zp, zi = params.z_p(delta0), params.z_i(delta0)
-
-    def rhs(t, y):
-        x, yy = y
-        return np.array([1j * zp * x - params.dbar * yy,
-                         1j * zi * yy + params.dbar * x + 1j * params.rabi])
-
-    return integrate_complex(rhs, np.asarray(rho0, dtype=complex), t_grid)
+    """Exact evolution of the two coupled mode amplitudes, constant drive."""
+    A = np.array([[1j * params.z_p(delta0), -params.dbar],
+                  [params.dbar, 1j * params.z_i(delta0)]])
+    return affine_evolve(A, [0.0, 1j * params.rabi], rho0, t_grid)
 
 
 def propagating_orders(a, q):

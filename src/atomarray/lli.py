@@ -2,8 +2,8 @@
 
 Amplitudes b obey  db/dt = i (H + dH) b + f  with H = kernel.coupling_matrix
 in the dipole basis of the transition (`TransitionSpec.basis`): diagonal
-i*gamma, off-diagonal XI * e.G(r_j - r_l).e' between dipole components.
-Two level structures are supported:
+i*gamma, off-diagonal XI * e.G(r_j - r_l).e' between dipole components;
+`evolve` is exact (`integrate.affine_evolve`).  Two level structures:
 
 * two-level: one real dipole orientation per atom, H is N x N;
 * J=0 -> J'=1: three dipole components per atom.  Components are stored in
@@ -26,11 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ResonantSingularityError
 from .geometry import Geometry, coordinate_mirrors
+from .integrate import affine_evolve, solve_checked
 from .kernel import circular_basis, coupling_matrix
-
-COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -138,34 +136,16 @@ def with_detuning(system: CouplingSystem, delta: float) -> np.ndarray:
 
 
 def steady_state(system: CouplingSystem, delta: float = None) -> np.ndarray:
-    """Solve 0 = i(H + dH) b + f, i.e. b = i (H + dH)^{-1} f."""
+    """Solve 0 = i(H + dH) b + f, i.e. b = i (H + dH)^{-1} f; raises
+    ResonantSingularityError at a collective resonance."""
     A = system.H + system.dH if delta is None else with_detuning(system, delta)
-    lu, piv = scipy.linalg.lu_factor(A)
-    anorm = np.linalg.norm(A, 1)
-    rcond = scipy.linalg.lapack.zgecon(lu, anorm)[0]
-    if rcond < 1.0 / COND_LIMIT:
-        lam = np.linalg.eigvals(A)
-        nearest = lam[np.argmin(np.abs(lam))]
-        raise ResonantSingularityError(
-            f"steady state ill-conditioned (rcond={rcond:.2e}); "
-            f"nearest eigenvalue of H+dH is {nearest:.3e}",
-            nearest_eigenvalue=nearest)
-    return scipy.linalg.lu_solve((lu, piv), 1j * system.f)
+    return solve_checked(A, 1j * system.f)
 
 
-def evolve(system: CouplingSystem, b0, t_grid, delta: float = None,
-           rtol: float = 1e-10, atol: float = 1e-12) -> np.ndarray:
-    """Integrate db/dt = i(H+dH)b + f on t_grid (returns (nt, M))."""
-    from .integrate import integrate_complex
-
+def evolve(system: CouplingSystem, b0, t_grid, delta: float = None) -> np.ndarray:
+    """Exact evolution of db/dt = i(H+dH)b + f on t_grid (returns (nt, M))."""
     A = 1j * (system.H + system.dH if delta is None else with_detuning(system, delta))
-    f = np.asarray(system.f, dtype=complex)
-
-    def rhs(t, b):
-        return A @ b + f
-
-    return integrate_complex(rhs, np.asarray(b0, dtype=complex), t_grid,
-                             rtol=rtol, atol=atol)
+    return affine_evolve(A, system.f, b0, t_grid)
 
 
 @dataclass

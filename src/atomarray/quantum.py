@@ -470,7 +470,7 @@ def detection_operator(system: QuantumSystem, theta, phi,
 
 
 def g2_regression(system: QuantumSystem, tau_grid, theta=0.0, phi=0.0,
-                  rho_ss=None, rtol=1e-11, atol=1e-13):
+                  rho_ss=None):
     """g2(tau) by quantum regression: evolve the conditional state
     E rho_ss E^dag under the QME generator and read out <E^dag E>."""
     if rho_ss is None:
@@ -483,7 +483,7 @@ def g2_regression(system: QuantumSystem, tau_grid, theta=0.0, phi=0.0,
     cond = E @ rho_ss @ E.conj().T
     tau_grid = np.asarray(tau_grid, dtype=float)
     grid = tau_grid if tau_grid[0] == 0 else np.concatenate([[0.0], tau_grid])
-    traj = evolve_qme(cond, system, grid, rtol=rtol, atol=atol)
+    traj = evolve_qme(cond, system, grid, rtol=1e-11, atol=1e-13)
     if tau_grid[0] != 0:
         traj = traj[1:]
     vals = np.einsum("tij,ji->t", traj, EdE).real

@@ -125,15 +125,14 @@ def obe_rhs(state: SemiclassicalState, system: ObeSystem) -> SemiclassicalState:
     return SemiclassicalState(dcoh, dexc)
 
 
-def integrate_obe(state0: SemiclassicalState, system: ObeSystem, t_grid,
-                  rtol=1e-9, atol=1e-11):
+def integrate_obe(state0: SemiclassicalState, system: ObeSystem, t_grid):
     """Adaptive integration; returns a list of states on t_grid."""
     n, m = state0.natoms, state0.ncomp
 
     def rhs(t, y):
         return obe_rhs(SemiclassicalState.unflatten(y, n, m), system).flatten()
 
-    traj = integrate_complex(rhs, state0.flatten(), t_grid, rtol=rtol, atol=atol)
+    traj = integrate_complex(rhs, state0.flatten(), t_grid, rtol=1e-9, atol=1e-11)
     return [SemiclassicalState.unflatten(row, n, m) for row in traj]
 
 
@@ -265,8 +264,7 @@ def uniform_evolve(delta, rabi, omega_t, gamma_t, t_grid, p0=0.0, n0=0.0):
         dp, dn = _uniform_rhs(y[0], y[1].real, delta, rabi, G)
         return np.array([dp, dn])
 
-    out = integrate_complex(rhs, np.array([p0, n0], dtype=complex), t_grid,
-                            rtol=1e-10, atol=1e-12)
+    out = integrate_complex(rhs, np.array([p0, n0], dtype=complex), t_grid)
     return out[:, 0], out[:, 1].real
 
 

@@ -23,8 +23,9 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import exp1
 
-from .errors import PerfectReflectionError, ResonantSingularityError
+from .errors import PerfectReflectionError
 from .geometry import LAMBDA
+from .integrate import affine_evolve, solve_checked
 from .kernel import GAMMA, K
 
 
@@ -74,37 +75,24 @@ class LayerStack:
 
 
 def _coupling_matrix(stack: LayerStack, delta):
-    n = stack.nlayers
     g = stack.gamma_1d * stack.loss_factor     # emitted-field strength
-    A = np.diag(1j * (delta + stack.shift) - stack.gamma_1d).astype(complex)
-    for j in range(n):
-        for l in range(n):
-            if j != l:
-                A[j, l] = -g[l] * np.exp(1j * K * abs(stack.x[j] - stack.x[l]))
+    A = -g * np.exp(1j * K * np.abs(stack.x[:, None] - stack.x))
+    np.fill_diagonal(A, 1j * (delta + stack.shift) - stack.gamma_1d)
     return A
 
 
 def steady_state_1d(stack: LayerStack, delta, rabi=1.0) -> np.ndarray:
-    """Per-layer amplitudes of the driven stack (plane wave e^{ikx})."""
-    A = _coupling_matrix(stack, delta)
+    """Per-layer amplitudes of the driven stack (plane wave e^{ikx}); raises
+    ResonantSingularityError at a cavity resonance."""
     drive = 1j * rabi * np.exp(1j * K * stack.x)
-    cond = np.linalg.cond(A)
-    if cond > 1e12:
-        lam = np.linalg.eigvals(A)
-        raise ResonantSingularityError(
-            f"1D steady state singular at this detuning (cond={cond:.1e})",
-            nearest_eigenvalue=lam[np.argmin(np.abs(lam))])
-    return np.linalg.solve(A, -drive)
+    return solve_checked(_coupling_matrix(stack, delta), -drive)
 
 
 def evolve_1d(stack: LayerStack, delta, t_grid, rho0=None, rabi=1.0):
-    """Integrate the coupled-layer amplitudes."""
-    from .integrate import integrate_complex
-    A = _coupling_matrix(stack, delta)
+    """Exact evolution of the coupled-layer amplitudes from rho0 (rest)."""
     drive = 1j * rabi * np.exp(1j * K * stack.x)
-    y0 = np.zeros(stack.nlayers, dtype=complex) if rho0 is None \
-        else np.asarray(rho0, dtype=complex)
-    return integrate_complex(lambda t, y: A @ y + drive, y0, t_grid)
+    y0 = np.zeros(stack.nlayers) if rho0 is None else rho0
+    return affine_evolve(_coupling_matrix(stack, delta), drive, y0, t_grid)
 
 
 def stack_rt_from_amplitudes(stack: LayerStack, rho, rabi=1.0):

@@ -141,7 +141,7 @@ def test_criterion_8_quantum_consistency():
     ts = np.array([0.0, 0.5, 1.5])
     rhos = qt.evolve_qme(np.outer(psi, psi.conj()), qs3, ts,
                          rtol=1e-11, atol=1e-13)
-    amps = lli.evolve(l3, b0, ts, rtol=1e-12, atol=1e-14)
+    amps = lli.evolve(l3, b0, ts)
     sector = max(np.max(np.abs(qt.single_excitation_block(rhos[i], qs3)
                                - np.outer(amps[i], amps[i].conj())))
                  for i in range(len(ts)))

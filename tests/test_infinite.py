@@ -179,6 +179,16 @@ def test_two_mode_evolution_reaches_steady_state():
     assert abs(traj[-1][1] - y) < 1e-8
 
 
+def test_two_mode_evolution_at_exceptional_point_reaches_steady_state():
+    # the coalesced eigenvectors make the mode matrix defective
+    p = TwoModeParams(delta_p=-0.6, ups_p=0.1, delta_i=-0.6, ups_i=0.9,
+                      dbar=0.4)
+    assert two_mode_exceptional_point(p)
+    traj = infinite.two_mode_evolve(p, 0.3, np.linspace(0, 100, 5))
+    want = two_mode_steady_state(p, 0.3)
+    assert np.max(np.abs(traj[-1] - want)) < 1e-12
+
+
 def test_nonnormal_reduces_to_single_mode_at_normal_incidence():
     a = 0.55 * LAMBDA
     om, gt = lattice_sums(a).uniform_mode(1)
