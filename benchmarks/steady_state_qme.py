@@ -1,4 +1,5 @@
-"""Time `quantum.steady_state_qme` on driven N-atom rings.
+"""Time `quantum.steady_state_qme` and one call of the master-equation
+generator on driven N-atom rings.
 
 Usage (from the repository root; set the BLAS threads in the environment):
 
@@ -9,9 +10,12 @@ Usage (from the repository root; set the BLAS threads in the environment):
 be compared with the same script.  The ring matches the benchmark's qme
 workload (radius 0.4 lambda, two-level atoms along y, plane-wave Rabi
 frequency 0.8).  One untimed call per size warms caches first; a size
-whose first call raises is timed once and reported with the error.
-Prints one JSON object: per N, the median and all times in seconds and
-the residual ||L rho||_1 or the error.
+whose first call raises is timed once and reported with the error.  The
+generator `system.generator` is timed on the ground-state density matrix,
+as the median over `--repeats` rounds of CALLS calls each.
+Prints one JSON object: per N, the median and all times in seconds, the
+median time of one generator call and the residual ||L rho||_1 or the
+error.
 """
 import argparse
 import json
@@ -34,6 +38,7 @@ from atomarray.errors import NonConvergenceError  # noqa: E402
 from atomarray.geometry import LAMBDA, build_ring  # noqa: E402
 from atomarray.lli import TransitionSpec  # noqa: E402
 
+CALLS = 20
 report = {}
 for n in args.natoms:
     system = quantum.build_quantum_system(
@@ -51,7 +56,17 @@ for n in args.natoms:
         if i > 0:
             times.append(time.perf_counter() - t0)
     else:
-        entry["residual"] = float(np.abs(quantum.qme_rhs(rho, system)).sum())
-    entry.update(median_s=statistics.median(times), times_s=times)
+        entry["residual"] = float(np.abs(system.generator(rho)).sum())
+    g = system.ground_state()
+    w = np.outer(g, g.conj())
+    system.generator(w)
+    per_call = []
+    for _ in range(args.repeats):
+        t0 = time.perf_counter()
+        for _ in range(CALLS):
+            system.generator(w)
+        per_call.append((time.perf_counter() - t0) / CALLS)
+    entry.update(median_s=statistics.median(times), times_s=times,
+                 generator_median_s=statistics.median(per_call))
     report[n] = entry
 print(json.dumps(report))

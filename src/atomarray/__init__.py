@@ -8,7 +8,7 @@ __version__ = "0.1.0"
 
 from .geometry import (LAMBDA, Geometry, LatticeTrapSpec, build_bilayer,
                        build_ring, build_square_lattice, build_stack,
-                       lattice_geometry, sample_positions, wannier_width)
+                       sample_positions, wannier_width)
 from .kernel import (GAMMA, K, XI, PairCoupling, coupling_matrix,
                      far_field_kernel, green_1d, green_tensor,
                      momentum_kernel_2d, momentum_kernel_3d, pair_coupling)
@@ -19,7 +19,7 @@ from .streams import generator_for, seed_streams
 __all__ = [
     "LAMBDA", "GAMMA", "K", "XI", "__version__",
     "Geometry", "LatticeTrapSpec", "build_square_lattice", "build_bilayer",
-    "build_stack", "build_ring", "lattice_geometry", "sample_positions",
+    "build_stack", "build_ring", "sample_positions",
     "wannier_width",
     "PairCoupling", "green_tensor", "pair_coupling", "coupling_matrix",
     "far_field_kernel",

@@ -156,14 +156,16 @@ def build_ring(n: int, radius: float) -> Geometry:
 
 def coordinate_mirrors(positions) -> dict:
     """The coordinate mirrors x -> -x, y -> -y, z -> -z (axes 0, 1, 2)
-    that map the positions onto themselves: {axis: perm}, where atom
-    perm[j] sits at the mirror image of atom j.
+    through the centroid (couplings see only differences) that map the
+    positions onto themselves: {axis: perm}, where atom perm[j] sits at
+    the mirror image of atom j.
 
     Positions are matched on a grid of 1e-9 times the array's extent, so
     a mirror that holds only to rounding (a ring's cosines) is proposed
     too; whatever uses a mirror decides whether it is a symmetry.
     """
     pos = np.asarray(positions, dtype=float)
+    pos = pos - pos.mean(axis=0)
     key = np.round(pos / (1e-9 * max(1.0, np.abs(pos).max()))).astype(np.int64)
     order = np.lexsort(key.T)
     mirrors = {}
@@ -182,12 +184,6 @@ def wannier_width(spec: LatticeTrapSpec) -> float:
     """In-plane 1/e half-width of the on-site ground-state density,
     ell = a * s**(-1/4) / pi."""
     return spec.spacing * spec.depth ** (-0.25) / np.pi
-
-
-def lattice_geometry(nx: int, ny: int, spec: LatticeTrapSpec) -> Geometry:
-    """Square lattice carrying the trap's Gaussian fluctuation widths."""
-    ell = wannier_width(spec)
-    return build_square_lattice(nx, ny, spec.spacing).with_fluctuation(ell, spec.ell_x)
 
 
 def sample_positions(geometry: Geometry, rng: np.random.Generator,

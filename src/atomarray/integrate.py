@@ -4,6 +4,8 @@ dy/dt = A y + f; adaptive DOP853 (`integrate_complex`) only for the
 nonlinear optical Bloch equations and the master equation."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import scipy.linalg
 
@@ -57,8 +59,11 @@ def affine_evolve(A, f, y0, t_grid) -> np.ndarray:
 
 def solve_checked(A, rhs) -> np.ndarray:
     """A^{-1} rhs by LU; ResonantSingularityError, carrying the eigenvalue of
-    A nearest zero, where LAPACK's 1-norm rcond estimate is below 1e-12."""
-    lu, piv = scipy.linalg.lu_factor(A)
+    A nearest zero, where LAPACK's 1-norm rcond estimate (not scipy's
+    singularity warning, silenced) is below 1e-12."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(A)
     rcond = scipy.linalg.lapack.zgecon(lu, np.linalg.norm(A, 1))[0]
     if rcond < 1e-12:
         lam = np.linalg.eigvals(A)

@@ -23,17 +23,19 @@ as in the coupled-dipole module.  Every operator and observable is a
 contraction over the stacked lowering operators of `lowering_operators`,
 whose docstring states the product-space layout.
 
-Jump operators: each channel is J_k = sum_i a_{ki} s-_i, so a `JumpBasis`
-is a (K, M) amplitude matrix A over the lowering table.  Diagonalizing
-B = sum_m beta_m w_m w_m^T gives the collective decay channels, rows
-a_m = sqrt(beta_m) w_m^T with real orthonormal w_m, which reproduce the
-dissipator exactly (when the coherent and dissipative coupling matrices
-commute, the w_m coincide with coupled-dipole eigenmodes and beta_m with
-the collective linewidths).  The one generator of the master equation
-(`QuantumSystem.generator`) is built once per system in the form
+Each s-_i is a partial permutation (a row holds at most one 1), applied
+as a row move: s-_i X is X[src] placed at the rows dst, the (dst, src) of
+`QuantumSystem.moves` read once off the lowering table.  The one generator
+(`QuantumSystem.generator`) is the pairwise form above, built once as
 
-  drho/dt = -i (Hnh rho - rho Hnh^dag) + 2 sum_m J_m rho J_m^dag,
-  Hnh = H - i sum B_{il} s+_i s-_l.
+  drho/dt = -i (Hnh rho - rho Hnh^dag) + 2 sum_i s-_i rho L_i^dag,
+  Hnh = H - i sum B_{il} s+_i s-_l,   L_i = sum_l B_{il} s-_l.
+
+Trajectory jumps J_k = sum_i a_{ki} s-_i are the rows of a (K, M) amplitude
+matrix A (`JumpBasis`).  The collective decay channels a_m = sqrt(beta_m)
+w_m^T of B = sum_m beta_m w_m w_m^T (real orthonormal w_m) reproduce the
+dissipator exactly; when the coherent and dissipative coupling matrices
+commute, the w_m are coupled-dipole eigenmodes and beta_m their linewidths.
 
 The steady state solves drho/dt + |G><G| Tr rho = |G><G| (so drho/dt = 0
 and Tr rho = 1) by GMRES, preconditioned with the inverse of the no-jump
@@ -140,26 +142,31 @@ class QuantumSystem:
         return pair_sum(np.eye(len(self.lower)), self.lower)
 
     @cached_property
+    def moves(self) -> tuple:
+        """(dst, src) rows of each s-_i: s-_i X is X[src] at the rows dst."""
+        return tuple(np.nonzero(s) for s in self.lower)
+
+    @cached_property
     def generator(self) -> "QmeGenerator":
         """The master-equation generator, built once per system."""
-        return QmeGenerator(
-            self.hamiltonian - 1j * self.dissipator_operator(),
-            source_mode_basis(self).operators(self.lower))
+        L = np.tensordot(self.bmatrix, self.lower, axes=1)   # L_i
+        return QmeGenerator(self.hamiltonian - 1j * self.dissipator_operator(),
+                            self.moves, 2.0 * L.conj().transpose(0, 2, 1))
 
 
 class QmeGenerator:
-    """drho/dt = -i (Hnh rho - rho Hnh^dag) + 2 sum_m J_m rho J_m^dag."""
+    """drho/dt = -i (Hnh rho - rho Hnh^dag) + sum_i s-_i rho (2 L_i^dag)."""
 
-    def __init__(self, hnh, jumps):
+    def __init__(self, hnh, moves, l_dag):
         self.hnh = hnh
         self.hnh_dag = hnh.conj().T
-        self.jumps = jumps
-        self.jumps_dag = jumps.conj().transpose(0, 2, 1)
+        self.moves = moves
+        self.l_dag = l_dag                   # 2 L_i^dag, (M, D, D)
 
     def __call__(self, rho) -> np.ndarray:
         out = -1j * (self.hnh @ rho - rho @ self.hnh_dag)
-        for J, Jd in zip(self.jumps, self.jumps_dag):
-            out += 2.0 * (J @ rho @ Jd)
+        for (dst, src), Ld in zip(self.moves, self.l_dag):
+            out[dst] += rho[src] @ Ld
         return out
 
 
@@ -248,8 +255,8 @@ def correlation_table(rho, system: QuantumSystem) -> np.ndarray:
 
 
 def mean_lowering(rho, system: QuantumSystem) -> np.ndarray:
-    """<sigma^-_{jc}> table (component basis)."""
-    return np.trace(system.lower @ rho, axis1=1, axis2=2)
+    """<sigma^-_{jc}> table (component basis), sum rho[src, dst]."""
+    return np.array([rho[src, dst].sum() for dst, src in system.moves])
 
 
 def single_excitation_block(rho, system: QuantumSystem) -> np.ndarray:
@@ -270,10 +277,6 @@ class JumpBasis:
     detection records."""
     amplitudes: np.ndarray
     directions: np.ndarray = None
-
-    def operators(self, lower) -> np.ndarray:
-        """The dense (K, D, D) stack of J_k, for callers that need it."""
-        return np.tensordot(self.amplitudes, lower, axes=1)
 
     def decay_operator(self, lower) -> np.ndarray:
         """sum_k J_k^dag J_k = sum_{il} (A^H A)_{il} s+_i s-_l."""
@@ -354,8 +357,8 @@ def run_trajectories(psi0, system: QuantumSystem, jump_basis: JumpBasis,
 
     Fixed-step scheme: exact non-Hermitian propagation over dt (dense
     propagator) and a jump decision per step from the exact norm loss.  A
-    jump applies every lowering operator to the state in one product with
-    the stacked (D, M*D) lowering table, draws channel k with weight
+    jump applies every lowering operator to the state as its row move
+    (`QuantumSystem.moves`), draws channel k with weight
     ||J_k psi||^2, read off the basis amplitudes and the Gram matrix of
     the s-_i psi, and keeps J_k psi = sum_i a_{ki} s-_i psi; no (K, D, D)
     stack is formed.  dt is halved until the per-step jump probability
@@ -381,8 +384,6 @@ def run_trajectories(psi0, system: QuantumSystem, jump_basis: JumpBasis,
 
     A = jump_basis.amplitudes
     M = len(system.lower)
-    # lowered[j, i*D + r] = s-_i[r, j]: psi @ lowered holds every s-_i psi
-    lowered = system.lower.transpose(2, 0, 1).reshape(D, M * D)
     JdJ_tot = jump_basis.decay_operator(system.lower)
     # cap the worst-case per-step jump probability at 0.1
     max_rate = float(np.linalg.norm(JdJ_tot, 2))
@@ -418,7 +419,9 @@ def run_trajectories(psi0, system: QuantumSystem, jump_basis: JumpBasis,
             psi /= np.sqrt(nrm2)[:, None]
             jumpers = np.nonzero(u_jump < (1.0 - nrm2))[0]
             if len(jumpers):
-                low = (psi[jumpers] @ lowered).reshape(-1, M, D)
+                low = np.zeros((len(jumpers), M, D), dtype=complex)
+                for i, (dst, src) in enumerate(system.moves):  # s-_i psi
+                    low[:, i, dst] = psi[jumpers[:, None], src]
                 # ||J_k psi||^2 = a_k^H G a_k, G_il = <s-_i psi|s-_l psi>
                 gram = low.conj() @ low.transpose(0, 2, 1)
                 rates = np.sum((A.conj() @ gram) * A, axis=2).real

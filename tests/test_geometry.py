@@ -210,11 +210,17 @@ def test_builders_are_pure(nx, ny, a):
     (build_ring(5, 1.0), {0, 2}),
     (build_ring(6, 1.0), {0, 1, 2}),
     (Geometry([[0.1, 0.0, 0.0], [0.0, 0.2, 0.3]]), set()),
+    # arrays that are not centred: mirrors through the centroid
+    (Geometry(build_square_lattice(3, 4, 1.0).positions + [0.3, 1.0, -2.0]),
+     {0, 1, 2}),
+    (Geometry(build_ring(5, 1.0).positions + [0.0, 7.5, 0.2]), {0, 2}),
+    (Geometry([[0.0, 0.0, 0.0], [0.0, 0.0, 3.1]]), {0, 1, 2}),
 ])
 def test_coordinate_mirrors_permute_the_positions(geo, axes):
     mirrors = coordinate_mirrors(geo.positions)
     assert set(mirrors) == axes
+    centroid = geo.positions.mean(axis=0)
     for axis, perm in mirrors.items():
         image = geo.positions.copy()
-        image[:, axis] *= -1
+        image[:, axis] = 2 * centroid[axis] - image[:, axis]
         assert np.allclose(geo.positions[perm], image, rtol=0, atol=1e-12)

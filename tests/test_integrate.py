@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atomarray.errors import StiffnessError
-from atomarray.integrate import affine_evolve, integrate_complex
+from atomarray.errors import ResonantSingularityError, StiffnessError
+from atomarray.integrate import affine_evolve, integrate_complex, solve_checked
 
 EPS = np.finfo(float).eps
 
@@ -74,3 +76,10 @@ def test_integrate_complex_raises_stiffness_error_on_blow_up():
     with pytest.raises(StiffnessError):
         integrate_complex(lambda t, y: y * y, [1.0], [0.0, 2.0])
 
+
+def test_solve_checked_raises_typed_error_with_warnings_as_errors():
+    # lu_factor warns on an exactly singular matrix; the rcond test decides
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ResonantSingularityError):
+            solve_checked(np.array([[1.0, 1.0], [1.0, 1.0]]), np.ones(2))

@@ -429,3 +429,19 @@ def test_mirror_basis_is_orthogonal_orbit_sums():
     assert np.allclose(np.abs(Q).max(axis=0), 1 / np.sqrt(counts))
     assert np.allclose(np.abs(Q).sum(axis=0), np.sqrt(counts))
     assert counts.max() == 4
+
+
+@pytest.mark.parametrize("tr", [EX, J01], ids=["two_level", "j01"])
+def test_shifted_square_keeps_its_mirror_blocks(tr):
+    # H depends only on position differences, so the mirrors through the
+    # centroid of a shifted array split H as those of the centred one
+    square = build_square_lattice(4, 4, 0.55 * LAMBDA)
+    shifted = Geometry(square.positions + [0.3, 1.0, -2.0])
+    centred = eigenmodes(assemble(square, tr))
+    moved = eigenmodes(assemble(shifted, tr))
+    assert moved.blocks == centred.blocks
+    assert len(moved.blocks) == (4 if tr is EX else 8)
+    rows, cols = linear_sum_assignment(np.abs(
+        centred.eigenvalues[:, None] - moved.eigenvalues[None, :]))
+    assert np.max(np.abs(centred.eigenvalues[rows]
+                         - moved.eigenvalues[cols])) < 1e-12

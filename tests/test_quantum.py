@@ -24,6 +24,11 @@ def pair(d):
     return Geometry([[0, 0, 0], [0, 0, d]])
 
 
+def dense_jumps(basis, lower):
+    """The (K, D, D) stack of the jump operators J_k = sum_i a_ki s-_i."""
+    return np.tensordot(basis.amplitudes, lower, axes=1)
+
+
 # (levels, natoms) with product dimension levels**natoms <= 256
 layouts = st.one_of(st.tuples(st.just(2), st.integers(1, 8)),
                     st.tuples(st.just(4), st.integers(1, 4)))
@@ -122,14 +127,22 @@ def test_qme_trace_and_hermiticity_preservation():
         assert np.linalg.eigvalsh(0.5 * (r + r.conj().T)).min() > -1e-8
 
 
-@pytest.mark.parametrize("tr", [
-    TransitionSpec(levels=2, orientation=(0.3, 1.0, -0.2), detuning=0.4),
-    TransitionSpec(levels=4, zeeman=(0.3, 0.0, 0.5), detuning=-0.2)])
-def test_qme_rhs_equals_pairwise_lindblad_sum(tr):
+TILTED = TransitionSpec(levels=2, orientation=(0.3, 1.0, -0.2), detuning=0.4)
+ZEEMAN = TransitionSpec(levels=4, zeeman=(0.3, 0.0, 0.5), detuning=-0.2)
+SKEW_PAIR = [[0, 0, 0], [0.2, 0.5, 0.35 * LAMBDA]]
+
+
+@pytest.mark.parametrize("tr, positions", [
+    (TILTED, SKEW_PAIR), (ZEEMAN, SKEW_PAIR),
+    # more atoms, so more of the row moves of different s-_i overlap
+    (TILTED, build_ring(4, 0.3 * LAMBDA).positions),
+    (ZEEMAN, SKEW_PAIR + [[0.4 * LAMBDA, -0.1, 0.2]])],
+    ids=["tr0", "tr1", "ring4", "zeeman3"])
+def test_qme_rhs_equals_pairwise_lindblad_sum(tr, positions):
     """qme_rhs against the pairwise double sum of the module docstring,
     with Omega from pair_coupling and B from the system's bmatrix."""
     from atomarray.kernel import pair_coupling
-    geo = Geometry([[0, 0, 0], [0.2, 0.5, 0.35 * LAMBDA]])
+    geo = Geometry(positions)
     drive = PlaneWave(amplitude=0.7, polarization=(0, 0.6, 0.8))
     qs = qt.build_quantum_system(geo, tr, drive)
     S = list(qs.lower)
@@ -232,13 +245,16 @@ def test_steady_state_reports_unreachable_residual():
                                        (1e-2, (1, 1, 1))])
 def test_close_pair_steady_state_equals_dense_solve(sep, axis):
     # couplings up to ~1e6 gamma; reference: the dense Liouvillian (row-major
-    # vec) with the rho_00 equation replaced by Tr rho = 1
+    # vec, pairwise jump term 2 B_il s-_i rho s+_l) with the rho_00 equation
+    # replaced by Tr rho = 1
     qs = qt.build_quantum_system(
         pair(sep * LAMBDA), TransitionSpec(levels=2, orientation=axis),
         PlaneWave(amplitude=2.0))
     gen, eye = qs.generator, np.eye(qs.dim)
     L = -1j * (np.kron(gen.hnh, eye) - np.kron(eye, gen.hnh.conj()))
-    L += 2 * sum(np.kron(J, J.conj()) for J in gen.jumps)
+    S, B = qs.lower, qs.bmatrix
+    L += 2 * sum(B[i, l] * np.kron(S[i], S[l].conj())
+                 for i in range(len(S)) for l in range(len(S)))
     L[0] = eye.ravel()
     rhs = np.zeros(qs.dim**2)
     rhs[0] = 1.0
@@ -344,7 +360,7 @@ def test_decay_operator_equals_sum_of_dense_jumps(qs, seed):
     bases = [qt.source_mode_basis(qs), qt.directional_basis(qs, 3, 6),
              qt.JumpBasis(amps)]
     for basis in bases:
-        ops = basis.operators(qs.lower)
+        ops = dense_jumps(basis, qs.lower)
         want = np.einsum("kji,kjl->il", ops.conj(), ops)
         dev = np.max(np.abs(basis.decay_operator(qs.lower) - want))
         assert dev <= 1e-14 * np.max(np.abs(want))
@@ -395,9 +411,9 @@ def test_directional_basis_equals_direction_loop(name, grid):
     qs = qt.build_quantum_system(geo, tr, PlaneWave(amplitude=0.5))
     want_ops, want_dirs = directional_basis_loop(qs, *grid)
     basis = qt.directional_basis(qs, *grid)
-    assert basis.operators(qs.lower).shape == want_ops.shape
+    assert dense_jumps(basis, qs.lower).shape == want_ops.shape
     assert np.array_equal(basis.directions, want_dirs)
-    dev = np.max(np.abs(basis.operators(qs.lower) - want_ops))
+    dev = np.max(np.abs(dense_jumps(basis, qs.lower) - want_ops))
     assert dev <= 1e-14 * np.max(np.abs(want_ops))
 
 
@@ -408,14 +424,14 @@ def test_detection_operator_is_a_directional_channel():
     nhat, w = sphere_grid(3, 5)
     basis = qt.directional_basis(qs, 3, 5)
     # J=0 -> J'=1 radiates into every polarization: two channels each
-    assert len(basis.operators(qs.lower)) == 2 * len(nhat)
+    assert len(dense_jumps(basis, qs.lower)) == 2 * len(nhat)
     for i, nh in enumerate(nhat):
         seed = [0.0, 1.0, 0.0] if abs(nh[0]) > 0.5 else [1.0, 0.0, 0.0]
         e1 = seed - nh * (nh @ seed)
         e1 /= np.linalg.norm(e1)
         theta, phi = basis.directions[2 * i]
         for p, pol in enumerate((e1, np.cross(nh, e1))):
-            J = basis.operators(qs.lower)[2 * i + p]
+            J = dense_jumps(basis, qs.lower)[2 * i + p]
             E = qt.detection_operator(qs, theta, phi, pol)
             scale = np.sqrt(3.0 * GAMMA / (8.0 * np.pi) * w[i])
             assert np.max(np.abs(E - J / scale)) < 1e-12 * np.max(np.abs(E))
@@ -450,7 +466,7 @@ def test_directional_channel_draw_matches_channel_rates():
     qs = qt.build_quantum_system(single_atom(), EY, PlaneWave(amplitude=0.6))
     rho_ss = qt.steady_state_qme(qs)
     basis = qt.directional_basis(qs, n_theta=6, n_phi=12)
-    ops = basis.operators(qs.lower)
+    ops = dense_jumps(basis, qs.lower)
     rates = np.einsum("mji,mjk,ki->m", ops.conj(), ops, rho_ss).real
     rings, ring = np.unique(basis.directions[:, 0], return_inverse=True)
     want = np.bincount(ring, weights=rates) / rates.sum()
@@ -470,7 +486,7 @@ def run_trajectories_dense(psi0, system, basis, t_grid, n_traj, seed):
     with the jump operators stored densely, one trajectory at a time.  The
     stacked (D, K*D) table stacked[j, k*D + i] = J_k[i, j] gives every
     J_k psi, and its rows give sum_k J_k^dag J_k; same steps, same draws."""
-    ops = basis.operators(system.lower)
+    ops = dense_jumps(basis, system.lower)
     K, D, _ = ops.shape
     stacked = ops.transpose(2, 0, 1).reshape(D, K * D)
     rows = ops.reshape(K * D, D)
