@@ -299,6 +299,9 @@ def run_traj(cfg, out, seed, diagnostics):
     basis = (directional_basis(system, n_theta=8, n_phi=16) if directional
              else source_mode_basis(system))
     res = run_trajectories(psi0, system, basis, tgrid, n_traj, seed)
+    diagnostics.update(traj_propagator_error=res.propagator_error,
+                       traj_eigvec_cond=res.eigvec_cond,
+                       traj_jumps=res.n_jumps)
     ref = evolve_qme(np.outer(psi0, psi0.conj()), system, tgrid)
     rows = [(t, res.populations[i],
              trace_distance(res.rho[i], ref[i]))

@@ -57,6 +57,11 @@ class UndefinedG2Error(AtomarrayError, RuntimeError):
     """g2 undefined because the mean detection rate vanishes."""
 
 
+class PropagatorError(AtomarrayError, RuntimeError):
+    """Eigenbasis propagator of a non-Hermitian Hamiltonian disagrees with
+    the matrix exponential (an eigenbasis too close to defective)."""
+
+
 class NonConvergenceError(AtomarrayError, RuntimeError):
     """Iterative steady-state search did not reach the requested residual."""
 

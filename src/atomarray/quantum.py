@@ -36,6 +36,8 @@ matrix A (`JumpBasis`).  The collective decay channels a_m = sqrt(beta_m)
 w_m^T of B = sum_m beta_m w_m w_m^T (real orthonormal w_m) reproduce the
 dissipator exactly; when the coherent and dissipative coupling matrices
 commute, the w_m are coupled-dipole eigenmodes and beta_m their linewidths.
+A trajectory jumps when its norm under the no-jump evolution, exact in the
+eigenbasis of Hnh, falls to a drawn threshold (`run_trajectories`).
 
 The steady state solves drho/dt + |G><G| Tr rho = |G><G| (so drho/dt = 0
 and Tr rho = 1) by GMRES, preconditioned with the inverse of the no-jump
@@ -62,7 +64,8 @@ import scipy.linalg
 import scipy.sparse.linalg
 from scipy.linalg.lapack import ztrsyl
 
-from .errors import DimensionCapError, NonConvergenceError, UndefinedG2Error
+from .errors import (DimensionCapError, NonConvergenceError, PropagatorError,
+                     UndefinedG2Error)
 from .geometry import Geometry
 from .integrate import integrate_complex
 from .kernel import (GAMMA, coupling_matrix, direction, direction_angles,
@@ -72,6 +75,8 @@ from .observables import sphere_grid
 
 QME_DIM_CAP = 4096          # density-matrix evolution
 TRAJ_CHUNK = 4096           # trajectories per RNG stream
+TRAJ_JUMP_BLOCK = 16        # jumps per table of pre-drawn uniforms
+PROPAGATOR_TOL = 1e-6       # max-abs error of the trajectory propagator
 
 
 def _check_cap(dim, cap, what):
@@ -345,31 +350,37 @@ def dissipator_completeness(system: QuantumSystem, basis: JumpBasis) -> float:
 class TrajectoryResult:
     t_grid: np.ndarray
     rho: np.ndarray              # ensemble density matrices (nt, D, D)
-    clicks: list                 # (trajectory index, time, channel) triples
+    clicks: list                 # (trajectory index, time, channel), by time
     n_traj: int
     populations: np.ndarray      # ensemble mean total excited population
+    n_jumps: int                 # jumps of all trajectories
+    propagator_error: float      # max-abs error of the eigenbasis propagator
+    eigvec_cond: float           # 2-norm condition number of V
     clicks_are_detections: bool = False   # only directional jumps qualify
 
 
 def run_trajectories(psi0, system: QuantumSystem, jump_basis: JumpBasis,
-                     t_grid, n_traj, seed, dt=2e-3) -> TrajectoryResult:
-    """Monte Carlo wave-function unraveling, vectorized over trajectories.
+                     t_grid, n_traj, seed) -> TrajectoryResult:
+    """Monte Carlo wave-function unraveling by waiting times (Dalibard,
+    Castin & Molmer, PRL 68, 580 (1992)), vectorized over trajectories.
 
-    Fixed-step scheme: exact non-Hermitian propagation over dt (dense
-    propagator) and a jump decision per step from the exact norm loss.  A
-    jump applies every lowering operator to the state as its row move
-    (`QuantumSystem.moves`), draws channel k with weight
-    ||J_k psi||^2, read off the basis amplitudes and the Gram matrix of
-    the s-_i psi, and keeps J_k psi = sum_i a_{ki} s-_i psi; no (K, D, D)
-    stack is formed.  dt is halved until the per-step jump probability
-    is at most 0.1; then each interval of the uniform `t_grid` (which starts
-    at 0) gets a whole number of equal steps no longer than dt.
-    Trajectories are processed in chunks of TRAJ_CHUNK with one child RNG
-    stream per chunk, so any (seed, trajectory index) pair reproduces
-    independently of n_traj and scheduling.
-
-    Clicks are recorded if and only if the basis has detection directions
-    (source modes are not photon detections).
+    A trajectory draws r and evolves under Hnh = H - i sum_k J_k^dag J_k
+    until ||psi||^2 = r, then jumps.  With Hnh = V Lam V^-1 it is held as
+    coordinates c at its last jump or output time t0, psi(t) = V (e^{-i Lam
+    (t - t0)} c), its norm taken of psi (c^H V^H V c would square cond V).
+    The norm falls monotonically, so the crossings within an output interval
+    are bracketed; Newton on log ||psi||^2 - log r finds them together from
+    the log-norm interpolation, bisecting where it leaves the bracket.
+    PropagatorError if V e^{-i Lam dt} V^-1 differs from scipy.linalg.expm
+    by more than PROPAGATOR_TOL over one interval dt of the uniform `t_grid`
+    (which starts at 0).  A jump draws channel k with weight ||J_k psi||^2 =
+    a_k^H G a_k, G the Gram matrix of the row moves s-_i psi, and keeps J_k
+    psi = sum_i a_ki s-_i psi.  Each chunk of TRAJ_CHUNK trajectories draws
+    full-width tables of uniforms, TRAJ_JUMP_BLOCK jumps each, from the
+    stream keyed (chunk, block): column 2j is the threshold of jump j, 2j + 1
+    its channel draw, so a trajectory's draws depend only on (seed, index,
+    jump number).  Clicks, at the exact jump times, are recorded if and only
+    if the basis has detection directions (source modes are not detections).
     """
     D = system.dim
     t_grid = np.asarray(t_grid, dtype=float)
@@ -384,65 +395,103 @@ def run_trajectories(psi0, system: QuantumSystem, jump_basis: JumpBasis,
 
     A = jump_basis.amplitudes
     M = len(system.lower)
-    JdJ_tot = jump_basis.decay_operator(system.lower)
-    # cap the worst-case per-step jump probability at 0.1
-    max_rate = float(np.linalg.norm(JdJ_tot, 2))
-    while 2.0 * max_rate * dt > 0.1:
-        dt /= 2.0
-    per_out = int(np.ceil(interval[0] / dt - 1e-9))
-    dt = interval[0] / per_out
-    n_steps = per_out * len(interval)
-    Hnh = system.hamiltonian - 1j * JdJ_tot
-    Ut = scipy.linalg.expm(-1j * Hnh * dt).T.copy()
+    pairs = (A.conj()[:, :, None] * A[:, None, :]).reshape(len(A), -1).T
+    per_round = max(1, 2**16 // max(M * D, len(A)))  # jump arrays ~1 MB
+    dt = interval[0]
+    Hnh = system.hamiltonian - 1j * jump_basis.decay_operator(system.lower)
+    lam, V = np.linalg.eig(Hnh)
+    Vinv = np.linalg.inv(V)
+    error = float(np.max(np.abs((V * np.exp(-1j * dt * lam)) @ Vinv
+                                - scipy.linalg.expm(-1j * dt * Hnh))))
+    if not error <= PROPAGATOR_TOL:
+        raise PropagatorError(f"eigenbasis propagator differs from expm by "
+                              f"{error:.2e} over one output interval")
+
+    def rows(B, *blocks):   # padded: numpy hands one row to gemv, whose sums
+        # run in another order than gemm's; a trajectory must not see its batch
+        return (np.concatenate([*blocks, blocks[0][:1]]) @ B)[:-1]
+
+    entropy = np.random.SeedSequence(seed).entropy
+
+    def draws(chunk, block):
+        ss = np.random.SeedSequence(entropy, spawn_key=(chunk, block))
+        return np.random.default_rng(ss).random((TRAJ_CHUNK,
+                                                 2 * TRAJ_JUMP_BLOCK))
+
+    def gap(w, log_r):              # log ||psi||^2 - log r and psi = V w
+        psi = rows(V.T, w)
+        return np.log((psi.conj() * psi).real.sum(axis=1)) - log_r, psi
 
     psi0 = np.asarray(psi0, dtype=complex)
     psi0 = psi0 / np.linalg.norm(psi0)
-
     rho_acc = np.zeros((len(t_grid), D, D), dtype=complex)
-    clicks = []
-
-    streams = np.random.SeedSequence(seed).spawn(
-        (n_traj + TRAJ_CHUNK - 1) // TRAJ_CHUNK)
-    done = 0
-    for ss in streams:
+    rho_acc[0] = n_traj * np.outer(psi0, psi0.conj())
+    clicks, n_jumps = [], 0
+    for chunk, done in enumerate(range(0, n_traj, TRAJ_CHUNK)):
         bsz = min(TRAJ_CHUNK, n_traj - done)
-        rng = np.random.default_rng(ss)
-        psi = np.tile(psi0, (bsz, 1))
-        rho_acc[0] += np.einsum("bi,bj->ij", psi, psi.conj())
-        for step in range(1, n_steps + 1):
-            psi = psi @ Ut
-            nrm2 = np.einsum("bi,bi->b", psi.conj(), psi).real
-            # full-width draws keep trajectory i's random stream a fixed
-            # function of (seed, chunk, step), independent of n_traj
-            u_jump = rng.random(TRAJ_CHUNK)[:bsz]
-            u_pick = rng.random(TRAJ_CHUNK)[:bsz]
-            psi /= np.sqrt(nrm2)[:, None]
-            jumpers = np.nonzero(u_jump < (1.0 - nrm2))[0]
-            if len(jumpers):
-                low = np.zeros((len(jumpers), M, D), dtype=complex)
+        table = draws(chunk, 0)
+        c = np.tile(psi0 @ Vinv.T, (bsz, 1))      # coordinates at t0
+        t0, jumps = np.zeros(bsz), np.zeros(bsz, dtype=int)
+        log_r = np.log(table[:bsz, 0])
+        g0 = -log_r                     # g = log ||psi||^2 - log r at t0
+        for k, t_out in enumerate(t_grid[1:], 1):
+            w = c * np.exp(-1j * dt * lam)          # coordinates at t_out
+            g, psi = gap(w, log_r)
+            while len(cross := np.flatnonzero(g < 0)[:per_round]):
+                act, tj = np.arange(len(cross)), np.empty(len(cross))
+                lo, hi = t0[cross], np.full(len(cross), t_out)
+                t = lo + (hi - lo) * g0[cross] / (g0[cross] - g[cross])
+                for _ in range(100):    # Newton takes ~5, bisection ~45
+                    i = cross[act]
+                    wt = c[i] * np.exp(-1j * np.outer(t - t0[i], lam))
+                    P = rows(V.T, wt, -1j * lam * wt).reshape(2, -1, D)
+                    n2, dn2 = (P[0].conj() * P).real.sum(axis=2)  # and d/dt
+                    gt, slope = np.log(n2) - log_r[i], 2.0 * dn2 / n2
+                    lo, hi = np.where(gt >= 0, t, lo), np.where(gt < 0, t, hi)
+                    new = t - gt / slope
+                    new = np.where((lo <= new) & (new <= hi), new,
+                                   0.5 * (lo + hi))
+                    keep = np.abs(new - t) > 1e-12 * (1.0 + new)
+                    tj[act] = new
+                    act, lo, hi, t = act[keep], lo[keep], hi[keep], new[keep]
+                    if not len(act):
+                        break
+                psi_j = rows(V.T, c[cross] * np.exp(
+                    -1j * np.outer(tj - t0[cross], lam)))
+                low = np.zeros((len(cross), M, D), dtype=complex)
                 for i, (dst, src) in enumerate(system.moves):  # s-_i psi
-                    low[:, i, dst] = psi[jumpers[:, None], src]
+                    low[:, i, dst] = psi_j[:, src]
                 # ||J_k psi||^2 = a_k^H G a_k, G_il = <s-_i psi|s-_l psi>
                 gram = low.conj() @ low.transpose(0, 2, 1)
-                rates = np.sum((A.conj() @ gram) * A, axis=2).real
-                cum = np.cumsum(rates, axis=1)
-                u2 = u_pick[jumpers, None] * cum[:, -1:]
-                pick = (u2 > cum).sum(axis=1)
+                cum = np.cumsum((gram.reshape(len(cross), -1) @ pairs).real,
+                                axis=1)
+                j = jumps[cross]
+                while table.shape[1] < 2 * j.max() + 3:  # to next threshold
+                    table = np.hstack([table, draws(
+                        chunk, table.shape[1] // (2 * TRAJ_JUMP_BLOCK))])
+                pick = (table[cross, 2 * j + 1][:, None] * cum[:, -1:]
+                        > cum).sum(axis=1)
                 chosen = np.einsum("bi,bid->bd", A[pick], low)
-                psi[jumpers] = chosen / np.linalg.norm(chosen, axis=1,
-                                                       keepdims=True)
+                chosen /= np.linalg.norm(chosen, axis=1, keepdims=True)
+                c[cross], t0[cross] = rows(Vinv.T, chosen), tj
+                jumps[cross] = j + 1
+                log_r[cross] = np.log(table[cross, 2 * j + 2])
+                g0[cross] = -log_r[cross]
                 if record_clicks:
-                    tj = step * dt
-                    for b, ch in zip(jumpers, pick):
-                        clicks.append((done + int(b), tj, int(ch)))
-            if step % per_out == 0:
-                rho_acc[step // per_out] += np.einsum("bi,bj->ij", psi,
-                                                      psi.conj())
-        done += bsz
+                    clicks.extend(zip((done + cross).tolist(), tj.tolist(),
+                                      pick.tolist()))
+                w[cross] = c[cross] * np.exp(-1j * np.outer(t_out - tj, lam))
+                g[cross], psi[cross] = gap(w[cross], log_r[cross])
+            c, t0[:], g0 = w, t_out, g
+            psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+            rho_acc[k] += psi.T @ psi.conj()
+        n_jumps += int(jumps.sum())
     rho_acc /= n_traj
+    clicks.sort(key=lambda click: (click[1], click[0]))
     populations = np.einsum("ij,tji->t", system.population_operator(),
                             rho_acc).real
     return TrajectoryResult(t_grid, rho_acc, clicks, n_traj, populations,
+                            n_jumps, error, float(np.linalg.cond(V)),
                             clicks_are_detections=record_clicks)
 
 

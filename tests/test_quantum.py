@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from atomarray import lli, quantum as qt
 from atomarray.drives import PlaneWave, no_drive
 from atomarray.errors import (DimensionCapError, NonConvergenceError,
-                              UndefinedG2Error)
+                              PropagatorError, UndefinedG2Error)
 from atomarray.geometry import LAMBDA, Geometry, build_ring, build_square_lattice
 from atomarray.kernel import GAMMA, K, XI, green_tensor
 from atomarray.lli import TransitionSpec
@@ -452,8 +452,7 @@ def test_directional_click_rate_matches_rate_formula():
     t_relax = 8.0
     T = 28.0
     res = qt.run_trajectories(qs.ground_state(), qs, basis,
-                              np.linspace(0, T, 15), n_traj=600, seed=5,
-                              dt=4e-3)
+                              np.linspace(0, T, 15), n_traj=600, seed=5)
     late = [c for c in res.clicks if c[1] > t_relax]
     rate = len(late) / (res.n_traj * (T - t_relax))
     sigma = np.sqrt(len(late)) / (res.n_traj * (T - t_relax))
@@ -473,8 +472,7 @@ def test_directional_channel_draw_matches_channel_rates():
 
     t_relax, T = 4.0, 24.0
     res = qt.run_trajectories(qs.ground_state(), qs, basis,
-                              np.linspace(0, T, 7), n_traj=300, seed=2,
-                              dt=5e-3)
+                              np.linspace(0, T, 7), n_traj=300, seed=2)
     late = np.array([ch for _, t, ch in res.clicks if t > t_relax])
     got = np.bincount(ring[late], minlength=len(rings)) / len(late)
     sigma = np.sqrt(want * (1 - want) / len(late))
@@ -482,39 +480,55 @@ def test_directional_channel_draw_matches_channel_rates():
 
 
 def run_trajectories_dense(psi0, system, basis, t_grid, n_traj, seed):
-    """Reference: the fixed-step loop of `run_trajectories` (one chunk)
-    with the jump operators stored densely, one trajectory at a time.  The
-    stacked (D, K*D) table stacked[j, k*D + i] = J_k[i, j] gives every
-    J_k psi, and its rows give sum_k J_k^dag J_k; same steps, same draws."""
+    """Reference: the waiting-time unraveling of `run_trajectories` (one
+    chunk), one trajectory at a time, with the jump operators stored
+    densely, the no-jump evolution by scipy.linalg.expm and each norm
+    crossing ||e^{-i Hnh t} psi||^2 = r found by scalar bisection; the
+    same uniform tables (column 2j the threshold of jump j, 2j + 1 its
+    channel draw, TRAJ_JUMP_BLOCK jumps per table)."""
     ops = dense_jumps(basis, system.lower)
     K, D, _ = ops.shape
-    stacked = ops.transpose(2, 0, 1).reshape(D, K * D)
     rows = ops.reshape(K * D, D)
-    JdJ = rows.conj().T @ rows
-    dt = 2e-3
-    while 2.0 * np.linalg.norm(JdJ, 2) * dt > 0.1:
-        dt /= 2.0
-    per_out = int(np.ceil((t_grid[1] - t_grid[0]) / dt - 1e-9))
-    dt = (t_grid[1] - t_grid[0]) / per_out
-    U = scipy.linalg.expm(-1j * (system.hamiltonian - 1j * JdJ) * dt).T
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    psi = np.tile(psi0 / np.linalg.norm(psi0), (n_traj, 1))
-    rho, clicks = [psi.T @ psi.conj()], []
-    for step in range(1, per_out * (len(t_grid) - 1) + 1):
-        psi = psi @ U
-        nrm2 = np.sum(np.abs(psi) ** 2, axis=1)
-        u_jump = rng.random(qt.TRAJ_CHUNK)[:n_traj]
-        u_pick = rng.random(qt.TRAJ_CHUNK)[:n_traj]
-        psi /= np.sqrt(nrm2)[:, None]
-        for b in np.nonzero(u_jump < 1.0 - nrm2)[0]:
-            jumped = (psi[b] @ stacked).reshape(K, D)
-            cum = np.cumsum(np.sum(np.abs(jumped) ** 2, axis=1))
-            ch = int(np.sum(u_pick[b] * cum[-1] > cum))
-            psi[b] = jumped[ch] / np.linalg.norm(jumped[ch])
-            clicks.append((int(b), step * dt, ch))
-        if step % per_out == 0:
-            rho.append(psi.T @ psi.conj())
-    return np.array(rho) / n_traj, clicks
+    hnh = system.hamiltonian - 1j * rows.conj().T @ rows
+    entropy = np.random.SeedSequence(seed).entropy
+    width = 2 * qt.TRAJ_JUMP_BLOCK
+    tables = {}
+
+    def uniform(b, col):
+        block = col // width
+        if block not in tables:
+            ss = np.random.SeedSequence(entropy, spawn_key=(0, block))
+            tables[block] = np.random.default_rng(ss).random(
+                (qt.TRAJ_CHUNK, width))
+        return tables[block][b, col % width]
+
+    def evolve(psi, t):
+        return scipy.linalg.expm(-1j * hnh * t) @ psi
+
+    rho, clicks = np.zeros((len(t_grid), D, D), dtype=complex), []
+    for b in range(n_traj):
+        psi, t0, jumps = psi0 / np.linalg.norm(psi0), 0.0, 0
+        rho[0] += np.outer(psi, psi.conj())
+        for k in range(1, len(t_grid)):
+            r = uniform(b, 2 * jumps)
+            while np.linalg.norm(evolve(psi, t_grid[k] - t0)) ** 2 < r:
+                lo, hi = max(t0, t_grid[k - 1]), t_grid[k]
+                while hi - lo > 1e-13:
+                    mid = 0.5 * (lo + hi)
+                    if np.linalg.norm(evolve(psi, mid - t0)) ** 2 < r:
+                        hi = mid
+                    else:
+                        lo = mid
+                jumped = ops @ evolve(psi, hi - t0)
+                cum = np.cumsum(np.sum(np.abs(jumped) ** 2, axis=1))
+                ch = int(np.sum(uniform(b, 2 * jumps + 1) * cum[-1] > cum))
+                psi = jumped[ch] / np.linalg.norm(jumped[ch])
+                clicks.append((b, hi, ch))
+                t0, jumps = hi, jumps + 1
+                r = uniform(b, 2 * jumps)
+            phi = evolve(psi, t_grid[k] - t0)
+            rho[k] += np.outer(phi, phi.conj()) / np.linalg.norm(phi) ** 2
+    return rho / n_traj, clicks
 
 
 @pytest.mark.parametrize("name", sorted(FARFIELD_SYSTEMS))
@@ -527,8 +541,11 @@ def test_jump_step_equals_dense_reference(name):
     rho, clicks = run_trajectories_dense(qs.ground_state(), qs, basis, t,
                                          50, seed=13)
     assert len(clicks) > 50
-    assert res.clicks == clicks
-    assert np.max(np.abs(res.rho - rho)) < 1e-12
+    got = sorted(res.clicks)
+    assert [(b, ch) for b, _, ch in got] == [(b, ch) for b, _, ch in clicks]
+    assert np.max(np.abs(np.array([c[1] for c in got])
+                         - [c[1] for c in clicks])) < 1e-9
+    assert np.max(np.abs(res.rho - rho)) < 1e-10
 
 
 def test_trajectories_single_atom_decay():
@@ -579,6 +596,55 @@ def test_trajectory_index_reproducible_across_ensemble_sizes():
     assert early == small.clicks
 
 
+def test_trajectory_draws_past_one_table_reproduce():
+    # more than TRAJ_JUMP_BLOCK jumps take a trajectory into the next table
+    # of uniforms; its records still depend only on (seed, index), also
+    # when it runs alone
+    geo, tr = FARFIELD_SYSTEMS["tilted_ring"]
+    qs = qt.build_quantum_system(geo, tr, PlaneWave(amplitude=0.8))
+    basis = qt.directional_basis(qs, 4, 8)
+    t = np.linspace(0, 12, 5)
+    psi0 = qs.ground_state()
+    small = qt.run_trajectories(psi0, qs, basis, t, 10, seed=23)
+    large = qt.run_trajectories(psi0, qs, basis, t, 20, seed=23)
+    single = qt.run_trajectories(psi0, qs, basis, t, 1, seed=23)
+    per_traj = np.bincount([c[0] for c in small.clicks])
+    assert per_traj.max() > qt.TRAJ_JUMP_BLOCK
+    assert [c for c in large.clicks if c[0] < 10] == small.clicks
+    assert [c for c in small.clicks if c[0] == 0] == single.clicks
+    # the later tables are the dense reference's (chunk, block) streams
+    _, clicks = run_trajectories_dense(psi0, qs, basis, t, 10, seed=23)
+    got = sorted(small.clicks)
+    assert [(b, ch) for b, _, ch in got] == [(b, ch) for b, _, ch in clicks]
+    assert np.allclose([c[1] for c in got], [c[1] for c in clicks],
+                       rtol=0.0, atol=1e-9)
+
+
+def test_trajectories_at_exceptional_point():
+    # a single atom driven at Rabi amplitude 0.5: Hnh is defective and its
+    # numerical eigenvectors nearly parallel (cond V ~ 1e8)
+    qs = qt.build_quantum_system(single_atom(), EY, PlaneWave(amplitude=0.5))
+    t = np.linspace(0, 4, 9)
+    psi0 = qs.ground_state()
+    n = 4000
+    res = qt.run_trajectories(psi0, qs, qt.source_mode_basis(qs), t, n,
+                              seed=7)
+    ref = qt.evolve_qme(np.outer(psi0, psi0.conj()), qs, t)
+    dists = [qt.trace_distance(res.rho[i], ref[i]) for i in range(len(t))]
+    assert max(dists) < 3 / np.sqrt(n)
+    assert res.propagator_error < 1e-6
+    assert res.eigvec_cond > 1e6
+
+
+def test_trajectory_propagator_guard(monkeypatch):
+    qs = qt.build_quantum_system(single_atom(), EY, PlaneWave(amplitude=0.8))
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: expm(a) + 2e-6)
+    with pytest.raises(PropagatorError, match="2.00e-06"):
+        qt.run_trajectories(qs.ground_state(), qs, qt.source_mode_basis(qs),
+                            np.linspace(0, 1, 3), 10, seed=0)
+
+
 def test_g2_antibunching_and_closed_form():
     R = 0.35
     qs = qt.build_quantum_system(single_atom(), EY, PlaneWave(amplitude=R))
@@ -618,8 +684,7 @@ def test_g2_from_trajectory_clicks():
     basis = qt.directional_basis(qs, n_theta=8, n_phi=16)
     T = 60.0
     res = qt.run_trajectories(qs.ground_state(), qs, basis,
-                              np.linspace(0, T, 7), n_traj=1200, seed=3,
-                              dt=5e-3)
+                              np.linspace(0, T, 7), n_traj=1200, seed=3)
     edges = np.linspace(0.0, 4.0, 9)
     centers, g2, err = qt.g2_from_clicks(res, edges, t_min=5.0)
     want = qt.g2_analytic(centers, 2 * R**2)

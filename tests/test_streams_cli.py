@@ -294,11 +294,14 @@ def test_cli_traj_scenario(tmp_path):
     lines = (tmp_path / "trajectories.csv").read_text().splitlines()
     dists = [float(r.split(",")[2]) for r in lines[1:]]
     assert max(dists) < 0.2
+    diag = json.loads((tmp_path / "manifest.json").read_text())["diagnostics"]
+    assert diag["traj_propagator_error"] < 1e-6
+    assert diag["traj_eigvec_cond"] >= 1.0
+    assert diag["traj_jumps"] > 0
 
 
 def test_cli_traj_grid_not_a_multiple_of_dt(tmp_path):
-    # the output interval 1/3 is no whole multiple of the default step
-    # 2e-3, so each interval gets a whole number of shorter steps
+    # an output interval of 1/3 writes every row of the grid
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(
         {"scenario": "traj",
