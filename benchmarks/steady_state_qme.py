@@ -1,5 +1,5 @@
-"""Time `quantum.steady_state_qme` and one call of the master-equation
-generator on driven N-atom rings.
+"""Time `quantum.steady_state_qme`, one call of the master-equation
+generator and the build of both on driven N-atom rings.
 
 Usage (from the repository root; set the BLAS threads in the environment):
 
@@ -12,16 +12,19 @@ workload (radius 0.4 lambda, two-level atoms along y, plane-wave Rabi
 frequency 0.8).  One untimed call per size warms caches first; a size
 whose first call raises is timed once and reported with the error.  The
 generator `system.generator` is timed on the ground-state density matrix,
-as the median over `--repeats` rounds of CALLS calls each.
+as the median over `--repeats` rounds of CALLS calls each.  The build,
+`build_quantum_system` plus `system.generator`, is traced once with
+`tracemalloc` (its peak) and then timed `--repeats` times.
 Prints one JSON object: per N, the median and all times in seconds, the
-median time of one generator call and the residual ||L rho||_1 or the
-error.
+median time of one generator call, the median build time and the build's
+traced peak in MiB, and the residual ||L rho||_1 or the error.
 """
 import argparse
 import json
 import statistics
 import sys
 import time
+import tracemalloc
 
 parser = argparse.ArgumentParser()
 parser.add_argument("--src", default="src")
@@ -39,12 +42,31 @@ from atomarray.geometry import LAMBDA, build_ring  # noqa: E402
 from atomarray.lli import TransitionSpec  # noqa: E402
 
 CALLS = 20
-report = {}
-for n in args.natoms:
+
+
+def build(n):
     system = quantum.build_quantum_system(
         build_ring(n, 0.4 * LAMBDA), TransitionSpec(levels=2),
         PlaneWave(amplitude=0.8))
-    times, entry = [], {"dim": system.dim}
+    system.generator
+    return system
+
+
+report = {}
+for n in args.natoms:
+    tracemalloc.start()
+    system = build(n)
+    build_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    build_times = []
+    for _ in range(args.repeats):
+        del system
+        t0 = time.perf_counter()
+        system = build(n)
+        build_times.append(time.perf_counter() - t0)
+    times, entry = [], {"dim": system.dim,
+                        "build_median_s": statistics.median(build_times),
+                        "build_peak_mib": build_peak / 2**20}
     for i in range(args.repeats + 1):
         t0 = time.perf_counter()
         try:

@@ -19,13 +19,13 @@ L the per-atom level block (`TransitionSpec.level_block`).  For the
 J=0 -> J'=1 transition the three excited sublevels are kept in the
 CARTESIAN dipole basis |e_x>, |e_y>, |e_z>, which keeps both Omega and B
 real symmetric; Zeeman splittings make L a Hermitian 3x3 block, the same
-as in the coupled-dipole module.  Every operator and observable is a
-contraction over the stacked lowering operators of `lowering_operators`,
-whose docstring states the product-space layout.
+as in the coupled-dipole module.
 
-Each s-_i is a partial permutation (a row holds at most one 1), applied
-as a row move: s-_i X is X[src] placed at the rows dst, the (dst, src) of
-`QuantumSystem.moves` read once off the lowering table.  The one generator
+Each s-_i is a partial permutation (a row holds at most one 1), held only
+as its row move (`lowering_moves`, which states the product-space layout):
+s-_i X is X[src_i] placed at the rows dst_i.  Every operator and observable
+reads these moves: sum_i c_i s-_i is one assignment (`lowering`), the pair
+sum sum c_il s+_i s-_l one row move per i (`pair_sum`).  The one generator
 (`QuantumSystem.generator`) is the pairwise form above, built once as
 
   drho/dt = -i (Hnh rho - rho Hnh^dag) + 2 sum_i s-_i rho L_i^dag,
@@ -47,8 +47,8 @@ Light leaves the array through the far field: `farfield_coefficients`
 gives the amplitude rows (pol^* . e_c) e^{-i k n.r_j} of
 E(n, pol) = sum_{jc} (pol^* . e_c) e^{-i k n.r_j} s-_{jc} for a stack of
 directions and polarizations, from the far-field primitives of `kernel`.
-The g2 detection operator is one of them contracted with the lowering
-table, and the directional jump operators J(theta, phi; pol) are all of
+The g2 detection operator is one of them summed over the lowering
+operators, and the directional jump operators J(theta, phi; pol) are all of
 them on a solid-angle grid, times sqrt((3 gamma/8 pi) dOmega).  Directional
 jumps double as photon detections, their click rate 2<J^dag J> equals the
 far-field photon flux into the cell, and their completeness sum converges
@@ -73,59 +73,62 @@ from .kernel import (GAMMA, coupling_matrix, direction, direction_angles,
 from .lli import TransitionSpec, block_diagonal
 from .observables import sphere_grid
 
-QME_DIM_CAP = 4096          # density-matrix evolution
 TRAJ_CHUNK = 4096           # trajectories per RNG stream
 TRAJ_JUMP_BLOCK = 16        # jumps per table of pre-drawn uniforms
 PROPAGATOR_TOL = 1e-6       # max-abs error of the trajectory propagator
 
 
-def _check_cap(dim, cap, what):
-    if dim > cap:
-        raise DimensionCapError(f"{what} dimension {dim} exceeds cap {cap}")
+def _check_memory(what, dim, arrays):
+    """DimensionCapError if `arrays` complex D x D arrays exceed the RAM."""
+    import os
+    need = 16 * arrays * dim**2
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise DimensionCapError(
+            f"{what} at dimension {dim} needs an estimated {need / 2**20:.1f}"
+            f" MiB, more than the {have / 2**20:.1f} MiB of physical memory")
 
 
-def lowering_operators(natoms: int, levels: int) -> np.ndarray:
-    """(M, D, D) stacked lowering operators of the product space, the one
-    place that fixes its layout:
+def lowering_moves(natoms: int, levels: int) -> tuple:
+    """(dst, src), each (M, D/L), of the lowering operators sigma^-_{jc} =
+    1^{(x)j} (x) |g><e_c| (x) 1^{(x)(n-j-1)}, the one statement of the
+    product-space layout: atom 0 the most significant factor, each atom's
+    basis the ground state and then its excited components (Cartesian x, y,
+    z for J=0 -> J'=1), row j*m + c holding sigma^-_{jc} (L = levels, m =
+    L - 1, M = n m, D = L^n).  sigma^-_{jc} maps each s (src, ascending)
+    whose base-L digit j is c+1 to s - (c+1) L^(n-1-j) (dst)."""
+    place = levels ** np.arange(natoms - 1, -1, -1)
+    s = np.arange(levels**natoms)
+    digits = s // place[:, None] % levels                   # (n, D)
+    src = np.array([s[d == c] for d in digits for c in range(1, levels)])
+    return src - np.outer(place, np.arange(1, levels)).reshape(-1, 1), src
 
-        sigma^-_{jc} = 1^{(x)j} (x) |g><e_c| (x) 1^{(x)(n-j-1)},
 
-    atom 0 being the most significant tensor factor, each atom's basis the
-    ground state followed by its excited components (one for two-level,
-    the Cartesian x, y, z sublevels for J=0 -> J'=1), and row j*m + c
-    holding sigma^-_{jc} (m = levels - 1, D = levels**natoms).
-    """
-    m = levels - 1
-    out = np.empty((natoms * m, levels**natoms, levels**natoms),
-                   dtype=complex)
-    for j in range(natoms):
-        for c in range(m):
-            flip = np.zeros((levels, levels))
-            flip[0, c + 1] = 1.0
-            out[j * m + c] = np.kron(np.kron(np.eye(levels**j), flip),
-                                     np.eye(levels**(natoms - j - 1)))
+def lowering(coefficients, moves, dim) -> np.ndarray:
+    """sum_i c_i s-_i, dense (..., D, D), from (..., M) coefficients by one
+    assignment: no two s-_i share a nonzero.  Moves (src, dst) give s+."""
+    out = np.zeros(coefficients.shape[:-1] + (dim, dim), dtype=complex)
+    out[..., moves[0], moves[1]] = coefficients[..., None]
     return out
 
 
-def pair_sum(coefficients, lower) -> np.ndarray:
-    """sum_{il} c_il s+_i s-_l as one contraction over the stacked (M, D, D)
-    lowering operators."""
-    inner = np.tensordot(coefficients, lower, axes=(1, 0))   # sum_l c_il s-_l
-    return np.tensordot(lower.conj(), inner, axes=([0, 1], [0, 1]))
+def pair_sum(coefficients, moves, dim) -> np.ndarray:
+    """sum_{il} c_il s+_i s-_l; s+_i Y is Y[dst_i] placed at the rows src_i."""
+    out = np.zeros((dim, dim), dtype=complex)
+    for c, d, s in zip(coefficients, *moves):
+        out[s] += lowering(c, moves, dim)[d]
+    return out
 
 
 @dataclass
 class QuantumSystem:
-    """Dense operator tables for one geometry + transition + drive."""
+    """Operator tables for one geometry + transition + drive."""
     geometry: Geometry
     transition: TransitionSpec
-    lower: np.ndarray            # (M, D, D) from lowering_operators
+    moves: tuple                 # (dst, src) from lowering_moves
+    dim: int
     hamiltonian: np.ndarray      # drive + detuning/Zeeman + coherent couplings
     bmatrix: np.ndarray          # dissipative matrix, M x M real symmetric
-
-    @property
-    def dim(self) -> int:
-        return self.lower.shape[-1]
 
     def ground_state(self) -> np.ndarray:
         psi = np.zeros(self.dim, dtype=complex)
@@ -134,29 +137,23 @@ class QuantumSystem:
 
     def single_excitation(self, amplitudes) -> np.ndarray:
         """Normalized state sum_{jc} b_{jc} s+_{jc} |G> from a component
-        amplitude vector."""
-        b = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        psi = b @ self.lower[:, 0, :].conj()
+        amplitude vector; s+_i |G> is the src of s-_i whose dst is 0."""
+        dst, src = self.moves
+        psi = np.zeros(self.dim, dtype=complex)
+        psi[src[dst == 0]] = np.asarray(amplitudes).reshape(-1)
         return psi / np.linalg.norm(psi)
 
-    def dissipator_operator(self) -> np.ndarray:
-        """sum B_{il} s+_i s-_l (equals sum_m J_m^dag J_m)."""
-        return pair_sum(self.bmatrix, self.lower)
-
     def population_operator(self) -> np.ndarray:
-        return pair_sum(np.eye(len(self.lower)), self.lower)
-
-    @cached_property
-    def moves(self) -> tuple:
-        """(dst, src) rows of each s-_i: s-_i X is X[src] at the rows dst."""
-        return tuple(np.nonzero(s) for s in self.lower)
+        return pair_sum(np.eye(len(self.bmatrix)), self.moves, self.dim)
 
     @cached_property
     def generator(self) -> "QmeGenerator":
         """The master-equation generator, built once per system."""
-        L = np.tensordot(self.bmatrix, self.lower, axes=1)   # L_i
-        return QmeGenerator(self.hamiltonian - 1j * self.dissipator_operator(),
-                            self.moves, 2.0 * L.conj().transpose(0, 2, 1))
+        B, moves, D = self.bmatrix, self.moves, self.dim
+        _check_memory("QME generator", D, len(B) + 2)
+        # 2 L_i^dag = sum_l 2 B_il s+_l (B real): the moves reversed
+        return QmeGenerator(self.hamiltonian - 1j * pair_sum(B, moves, D),
+                            moves, lowering(2.0 * B, moves[::-1], D))
 
 
 class QmeGenerator:
@@ -170,27 +167,27 @@ class QmeGenerator:
 
     def __call__(self, rho) -> np.ndarray:
         out = -1j * (self.hnh @ rho - rho @ self.hnh_dag)
-        for (dst, src), Ld in zip(self.moves, self.l_dag):
+        for dst, src, Ld in zip(*self.moves, self.l_dag):
             out[dst] += rho[src] @ Ld
         return out
 
 
 def build_quantum_system(geometry: Geometry, transition: TransitionSpec,
                          drive=None) -> QuantumSystem:
-    n = geometry.natoms
-    _check_cap(transition.levels**n, QME_DIM_CAP, "Hilbert space")
-    lower = lowering_operators(n, transition.levels)
+    n, D = geometry.natoms, transition.levels**geometry.natoms
+    _check_memory("build_quantum_system", D, 4)   # H and pair_sum's rows
+    moves = lowering_moves(n, transition.levels)
 
     C = coupling_matrix(geometry.positions, transition.basis)
     B = C.imag
     # coherent couplings (zero diagonal) plus the per-atom level blocks
     omega = C.real + block_diagonal(n, transition.level_block)
-    H = -pair_sum(omega, lower)
+    H = -pair_sum(omega, moves, D)
     if drive is not None:
         R = transition.rabi(drive.field(geometry.positions)).reshape(-1)
-        pump = np.tensordot(R, lower.conj().transpose(0, 2, 1), axes=1)
-        H -= pump + pump.conj().T                  # sum R s+ + R* s-
-    return QuantumSystem(geometry, transition, lower, H, B)
+        pump = lowering(R.conj(), moves, D)
+        H -= pump + pump.conj().T                  # sum R* s- + R s+
+    return QuantumSystem(geometry, transition, moves, D, H, B)
 
 
 def qme_rhs(rho, system: QuantumSystem) -> np.ndarray:
@@ -201,7 +198,8 @@ def qme_rhs(rho, system: QuantumSystem) -> np.ndarray:
 def evolve_qme(rho0, system: QuantumSystem, t_grid, rtol=1e-9, atol=1e-11):
     """Integrate the master equation; returns (nt, D, D)."""
     D = system.dim
-    _check_cap(D, QME_DIM_CAP, "QME")
+    # the generator's M + 2, DOP853's stages and interpolant, the output twice
+    _check_memory("evolve_qme", D, len(system.bmatrix) + 32 + 2 * len(t_grid))
     generator = system.generator
 
     def rhs(t, y):
@@ -222,7 +220,8 @@ def steady_state_qme(system: QuantumSystem, residual_tol=1e-9, rho0=None):
     |G> never decays).  Raises NonConvergenceError unless the result has
     ||L rho||_1 < residual_tol."""
     D = system.dim
-    _check_cap(D, QME_DIM_CAP, "QME")
+    # the generator's M + 2, the 51 GMRES vectors, the Schur form, iterates
+    _check_memory("steady_state_qme", D, len(system.bmatrix) + 65)
     generator = system.generator
     T, Q = scipy.linalg.schur(generator.hnh - 0.5e-3j * GAMMA * np.eye(D),
                               output="complex")
@@ -254,21 +253,25 @@ def steady_state_qme(system: QuantumSystem, residual_tol=1e-9, rho0=None):
 
 
 def correlation_table(rho, system: QuantumSystem) -> np.ndarray:
-    """C[(jc),(lc')] = <s+_{jc} s-_{lc'}> in the component basis."""
-    S = system.lower
-    return np.einsum("iba,lbc,ca->il", S.conj(), S, rho, optimize=True)
+    """C[(jc),(lc')] = <s+_{jc} s-_{lc'}> = sum (s-_l rho)[dst_i, src_i], row
+    r of s-_l rho being rho[moved[l, r]] (zero where moved is -1)."""
+    dst, src = system.moves
+    moved = np.full((len(dst), system.dim), -1)
+    moved[np.arange(len(dst))[:, None], dst] = src
+    rows = moved[:, dst]                                # (M_l, M_i, D/L)
+    return np.where(rows >= 0, rho[rows, src], 0.0).sum(axis=2).T
 
 
 def mean_lowering(rho, system: QuantumSystem) -> np.ndarray:
     """<sigma^-_{jc}> table (component basis), sum rho[src, dst]."""
-    return np.array([rho[src, dst].sum() for dst, src in system.moves])
+    return rho[system.moves[::-1]].sum(axis=1)
 
 
 def single_excitation_block(rho, system: QuantumSystem) -> np.ndarray:
-    """rho-bar[(jc),(lc')] = <G| s-_{jc} rho s+_{lc'} |G> = V rho V^dag,
-    V the ground-state rows of the lowering operators."""
-    V = system.lower[:, 0, :]
-    return V @ rho @ V.conj().T
+    """rho-bar[(jc),(lc')] = <G| s-_{jc} rho s+_{lc'} |G>: rho on the states
+    s+_i |G>, the src of s-_i whose dst is 0."""
+    dst, src = system.moves
+    return rho[np.ix_(src[dst == 0], src[dst == 0])]
 
 
 # ---------------------------------------------------------------------------
@@ -277,16 +280,11 @@ def single_excitation_block(rho, system: QuantumSystem) -> np.ndarray:
 @dataclass
 class JumpBasis:
     """Jump operators J_k = sum_i a_{ki} s-_i as the rows of a (K, M)
-    amplitude matrix over the lowering-operator table; directional bases
-    carry the (theta, phi) of each channel so clicks double as photon
-    detection records."""
+    amplitude matrix over the lowering operators; directional bases carry
+    the (theta, phi) of each channel so clicks double as photon detection
+    records.  sum_k J_k^dag J_k is the pair sum of A^H A."""
     amplitudes: np.ndarray
     directions: np.ndarray = None
-
-    def decay_operator(self, lower) -> np.ndarray:
-        """sum_k J_k^dag J_k = sum_{il} (A^H A)_{il} s+_i s-_l."""
-        A = self.amplitudes
-        return pair_sum(A.conj().T @ A, lower)
 
 
 def source_mode_basis(system: QuantumSystem) -> JumpBasis:
@@ -339,8 +337,8 @@ def dissipator_completeness(system: QuantumSystem, basis: JumpBasis) -> float:
     """Operator-norm deviation of sum_m J_m^dag J_m from the pairwise
     dissipator (zero for source modes, grid-limited for directional)."""
     A = basis.amplitudes
-    return float(np.linalg.norm(
-        pair_sum(A.conj().T @ A - system.bmatrix, system.lower), 2))
+    dev = pair_sum(A.conj().T @ A - system.bmatrix, system.moves, system.dim)
+    return float(np.linalg.norm(dev, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -393,12 +391,15 @@ def run_trajectories(psi0, system: QuantumSystem, jump_basis: JumpBasis,
                          "with >= 2 points")
     record_clicks = jump_basis.directions is not None
 
+    _check_memory("run_trajectories", D,    # rho_acc, Hnh, V, 8 (chunk, D)
+                  len(t_grid) + 10 + 8 * min(n_traj, TRAJ_CHUNK) / D)
     A = jump_basis.amplitudes
-    M = len(system.lower)
+    dst, src = system.moves
+    M = len(dst)
     pairs = (A.conj()[:, :, None] * A[:, None, :]).reshape(len(A), -1).T
     per_round = max(1, 2**16 // max(M * D, len(A)))  # jump arrays ~1 MB
     dt = interval[0]
-    Hnh = system.hamiltonian - 1j * jump_basis.decay_operator(system.lower)
+    Hnh = system.hamiltonian - 1j * pair_sum(A.conj().T @ A, system.moves, D)
     lam, V = np.linalg.eig(Hnh)
     Vinv = np.linalg.inv(V)
     error = float(np.max(np.abs((V * np.exp(-1j * dt * lam)) @ Vinv
@@ -458,9 +459,8 @@ def run_trajectories(psi0, system: QuantumSystem, jump_basis: JumpBasis,
                         break
                 psi_j = rows(V.T, c[cross] * np.exp(
                     -1j * np.outer(tj - t0[cross], lam)))
-                low = np.zeros((len(cross), M, D), dtype=complex)
-                for i, (dst, src) in enumerate(system.moves):  # s-_i psi
-                    low[:, i, dst] = psi_j[:, src]
+                low = np.zeros((len(cross), M, D), dtype=complex)  # s-_i psi
+                low[:, np.arange(M)[:, None], dst] = psi_j[:, src]
                 # ||J_k psi||^2 = a_k^H G a_k, G_il = <s-_i psi|s-_l psi>
                 gram = low.conj() @ low.transpose(0, 2, 1)
                 cum = np.cumsum((gram.reshape(len(cross), -1) @ pairs).real,
@@ -506,7 +506,7 @@ def trace_distance(rho_a, rho_b) -> float:
 def detection_operator(system: QuantumSystem, theta, phi,
                        polarization=None) -> np.ndarray:
     """Far-field detection operator E(n, pol) along n = (theta, phi), its
-    `farfield_coefficients` row over the lowering table, normalization-free
+    `farfield_coefficients` row over the lowering operators, normalization-free
     (the scale cancels in g2).  The default polarization is the transverse
     projection of the dominant dipole component."""
     nh = direction(theta, phi)
@@ -518,7 +518,7 @@ def detection_operator(system: QuantumSystem, theta, phi,
         pol = transverse(nh, np.asarray(polarization, dtype=complex))
     pol = pol / np.linalg.norm(pol)
     row = farfield_coefficients(system, nh[None], pol[None])[0]
-    return np.tensordot(row, system.lower, axes=1)
+    return lowering(row, system.moves, system.dim)
 
 
 def g2_regression(system: QuantumSystem, tau_grid, theta=0.0, phi=0.0,

@@ -1,3 +1,7 @@
+import os
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -24,6 +28,26 @@ def pair(d):
     return Geometry([[0, 0, 0], [0, 0, d]])
 
 
+def lowering_table(natoms, levels):
+    """Reference: the (M, D, D) stacked lowering operators as Kronecker
+    products, sigma^-_{jc} = 1^{(x)j} (x) |g><e_c| (x) 1^{(x)(n-j-1)} in
+    row j*m + c (m = levels - 1)."""
+    m = levels - 1
+    out = np.empty((natoms * m, levels**natoms, levels**natoms),
+                   dtype=complex)
+    for j in range(natoms):
+        for c in range(m):
+            flip = np.zeros((levels, levels))
+            flip[0, c + 1] = 1.0
+            out[j * m + c] = np.kron(np.kron(np.eye(levels**j), flip),
+                                     np.eye(levels**(natoms - j - 1)))
+    return out
+
+
+def table(system):
+    return lowering_table(system.geometry.natoms, system.transition.levels)
+
+
 def dense_jumps(basis, lower):
     """The (K, D, D) stack of the jump operators J_k = sum_i a_ki s-_i."""
     return np.tensordot(basis.amplitudes, lower, axes=1)
@@ -39,19 +63,23 @@ layouts = st.one_of(st.tuples(st.just(2), st.integers(1, 8)),
 def test_lowering_operators_index_oracle(layout):
     """sigma^-_{jc} maps basis index s to s - (c+1) L^(n-1-j) exactly when
     base-L digit j of s (atom 0 most significant) is c+1, and has no other
-    nonzero entry."""
+    nonzero entry: the moves and the reference table both."""
     L, n = layout
-    S = qt.lowering_operators(n, L)
+    dst, src = qt.lowering_moves(n, L)
+    S = lowering_table(n, L)
     D, m = L**n, L - 1
+    assert dst.shape == src.shape == (n * m, D // L)
     assert S.shape == (n * m, D, D)
     s = np.arange(D)
     for j in range(n):
         place = L ** (n - 1 - j)
         digit = (s // place) % L
         for c in range(m):
-            src = s[digit == c + 1]
+            want_src = s[digit == c + 1]
+            assert np.array_equal(src[j * m + c], want_src)
+            assert np.array_equal(dst[j * m + c], want_src - (c + 1) * place)
             want = np.zeros((D, D))
-            want[src - (c + 1) * place, src] = 1.0
+            want[want_src - (c + 1) * place, want_src] = 1.0
             assert np.array_equal(S[j * m + c], want)
 
 
@@ -60,13 +88,16 @@ def test_lowering_operators_index_oracle(layout):
     (Geometry([[0, 0, 0], [0, 0.1, 0.35 * LAMBDA]]),
      TransitionSpec(levels=4, zeeman=(0.3, 0.0, 0.5)))])
 def test_observables_equal_per_operator_loops(geo, tr):
-    """The contracted observables against explicit per-operator traces."""
-    qs = qt.build_quantum_system(geo, tr, PlaneWave(amplitude=0.6))
+    """The contracted observables against explicit per-operator traces, and
+    the Hamiltonian against its construction from the dense table."""
+    from atomarray.kernel import coupling_matrix
+    drive = PlaneWave(amplitude=0.6)
+    qs = qt.build_quantum_system(geo, tr, drive)
     rng = np.random.default_rng(8)
     A = rng.normal(size=(qs.dim, qs.dim)) + 1j * rng.normal(size=(qs.dim, qs.dim))
     rho = A @ A.conj().T
     rho /= np.trace(rho).real
-    S = list(qs.lower)
+    S = list(table(qs))
     M = len(S)
     g = qs.ground_state()
     corr = np.array([[np.trace(S[i].conj().T @ S[l] @ rho) for l in range(M)]
@@ -81,6 +112,13 @@ def test_observables_equal_per_operator_loops(geo, tr):
     assert np.max(np.abs(qt.mean_lowering(rho, qs) - mean)) < 1e-14
     assert np.max(np.abs(qt.single_excitation_block(rho, qs) - block)) < 1e-14
     assert np.max(np.abs(qs.single_excitation(b) - psi)) < 1e-14
+    omega = (coupling_matrix(geo.positions, tr.basis).real
+             + lli.block_diagonal(geo.natoms, tr.level_block))
+    R = tr.rabi(drive.field(geo.positions)).reshape(-1)
+    H = -sum(omega[i, l] * S[i].conj().T @ S[l]
+             for i in range(M) for l in range(M))
+    H -= sum(R[i] * S[i].conj().T + np.conj(R[i]) * S[i] for i in range(M))
+    assert np.max(np.abs(qs.hamiltonian - H)) < 1e-14
 
 
 def test_single_atom_spontaneous_decay():
@@ -145,7 +183,7 @@ def test_qme_rhs_equals_pairwise_lindblad_sum(tr, positions):
     geo = Geometry(positions)
     drive = PlaneWave(amplitude=0.7, polarization=(0, 0.6, 0.8))
     qs = qt.build_quantum_system(geo, tr, drive)
-    S = list(qs.lower)
+    S = list(table(qs))
     Sd = [s.conj().T for s in S]
     m = tr.basis.shape[1]
     R = (drive.field(geo.positions) @ tr.basis.conj()).ravel()
@@ -252,7 +290,7 @@ def test_close_pair_steady_state_equals_dense_solve(sep, axis):
         PlaneWave(amplitude=2.0))
     gen, eye = qs.generator, np.eye(qs.dim)
     L = -1j * (np.kron(gen.hnh, eye) - np.kron(eye, gen.hnh.conj()))
-    S, B = qs.lower, qs.bmatrix
+    S, B = table(qs), qs.bmatrix
     L += 2 * sum(B[i, l] * np.kron(S[i], S[l].conj())
                  for i in range(len(S)) for l in range(len(S)))
     L[0] = eye.ravel()
@@ -356,13 +394,15 @@ def test_decay_operator_equals_sum_of_dense_jumps(qs, seed):
     materialised (K, D, D) jump operators: source modes, a directional
     grid and random complex amplitudes."""
     rng = np.random.default_rng(seed)
-    amps = rng.normal(size=(5, len(qs.lower), 2)) @ [1.0, 1j]
+    amps = rng.normal(size=(5, len(qs.bmatrix), 2)) @ [1.0, 1j]
     bases = [qt.source_mode_basis(qs), qt.directional_basis(qs, 3, 6),
              qt.JumpBasis(amps)]
     for basis in bases:
-        ops = dense_jumps(basis, qs.lower)
+        ops = dense_jumps(basis, table(qs))
         want = np.einsum("kji,kjl->il", ops.conj(), ops)
-        dev = np.max(np.abs(basis.decay_operator(qs.lower) - want))
+        A = basis.amplitudes
+        dev = np.max(np.abs(qt.pair_sum(A.conj().T @ A, qs.moves, qs.dim)
+                            - want))
         assert dev <= 1e-14 * np.max(np.abs(want))
 
 
@@ -389,7 +429,7 @@ def directional_basis_loop(system, n_theta, n_phi):
             coef = pol.astype(complex) @ basis
             if np.max(np.abs(coef)) < 1e-14:
                 continue
-            J = np.tensordot(np.outer(phases, coef).ravel(), system.lower,
+            J = np.tensordot(np.outer(phases, coef).ravel(), table(system),
                              axes=1)
             ops.append(np.sqrt(amp0 * w[i]) * J)
             dirs.append((theta, phi))
@@ -411,9 +451,9 @@ def test_directional_basis_equals_direction_loop(name, grid):
     qs = qt.build_quantum_system(geo, tr, PlaneWave(amplitude=0.5))
     want_ops, want_dirs = directional_basis_loop(qs, *grid)
     basis = qt.directional_basis(qs, *grid)
-    assert dense_jumps(basis, qs.lower).shape == want_ops.shape
+    assert dense_jumps(basis, table(qs)).shape == want_ops.shape
     assert np.array_equal(basis.directions, want_dirs)
-    dev = np.max(np.abs(dense_jumps(basis, qs.lower) - want_ops))
+    dev = np.max(np.abs(dense_jumps(basis, table(qs)) - want_ops))
     assert dev <= 1e-14 * np.max(np.abs(want_ops))
 
 
@@ -424,14 +464,14 @@ def test_detection_operator_is_a_directional_channel():
     nhat, w = sphere_grid(3, 5)
     basis = qt.directional_basis(qs, 3, 5)
     # J=0 -> J'=1 radiates into every polarization: two channels each
-    assert len(dense_jumps(basis, qs.lower)) == 2 * len(nhat)
+    assert len(dense_jumps(basis, table(qs))) == 2 * len(nhat)
     for i, nh in enumerate(nhat):
         seed = [0.0, 1.0, 0.0] if abs(nh[0]) > 0.5 else [1.0, 0.0, 0.0]
         e1 = seed - nh * (nh @ seed)
         e1 /= np.linalg.norm(e1)
         theta, phi = basis.directions[2 * i]
         for p, pol in enumerate((e1, np.cross(nh, e1))):
-            J = dense_jumps(basis, qs.lower)[2 * i + p]
+            J = dense_jumps(basis, table(qs))[2 * i + p]
             E = qt.detection_operator(qs, theta, phi, pol)
             scale = np.sqrt(3.0 * GAMMA / (8.0 * np.pi) * w[i])
             assert np.max(np.abs(E - J / scale)) < 1e-12 * np.max(np.abs(E))
@@ -465,7 +505,7 @@ def test_directional_channel_draw_matches_channel_rates():
     qs = qt.build_quantum_system(single_atom(), EY, PlaneWave(amplitude=0.6))
     rho_ss = qt.steady_state_qme(qs)
     basis = qt.directional_basis(qs, n_theta=6, n_phi=12)
-    ops = dense_jumps(basis, qs.lower)
+    ops = dense_jumps(basis, table(qs))
     rates = np.einsum("mji,mjk,ki->m", ops.conj(), ops, rho_ss).real
     rings, ring = np.unique(basis.directions[:, 0], return_inverse=True)
     want = np.bincount(ring, weights=rates) / rates.sum()
@@ -486,7 +526,7 @@ def run_trajectories_dense(psi0, system, basis, t_grid, n_traj, seed):
     crossing ||e^{-i Hnh t} psi||^2 = r found by scalar bisection; the
     same uniform tables (column 2j the threshold of jump j, 2j + 1 its
     channel draw, TRAJ_JUMP_BLOCK jumps per table)."""
-    ops = dense_jumps(basis, system.lower)
+    ops = dense_jumps(basis, table(system))
     K, D, _ = ops.shape
     rows = ops.reshape(K * D, D)
     hnh = system.hamiltonian - 1j * rows.conj().T @ rows
@@ -703,6 +743,35 @@ def test_g2_undefined_without_rate():
 def test_dimension_caps():
     with pytest.raises(DimensionCapError):
         qt.build_quantum_system(build_square_lattice(4, 4, 0.5 * LAMBDA), EY)
+
+
+def test_caps_compare_estimates_with_physical_memory(monkeypatch):
+    # the N = 6 ring: a 0.25 MiB build, but a GMRES basis of 51 x 64 KiB
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}      # 1 MiB
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    qs = qt.build_quantum_system(build_ring(6, 0.4 * LAMBDA), EY,
+                                 PlaneWave(amplitude=0.8))
+    with pytest.raises(DimensionCapError) as err:
+        qt.steady_state_qme(qs)
+    msg = str(err.value)
+    need = re.search(r"^steady_state_qme at dimension 64 needs an estimated "
+                     r"([\d.]+) MiB", msg)
+    assert need and float(need.group(1)) > 3.2
+    assert "1.0 MiB of physical memory" in msg
+
+
+def test_build_memory_is_a_few_dense_matrices():
+    """The 10-atom ring (D = 1024) builds within 8 D x D complex arrays of
+    traced memory; a stacked (M, D, D) lowering table alone is 10."""
+    geo = build_ring(10, 0.4 * LAMBDA)
+    tracemalloc.start()
+    try:
+        qs = qt.build_quantum_system(geo, EY, PlaneWave(amplitude=0.8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert qs.dim == 1024
+    assert peak < 8 * qs.dim**2 * 16
 
 
 def test_trajectory_rejects_nonzero_start():
