@@ -13,6 +13,7 @@ for the J=0 -> J'=1 transition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,10 +49,21 @@ def coherent_field(dipoles, geometry: Geometry, point) -> np.ndarray:
     return XI * np.einsum("jab,jb->a", G, np.asarray(dipoles, dtype=complex))
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(n_theta):
+    """Read-only Gauss-Legendre nodes and weights on (-1, 1), once per
+    order (`leggauss` costs about 1 ms at order 48)."""
+    x, w = np.polynomial.legendre.leggauss(n_theta)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def hemisphere_grid(n_theta=N_THETA, n_phi=N_PHI, forward=True):
     """Product quadrature directions/weights covering the x>0 (forward) or
-    x<0 (backward) hemisphere."""
-    x, w = np.polynomial.legendre.leggauss(n_theta)
+    x<0 (backward) hemisphere: Gauss-Legendre in cos(theta) (row index
+    a = 0..n_theta-1) times the uniform phi_b = (b + 1/2) 2 pi / n_phi,
+    flattened as a * n_phi + b."""
+    x, w = _gauss_legendre(n_theta)
     ct = 0.5 * (x + 1.0)              # cos(angle to the +-x axis) in (0, 1)
     wct = 0.5 * w
     phi = (np.arange(n_phi) + 0.5) * 2 * np.pi / n_phi
@@ -107,28 +119,49 @@ def farfield_detector(geometry: Geometry, beam, n_theta=N_THETA, n_phi=N_PHI,
 
     with the beam's own far-zone amplitude (-i k w0^2 / 2 r) e^{ikr} f_in.
     The overlap normalization always covers the full forward hemisphere,
-    so a finite collection cone reports only the collected fraction.
+    so a finite collection cone reports only the collected fraction: the
+    directions outside it get weight 0.
     The quadrature over directions is summed before the dipoles are known.
+
+    The phases of the product grid factor as e^{-i k n.r_j} =
+    X[a, j] E[a, b, j], with X = e^{-i k cos(theta_a) x_j} and
+    E = e^{-i k sin(theta_a) (cos(phi_b) y_j + sin(phi_b) z_j)} evaluated
+    on the first half of the phi grid only: the backward hemisphere
+    (n_x = -cos theta) takes conj(X), and phi_b + pi = phi_{b + n_phi/2}
+    takes conj(E).  So n_phi must be even (ValueError otherwise).  Both
+    hemispheres' mode overlaps are one batched product against E, followed
+    by an X-weighted sum over theta for each.
     """
-    nf, wf = hemisphere_grid(n_theta, n_phi, forward=True)
-    nb, wb = hemisphere_grid(n_theta, n_phi, forward=False)
+    if n_phi % 2:
+        raise ValueError(f"n_phi must be even, got {n_phi}")
+    half = n_phi // 2
+    nf, w = hemisphere_grid(n_theta, n_phi, forward=True)
+    nb = nf * [-1.0, 1.0, 1.0]                   # the backward grid
     # the beam's (transverse) far-zone mode, once per hemisphere
     mf, mb = beam.farfield_mode(nf), beam.farfield_mode(nb)
-    norm = np.sum(wf * np.einsum("mi,mi->m", mf.conj(), mf)).real
-    if collection_half_angle < np.pi / 2:
-        keepf = nf[:, 0] >= np.cos(collection_half_angle)
-        keepb = nb[:, 0] <= -np.cos(collection_half_angle)
-        nf, wf, mf = nf[keepf], wf[keepf], mf[keepf]
-        nb, wb, mb = nb[keepb], wb[keepb], mb[keepb]
+    norm = np.sum(w * np.einsum("mi,mi->m", mf.conj(), mf)).real
+    if collection_half_angle < np.pi / 2:       # the same cone both ways
+        w = w * (nf[:, 0] >= np.cos(collection_half_angle))
     # Fraunhofer far-zone amplitude of the beam: (-i k w0^2 / 2 r) e^{ikr} f_in
     a_in = -1j * K * beam.waist**2 / 2.0 * beam.amplitude
     scale = XI * K**2 / (4 * np.pi) / (a_in * norm)
 
-    def weights(nhat, w, mode):
-        return scale * (farfield_phase(nhat, geometry.positions).T
-                        @ (w[:, None] * mode.conj()))
-
-    return Detector(weights(nf, wf, mf), weights(nb, wb, mb))
+    # weighted conjugate modes (n_theta, n_phi, 3) of each hemisphere; the
+    # second phi half enters conjugated, so that all of it multiplies E
+    qf = (w[:, None] * mf.conj()).reshape(n_theta, n_phi, 3)
+    qb = (w[:, None] * mb.conj()).reshape(n_theta, n_phi, 3)
+    q = np.concatenate([qf[:, :half], qb[:, :half],
+                        qf[:, half:].conj(), qb[:, half:].conj()], axis=2)
+    pos = np.asarray(geometry.positions, dtype=float)
+    kn = K * nf.reshape(n_theta, n_phi, 3)
+    X = np.exp(-1j * np.outer(kn[:, 0, 0], pos[:, 0]))     # (n_theta, N)
+    E = -1j * (pos[:, 1:] @ kn[:, :half, 1:].transpose(0, 2, 1))
+    np.exp(E, out=E)                                    # (n_theta, N, half)
+    R = E @ q                                           # (n_theta, N, 12)
+    fwd = R[..., 0:3] + R[..., 6:9].conj()
+    bwd = R[..., 3:6] + R[..., 9:12].conj()
+    return Detector(scale * np.einsum("aj,ajc->jc", X, fwd),
+                    scale * np.einsum("aj,ajc->jc", X.conj(), bwd))
 
 
 def transmission_reflection(dipoles, geometry: Geometry, beam,

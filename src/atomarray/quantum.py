@@ -198,8 +198,9 @@ def qme_rhs(rho, system: QuantumSystem) -> np.ndarray:
 def evolve_qme(rho0, system: QuantumSystem, t_grid, rtol=1e-9, atol=1e-11):
     """Integrate the master equation; returns (nt, D, D)."""
     D = system.dim
-    # the generator's M + 2, DOP853's stages and interpolant, the output twice
-    _check_memory("evolve_qme", D, len(system.bmatrix) + 32 + 2 * len(t_grid))
+    # the generator's M + 2; DOP853's 16 stages, 7 interpolant rows and step
+    # temporaries (36 measured); the output once
+    _check_memory("evolve_qme", D, len(system.bmatrix) + 40 + len(t_grid))
     generator = system.generator
 
     def rhs(t, y):

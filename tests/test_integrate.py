@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from atomarray import quantum as qt
+from atomarray.drives import PlaneWave
 from atomarray.errors import ResonantSingularityError, StiffnessError
+from atomarray.geometry import LAMBDA, build_ring
 from atomarray.integrate import affine_evolve, integrate_complex, solve_checked
+from atomarray.lli import TransitionSpec
 
 EPS = np.finfo(float).eps
 
@@ -75,6 +79,33 @@ def test_integrate_complex_raises_stiffness_error_on_blow_up():
     # y' = y^2, y(0) = 1 has y = 1/(1 - t), which diverges at t = 1
     with pytest.raises(StiffnessError):
         integrate_complex(lambda t, y: y * y, [1.0], [0.0, 2.0])
+
+
+@pytest.mark.parametrize("t", [
+    [0.0, 0.01, 0.02, 0.03, 0.5, 0.51, 3.0],   # several times in one step
+    [0.3, 1.7],
+])
+def test_integrate_complex_equals_solve_ivp_bit_for_bit(t):
+    """Stepping DOP853 directly keeps the t_eval rule of solve_ivp: the same
+    dense output of the same step at every grid time, on a driven 3-atom
+    ring's master equation."""
+    from scipy.integrate import solve_ivp
+    qs = qt.build_quantum_system(build_ring(3, 0.4 * LAMBDA),
+                                 TransitionSpec(levels=2),
+                                 PlaneWave(amplitude=0.8))
+    D, generator = qs.dim, qs.generator
+
+    def rhs(_, y):
+        return generator(y.reshape(D, D)).ravel()
+
+    psi = qs.ground_state()
+    y0 = np.outer(psi, psi).ravel()
+    got = integrate_complex(rhs, y0, t, rtol=1e-9, atol=1e-11)
+    sol = solve_ivp(lambda s, yr: rhs(s, yr.view(complex)).view(float),
+                    (t[0], t[-1]), y0.view(float), t_eval=t, rtol=1e-9,
+                    atol=1e-11, method="DOP853")
+    assert sol.success
+    assert np.array_equal(got, np.ascontiguousarray(sol.y.T).view(complex))
 
 
 def test_solve_checked_raises_typed_error_with_warnings_as_errors():

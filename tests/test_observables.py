@@ -122,9 +122,11 @@ def _direct_rt(dip, geo, beam, n_theta, n_phi, half_angle):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.sampled_from([2, 4]),
-       st.floats(0.5, 3.0), st.sampled_from([np.pi / 2, 1.2, 0.3]))
+       st.floats(0.5, 3.0), st.sampled_from([np.pi / 2, 1.2, 0.3]),
+       st.integers(1, 20), st.integers(1, 20).map(lambda h: 2 * h))
+@example(0, 3, 2, 1.0, np.pi / 2, 16, 32)
 def test_detector_equals_direct_projection(seed, n, levels, waist_wl,
-                                           half_angle):
+                                           half_angle, n_theta, n_phi):
     rng = np.random.default_rng(seed)
     geo = Geometry(rng.uniform(-LAMBDA, LAMBDA, size=(n, 3)))
     tr = TransitionSpec(levels=levels)
@@ -132,11 +134,34 @@ def test_detector_equals_direct_projection(seed, n, levels, waist_wl,
         + 1j * rng.normal(size=n * tr.components)
     dip = obs.dipole_table(tr, b)
     beam = GaussianBeam(waist=waist_wl * LAMBDA)
-    t, r = obs.farfield_detector(geo, beam, 16, 32, half_angle).project(dip)
-    t0, r0 = _direct_rt(dip, geo, beam, 16, 32, half_angle)
+    t, r = obs.farfield_detector(geo, beam, n_theta, n_phi,
+                                 half_angle).project(dip)
+    t0, r0 = _direct_rt(dip, geo, beam, n_theta, n_phi, half_angle)
     scale = max(abs(t0 - 1.0), abs(r0))
     assert abs(t - t0) <= 1e-12 * scale
     assert abs(r - r0) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n_phi", [1, 31, 95])
+def test_detector_rejects_odd_n_phi(n_phi):
+    # the phi + pi pairing of the factored phases needs an even phi grid
+    geo = build_square_lattice(2, 2, 0.6 * LAMBDA)
+    with pytest.raises(ValueError, match="even"):
+        obs.farfield_detector(geo, GaussianBeam(waist=LAMBDA), 8, n_phi)
+
+
+def test_hemisphere_grid_returns_fresh_arrays():
+    # the Gauss-Legendre nodes are cached read-only; the grids are not
+    x, w = obs._gauss_legendre(6)
+    assert not x.flags.writeable and not w.flags.writeable
+    nhat, wts = obs.hemisphere_grid(6, 8)
+    ref = (nhat.copy(), wts.copy())
+    nhat[:] = 0.0
+    wts[:] = 0.0
+    again = obs.hemisphere_grid(6, 8)
+    assert np.array_equal(again[0], ref[0]) and np.array_equal(again[1], ref[1])
+    x0, w0 = np.polynomial.legendre.leggauss(6)
+    assert np.array_equal(x, x0) and np.array_equal(w, w0)
 
 
 @settings(max_examples=10, deadline=None)

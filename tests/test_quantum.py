@@ -774,6 +774,26 @@ def test_build_memory_is_a_few_dense_matrices():
     assert peak < 8 * qs.dim**2 * 16
 
 
+def test_evolve_qme_holds_its_output_once():
+    """On the 8-atom ring (D = 256) the traced peak of evolve_qme, generator
+    build included, stays within its cap estimate M + 40 + nt complex D x D
+    arrays (measured M + 38 + nt); holding the output twice, as solve_ivp's
+    per-step list and stacked copy do, needs 2 nt + M + 29."""
+    import scipy.integrate  # noqa: F401  (its import is not the evolution's)
+    qs = qt.build_quantum_system(build_ring(8, 0.4 * LAMBDA), EY,
+                                 PlaneWave(amplitude=0.8))
+    psi = qs.ground_state()
+    t = np.linspace(0.0, 0.1, 21)
+    tracemalloc.start()
+    try:
+        rhos = qt.evolve_qme(np.outer(psi, psi), qs, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rhos.shape == (21, 256, 256)
+    assert peak < (len(qs.bmatrix) + 40 + len(t)) * qs.dim**2 * 16
+
+
 def test_trajectory_rejects_nonzero_start():
     qs = qt.build_quantum_system(single_atom(), EY)
     with pytest.raises(ValueError):
