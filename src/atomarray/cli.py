@@ -14,10 +14,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import functools
 from collections import namedtuple
 import hashlib
+import importlib.util
+import itertools
 import json
+import logging
 import sys
 import time
 from pathlib import Path
@@ -30,6 +34,9 @@ from .geometry import (LAMBDA, Geometry, LatticeTrapSpec, build_bilayer,
                        build_ring, build_square_lattice, build_stack,
                        wannier_width)
 from .streams import seed_streams
+
+
+log = logging.getLogger("atomarray")
 
 
 class ConfigError(ValueError):
@@ -101,12 +108,18 @@ def detuning_grid(cfg, default=(-4.0, 4.0, 81)):
 
 
 def write_csv(path: Path, header, rows):
+    """The header row, then each float as %.12g and any other value as
+    str(), comma-separated with \\r\\n line ends.  Each run of rows with
+    the same value types is formatted by one template in one pass; no
+    value here needs csv quoting."""
     with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([f"{v:.12g}" if isinstance(v, float) else v
-                        for v in row])
+        csv.writer(fh).writerow(header)
+        for kinds, run in itertools.groupby(
+                map(tuple, rows), key=lambda row: tuple(map(type, row))):
+            run = list(run)
+            line = ",".join("%.12g" if issubclass(k, float) else "%s"
+                            for k in kinds) + "\r\n"
+            fh.write((line * len(run)) % tuple(itertools.chain(*run)))
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +592,46 @@ def validate_config(config: dict) -> None:
     _check(config, name)
 
 
+@functools.cache
+def _openblas(package: str, suffix: str):
+    """(file name, get_num_threads, set_num_threads) of the OpenBLAS that
+    the wheel of `package` bundles as
+    `<package>.libs/libscipy_openblas<suffix>-*.so`, or None."""
+    libs = Path(importlib.util.find_spec(package).origin).parents[1]
+    found = sorted((libs / f"{package}.libs").glob(
+        f"libscipy_openblas{suffix}-*.so"))
+    if not found:
+        return None
+    lib = ctypes.CDLL(str(found[0]))
+    get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+    get.argtypes, get.restype = [], ctypes.c_int
+    put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return found[0].name, get, put
+
+
+def blas_policy() -> dict:
+    """Run scipy's OpenBLAS pool, which serves scipy.linalg, on one thread;
+    numpy's pool, which serves every `@`, keeps the count the environment
+    gave it.  Idempotent.  Returns, for the manifest, each pool's library
+    and thread count read back, None for a pool that is not a bundled
+    OpenBLAS."""
+    import scipy.linalg  # noqa: F401  (maps scipy's OpenBLAS)
+    pool = _openblas("scipy", "")
+    if pool is None:
+        log.debug("scipy bundles no OpenBLAS: BLAS policy not applied")
+    else:
+        pool[2](1)
+    report = {"policy_applied": pool is not None}
+    for package, suffix in (("numpy", "64_"), ("scipy", "")):
+        pool = _openblas(package, suffix)
+        report[package] = pool and {"library": pool[0], "threads": pool[1]()}
+    return report
+
+
 def run(config: dict, out_dir=None, seed=None) -> dict:
     """Execute one scenario; returns the manifest dict."""
+    blas = blas_policy()
     validate_config(config)
     scenario = config["scenario"]
     seed = seed if seed is not None else config.get("seed", 0)
@@ -597,6 +648,7 @@ def run(config: dict, out_dir=None, seed=None) -> dict:
         "seed": seed,
         "versions": {"atomarray": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__},
+        "blas": blas,
         "wall_time_s": round(time.time() - t0, 3),
         "diagnostics": diagnostics,
         "artifacts": [str(p) for p in artifacts],

@@ -314,6 +314,10 @@ def eigenmodes(system: CouplingSystem) -> EigenSystem:
     orthogonal, so v^T v = 1 and the `anomalous` rule mean what they mean
     for a full eigensolve.
 
+    Modes are sorted by linewidth.  Linewidths within DEGENERATE_TOL
+    (relative) of each other count as tied and keep block order and
+    in-block index, so the order does not follow last-bit rounding.
+
     The eigenvalues do not depend on the blocks.  The modes of a
     degenerate eigenvalue do: they are a basis of its eigenspace, here
     one whose vectors each have one parity under every mirror.  Modes of
@@ -335,6 +339,10 @@ def eigenmodes(system: CouplingSystem) -> EigenSystem:
         _orthonormalise_clusters(w, v)
     evals = np.concatenate([w for w, _ in solved])
     order = np.argsort(evals.imag)
+    rank = np.argsort(order)
+    tol = DEGENERATE_TOL * max(np.abs(evals).max(), 1.0)
+    for run in _runs(np.arange(len(evals)), evals.imag, tol):
+        order[np.sort(rank[run])] = np.sort(run)
     # each block's vectors go straight to their columns in `order`
     column = np.empty_like(order)
     column[order] = np.arange(len(order))

@@ -1,6 +1,8 @@
 import importlib.util
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -411,3 +413,76 @@ def test_cli_bistab_spacing_grid(tmp_path):
     assert summary["max_bistable_spacing_wl"] == 0.1
     lines = (tmp_path / "bistable_spacings.csv").read_text().splitlines()
     assert lines == ["spacing[lambda],bistable[0/1]", "0.1,1", "0.5,0"]
+
+
+def test_write_csv_matches_csv_module(tmp_path):
+    import csv
+
+    from atomarray.cli import write_csv
+    rows = [(0.1, 2, np.float64(1 / 3), np.int64(-4), -0.0),
+            (np.float64(np.nan), 1, np.inf, np.int64(7), 1e-300),
+            (1.5, 2, "nan", "nan", np.float32(0.25)),
+            (2.5, 3, 1e20, np.int64(0), True)]
+    header = ["a[1]", "b[1]", "c[1]", "d[1]", "e[1]"]
+    write_csv(tmp_path / "t.csv", header, iter(rows))
+    with (tmp_path / "ref.csv").open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([f"{v:.12g}" if isinstance(v, float) else v
+                        for v in row])
+    assert ((tmp_path / "t.csv").read_bytes()
+            == (tmp_path / "ref.csv").read_bytes())
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_in_subprocess(code: str, threads: int, *args) -> str:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(
+                   [str(ROOT / "src"), str(ROOT / "perfbench")]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          check=True, capture_output=True, text=True).stdout
+
+
+def test_cli_runs_scipy_blas_pool_on_one_thread(tmp_path):
+    code = ("import json, sys\n"
+            "from atomarray.cli import run\n"
+            "print(json.dumps(run({'scenario': 'bands'}, sys.argv[1])"
+            "['blas']))\n")
+    blas = json.loads(run_in_subprocess(code, 2, str(tmp_path)))
+    if not blas["policy_applied"] or blas["numpy"] is None:
+        pytest.skip("numpy or scipy does not bundle OpenBLAS")
+    assert blas["scipy"]["threads"] == 1
+    # OpenBLAS caps a pool at the usable cores
+    assert blas["numpy"]["threads"] == min(2, len(os.sched_getaffinity(0)))
+    assert blas["scipy"]["library"].startswith("libscipy_openblas-")
+    assert json.loads((tmp_path / "manifest.json").read_text())[
+        "blas"] == blas
+
+
+def test_blas_policy_without_bundled_openblas(monkeypatch, caplog):
+    from atomarray import cli
+    monkeypatch.setattr(cli, "_openblas", lambda package, suffix: None)
+    with caplog.at_level("DEBUG", logger="atomarray"):
+        report = cli.blas_policy()
+    assert report == {"policy_applied": False, "numpy": None, "scipy": None}
+    assert "not applied" in caplog.text
+
+
+def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    code = ("import sys, workloads\n"
+            "from atomarray.cli import run\n"
+            "for name in ('transmit', 'eigen'):\n"
+            "    cfg = workloads.SIZES['full'][name]\n"
+            "    run(cfg, f'{sys.argv[1]}/{name}')\n")
+    for threads in (1, 2):
+        run_in_subprocess(code, threads, str(tmp_path / str(threads)))
+    names = sorted(p.relative_to(tmp_path / "1")
+                   for p in (tmp_path / "1").rglob("*")
+                   if p.is_file() and p.name != "manifest.json")
+    assert len(names) == 5
+    for name in names:
+        assert ((tmp_path / "1" / name).read_bytes()
+                == (tmp_path / "2" / name).read_bytes()), name
