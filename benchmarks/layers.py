@@ -1,0 +1,358 @@
+"""Time the eight layer kernels of atomarray, one tree against another.
+
+Usage (from the repository root):
+
+    python benchmarks/layers.py --parent <other tree>/src --out BENCH.json
+
+Each case calls one library function on one input and is named
+`<module>.<function>@<input>`.  The inputs are the "full" workload configs
+of `perfbench/workloads.py`, resized where the name says so: the square
+arrays of transmit (10x10), disorder (sampled, seed 0) and eigen (16x16
+J=0->1, and its sample with 0.05 lambda Gaussian displacements, seed 0,
+which keeps no mirror), the qme ring at N = 6-8 and the traj workload; the
+pair of acceptance criterion 8(a) runs 2e4 trajectories to t = 6.  The
+QME generator layer has three cases: the build, one call on the ground
+state, and `steady_state_qme`.  `--layers` keeps the cases whose name
+starts with one of its values.
+
+For each BLAS thread count, each tree runs in its own worker process, with
+the BLAS variables set before numpy is imported and, where the tree has
+it, `cli.blas_policy()` applied as `cli.run` does.  Both workers stay
+alive and take orders over a pipe.  Per case, each sets the case up; the
+timed calls then alternate between the trees, which tree goes first
+alternating too.  Each timed call comes right after an untimed call of the
+same case in its worker, which wakes that worker's BLAS threads, and after
+a pause that lets the other worker's threads go idle.  One more call runs
+under `tracemalloc` for its peak, and its output array is compared between
+the trees.  A case that raises in a tree reports the error for that tree.
+"""
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+import traceback
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# an OpenBLAS thread busy-waits ~0.1 s after a call; without this pause the
+# other worker's threads made quantum.generator@N6 2.6 ms, not 0.78 ms
+SETTLE_S = 0.2
+
+
+# ---------------------------------------------------------------------------
+# cases: each setup returns (call, output); output(call()) is the array
+# compared between the trees
+
+def _array(workload, **geometry):
+    """Geometry, transition and drive of a workload config, with `geometry`
+    overriding keys of its geometry section."""
+    import workloads
+    from atomarray import cli
+    cfg = workloads.config("full", workload)
+    cfg = {**cfg, "geometry": {**cfg["geometry"], **geometry}}
+    return (cli.geometry_from_config(cfg), cli.transition_from_config(cfg),
+            cli.drive_from_config(cfg))
+
+
+def lattice_sums():
+    from atomarray import infinite
+    from atomarray.geometry import LAMBDA
+    return (lambda: infinite.lattice_sums(0.55 * LAMBDA),
+            lambda sums: sums.coupling)
+
+
+def obe_rhs():
+    from atomarray import semiclassical as sc
+    system = sc.build_obe_system(*_array("transmit"))
+    rng = np.random.default_rng(0)
+    coh = 0.1 * (rng.normal(size=(system.natoms, system.ncomp))
+                 + 1j * rng.normal(size=(system.natoms, system.ncomp)))
+    exc = np.einsum("ja,jb->jab", coh, coh.conj())
+    state = sc.SemiclassicalState(coh, exc)
+    return lambda: sc.obe_rhs(state, system), lambda d: d.flatten()
+
+
+def assemble(workload):
+    from atomarray import lli
+    array = _array(workload)
+    return lambda: lli.assemble(*array), lambda system: system.H
+
+
+def steady_state(workload, delta):
+    from atomarray import lli
+    system = lli.assemble(*_array(workload))
+    return lambda: lli.steady_state(system, delta), np.asarray
+
+
+def eigenmodes(n, disorder=0.0):
+    from atomarray import geometry, lli
+    geo, tr, beam = _array("eigen", nx=n, ny=n)
+    if disorder:
+        geo = geometry.sample_positions(geo, np.random.default_rng(0),
+                                        disorder * geometry.LAMBDA)
+    system = lli.assemble(geo, tr, beam)
+    return (lambda: lli.eigenmodes(system),
+            lambda es: np.sort(es.eigenvalues))
+
+
+def farfield_detector(n):
+    from atomarray import geometry, observables
+    geo, _, beam = _array("disorder", nx=n, ny=n)
+    sample = geometry.sample_positions(geo, np.random.default_rng(0))
+    return (lambda: observables.farfield_detector(sample, beam),
+            lambda d: np.stack([d.forward, d.backward]))
+
+
+def _ring(natoms):
+    from atomarray import quantum
+    return quantum.build_quantum_system(*_array("qme", natoms=natoms))
+
+
+def _ground(system):
+    g = system.ground_state()
+    return np.outer(g, g.conj())
+
+
+def build_quantum_system(natoms):
+    from atomarray import quantum
+    array = _array("qme", natoms=natoms)
+
+    def build():
+        system = quantum.build_quantum_system(*array)
+        system.generator
+        return system
+    return build, lambda system: system.generator(_ground(system))
+
+
+def generator(natoms):
+    system = _ring(natoms)
+    rho = _ground(system)
+    return lambda: system.generator(rho), np.asarray
+
+
+def steady_state_qme(natoms):
+    from atomarray import quantum
+    system = _ring(natoms)
+    return lambda: quantum.steady_state_qme(system), np.asarray
+
+
+def run_trajectories(basis):
+    import workloads
+    from atomarray import quantum
+    from atomarray.drives import PlaneWave
+    from atomarray.geometry import LAMBDA, Geometry
+    from atomarray.lli import TransitionSpec
+    if basis == "pair-8a":
+        system = quantum.build_quantum_system(
+            Geometry([[0, 0, 0], [0, 0, 0.5 * LAMBDA]]),
+            TransitionSpec(levels=2, orientation=(0, 1, 0), detuning=0.3),
+            PlaneWave(amplitude=0.8))
+        t_grid, n_traj = np.linspace(0, 6, 7), 20_000
+    else:
+        cfg = workloads.config("full", "traj")
+        system = _ring(cfg["geometry"]["natoms"])
+        t_grid = np.linspace(0, cfg["t_final"], cfg["n_times"])
+        n_traj = cfg["n_trajectories"]
+    jumps = (quantum.directional_basis(system, n_theta=8, n_phi=16)
+             if basis == "directional-8x16" else
+             quantum.source_mode_basis(system))
+    return (lambda: quantum.run_trajectories(
+        system.ground_state(), system, jumps, t_grid, n_traj, seed=0),
+        lambda result: result.populations)
+
+
+CASES = {
+    "infinite.lattice_sums@a0.55": (lattice_sums,),
+    "semiclassical.obe_rhs@10x10": (obe_rhs,),
+    "lli.assemble@10x10": (assemble, "transmit"),
+    "lli.assemble@16x16-J01": (assemble, "eigen"),
+    "lli.steady_state@M100": (steady_state, "transmit", 0.35),
+    "lli.steady_state@M768": (steady_state, "eigen", None),
+    "lli.eigenmodes@16x16-J01": (eigenmodes, 16),
+    "lli.eigenmodes@20x20-J01": (eigenmodes, 20),
+    "lli.eigenmodes@16x16-J01-disordered": (eigenmodes, 16, 0.05),
+    **{f"observables.farfield_detector@{n}x{n}": (farfield_detector, n)
+       for n in (10, 20, 40)},
+    **{f"quantum.{f.__name__}@N{n}": (f, n) for f in (
+        build_quantum_system, generator, steady_state_qme) for n in (6, 7, 8)},
+    **{f"quantum.run_trajectories@{b}": (run_trajectories, b)
+       for b in ("source", "directional-8x16", "pair-8a")},
+}
+
+
+# ---------------------------------------------------------------------------
+# worker: one tree at one BLAS thread count
+
+def serve(src):
+    """Answer the orders on stdin, ["setup", case], ["time", case] and
+    ["finish", case, path], with one JSON line each on stdout."""
+    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
+    reply, sys.stdout = sys.stdout, sys.stderr
+    from atomarray import cli
+    policy = getattr(cli, "blas_policy", None)
+    print(json.dumps({"blas": policy and policy()}), file=reply, flush=True)
+    live = {}
+    for line in sys.stdin:
+        order, name, *path = json.loads(line)
+        try:
+            if order == "setup":
+                setup, *args = CASES[name]
+                live[name] = setup(*args)
+                answer = {}
+            elif order == "time":
+                live[name][0]()
+                t0 = time.perf_counter()
+                live[name][0]()
+                answer = {"s": time.perf_counter() - t0}
+            else:
+                call, output = live.pop(name)
+                tracemalloc.start()
+                try:
+                    result = call()
+                    answer = {"peak_mib": tracemalloc.get_traced_memory()[1]
+                              / 2**20}
+                finally:
+                    tracemalloc.stop()
+                np.save(path[0], output(result))
+        except Exception as err:
+            traceback.print_exc()
+            live.pop(name, None)
+            answer = {"error": f"{type(err).__name__}: {err}"}
+        print(json.dumps(answer), file=reply, flush=True)
+
+
+class Worker:
+    def __init__(self, src, threads):
+        code = (f"import sys; sys.path.insert(0, {str(HERE)!r}); "
+                "import layers; layers.serve(sys.argv[1])")
+        self.proc = subprocess.Popen(
+            [sys.executable, "-c", code, str(src)], text=True,
+            env={**os.environ, **dict.fromkeys(THREAD_VARS, str(threads))},
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        self.blas = self.ask()["blas"]
+
+    def ask(self, *order):
+        """Send an order, if any, and read the next answer."""
+        if order:
+            self.proc.stdin.write(json.dumps(order) + "\n")
+            self.proc.stdin.flush()
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"worker exited with {self.proc.wait()}")
+        return json.loads(line)
+
+    def close(self):
+        self.proc.stdin.close()
+        self.proc.wait(timeout=60)
+
+
+def measure(workers, name, repeats, tmp) -> dict:
+    """One case in both trees' workers."""
+    sides = {tree: w.ask("setup", name) for tree, w in workers.items()}
+    times = {tree: [] for tree in workers}
+    for i in range(repeats):
+        for tree in list(workers)[::-1 if i % 2 else 1]:
+            if "error" not in sides[tree]:
+                time.sleep(SETTLE_S)
+                answer = workers[tree].ask("time", name)
+                if "error" in answer:
+                    sides[tree] = answer
+                else:
+                    times[tree].append(answer["s"])
+    outputs = {}
+    for tree, worker in workers.items():
+        path = Path(tmp) / f"{tree}.npy"
+        if "error" not in sides[tree]:
+            sides[tree] = worker.ask("finish", name, str(path))
+        if "error" not in sides[tree]:
+            outputs[tree] = np.load(path)
+            sides[tree] = {
+                "median_s": round(statistics.median(times[tree]), 6),
+                "times_s": [round(t, 6) for t in times[tree]],
+                "tracemalloc_peak_mib": round(sides[tree]["peak_mib"], 3)}
+    diff = None
+    if len(outputs) == 2:
+        old, new = outputs["parent"], outputs["change"]
+        diff = float(np.abs(new - old).max() / np.abs(old).max())
+    return {**sides, "max_output_rel_diff": diff}
+
+
+def machine() -> dict:
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import child
+    try:
+        cpu = next(line.split(":", 1)[1].strip() for line in
+                   Path("/proc/cpuinfo").read_text().splitlines()
+                   if line.startswith("model name"))
+    except (OSError, StopIteration):
+        cpu = platform.processor() or "unknown"
+    mem = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**30
+    return {"cpu": f"{cpu} (nproc {os.cpu_count()})",
+            "memory_gib": round(mem, 1), "python": platform.python_version(),
+            **child.machine()}
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", required=True,
+                        help="the src directory of the tree to compare with")
+    parser.add_argument("--threads", type=int, nargs="+", default=[1, 2])
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--layers", nargs="+", default=[""],
+                        help="case name prefixes (default: every case)")
+    parser.add_argument("--out", help="also write the report to this file")
+    args = parser.parse_args()
+    names = [n for n in CASES if n.startswith(tuple(args.layers))]
+    if not names:
+        parser.error("no case matches; the cases are " + ", ".join(CASES))
+    cases = {name: {} for name in names}
+    pools = {}
+    for t in args.threads:
+        workers = {"parent": Worker(args.parent, t),
+                   "change": Worker(ROOT / "src", t)}
+        try:
+            pools[f"blas_threads_{t}"] = {k: w.blas
+                                          for k, w in workers.items()}
+            for name in names:
+                print(f"{name} at {t} BLAS threads", file=sys.stderr)
+                with tempfile.TemporaryDirectory() as tmp:
+                    cases[name][f"blas_threads_{t}"] = measure(
+                        workers, name, args.repeats, tmp)
+        finally:
+            for worker in workers.values():
+                worker.close()
+    report = {
+        "what": "Median wall time of one call of each layer case, parent "
+                "tree against this one, interleaved, each tree in its own "
+                "worker process per BLAS thread count, each timed call "
+                "right after an untimed call in that process.",
+        "command": "python benchmarks/layers.py " + " ".join(
+            sys.argv[1:]).replace(args.parent, "<parent>/src"),
+        "machine": machine(),
+        "blas_pools": pools,
+        "notes": [
+            "tracemalloc_peak_mib: the peak of one more call, untimed.",
+            "max_output_rel_diff: max |out_change - out_parent| / "
+            "max |out_parent| over the case's output array; null when a "
+            "tree raised, and that tree reports the error.",
+        ],
+        "cases": cases,
+    }
+    text = json.dumps(report, indent=2) + "\n"
+    if args.out:
+        Path(args.out).write_text(text)
+    print(text)
+
+
+if __name__ == "__main__":
+    main()

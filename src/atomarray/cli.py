@@ -268,7 +268,7 @@ def run_stack(cfg, out, seed, diagnostics):
     x = np.concatenate([[0.0], np.cumsum(seps)])
     from .infinite import lattice_sums
     om, gt = lattice_sums(a).uniform_mode(1)
-    stack = LayerStack.uniform(x, 1.0 + gt, om)
+    stack = LayerStack(x, 1.0 + gt, om)
     rows = []
     for d in detuning_grid(cfg):
         t, r = system_rt(stack, d)

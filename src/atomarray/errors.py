@@ -28,9 +28,9 @@ class OnLightConeError(AtomarrayError, ValueError):
 class BraggResonanceError(OnLightConeError):
     """A reciprocal-lattice order sits exactly on the light cone."""
 
-    def __init__(self, gvec, message=None):
+    def __init__(self, gvec):
         self.gvec = tuple(gvec)
-        super().__init__(message or f"Bragg order g={self.gvec} on the light cone")
+        super().__init__(f"Bragg order g={self.gvec} on the light cone")
 
 
 class ResonantSingularityError(AtomarrayError, RuntimeError):

@@ -249,11 +249,12 @@ def two_mode_exceptional_point(params: TwoModeParams) -> bool:
     return abs(abs(params.dbar) - abs(params.ups_i - params.ups_p) / 2.0) < 1e-9
 
 
-def two_mode_evolve(params: TwoModeParams, delta0, t_grid, rho0=(0.0, 0.0)):
-    """Exact evolution of the two coupled mode amplitudes, constant drive."""
+def two_mode_evolve(params: TwoModeParams, delta0, t_grid):
+    """Exact evolution of the two coupled mode amplitudes from rest,
+    constant drive."""
     A = np.array([[1j * params.z_p(delta0), -params.dbar],
                   [params.dbar, 1j * params.z_i(delta0)]])
-    return affine_evolve(A, [0.0, 1j * params.rabi], rho0, t_grid)
+    return affine_evolve(A, [0.0, 1j * params.rabi], (0.0, 0.0), t_grid)
 
 
 def propagating_orders(a, q):
@@ -290,14 +291,17 @@ def in_plane_polarization(khat):
     return e / n
 
 
-def nonnormal_response(a, theta, phi, delta, polarization=None,
-                       rabi=1.0, eta_ladder=None) -> NonNormalResponse:
-    """Plane-wave response of the infinite lattice at oblique incidence.
+def nonnormal_response(a, theta, phi, delta,
+                       polarization=None) -> NonNormalResponse:
+    """Response of the infinite lattice to a unit plane wave at oblique
+    incidence (R and T are ratios to the incident intensity, so the drive
+    strength drops out).
 
     Solves the self-consistent dipole amplitude with the q = k_par Bloch
-    coupling matrix and projects the scattered field on the forward and
-    mirrored backward zeroth-order directions.  Raises a multi-order flag
-    when higher Bragg channels propagate (then R+T<1 as computed here).
+    coupling matrix (lattice sums on their default eta ladder) and projects
+    the scattered field on the forward and mirrored backward zeroth-order
+    directions.  Raises a multi-order flag when higher Bragg channels
+    propagate (then R+T<1 as computed here).
     """
     khat = direction(theta, phi)
     q = K * khat[1:]
@@ -307,13 +311,12 @@ def nonnormal_response(a, theta, phi, delta, polarization=None,
     if abs(pol @ khat) > 1e-10:
         raise ValueError("polarization must be transverse to the incidence")
 
-    sums = lattice_sums(a, q, eta_ladder=eta_ladder)
+    sums = lattice_sums(a, q)
     Mc = sums.coupling
     # LLI polarizability alpha/XI = -1/(Delta + i gamma)
     alpha_over_xi = -1.0 / (delta + 1j * GAMMA)
-    rhs = rabi * pol
     rho = alpha_over_xi * np.linalg.solve(
-        np.eye(3) - alpha_over_xi * Mc, rhs)
+        np.eye(3) - alpha_over_xi * Mc, pol)
 
     orders = propagating_orders(a, q)
     multi = sorted(orders) != [(0, 0)]
@@ -323,9 +326,9 @@ def nonnormal_response(a, theta, phi, delta, polarization=None,
     khat_b = khat.copy()
     khat_b[0] = -khat_b[0]              # mirrored k_perp for the x<0 side
     r_vec = pref * transverse(khat_b, rho)
-    t_vec = rhs + pref * transverse(khat, rho)
-    R = float(np.sum(np.abs(r_vec) ** 2) / abs(rabi) ** 2)
-    T = float(np.sum(np.abs(t_vec) ** 2) / abs(rabi) ** 2)
+    t_vec = pol + pref * transverse(khat, rho)
+    R = float(np.sum(np.abs(r_vec) ** 2))
+    T = float(np.sum(np.abs(t_vec) ** 2))
     ev = sums.collective_eigenvalues()
     return NonNormalResponse(r_vec, t_vec, R, T, ev,
                              -ev.real + 1j * ev.imag, multi)
@@ -351,13 +354,13 @@ def magnetic_mirror_rt(delta_m, gamma_m):
     return 1j * gamma_m / den, delta_m / den
 
 
-def band_structure(a, q_list, eta_ladder=None):
-    """Collective eigenvalues over a list of Bloch vectors; Bragg-singular
-    points come back as None."""
+def band_structure(a, q_list):
+    """Collective eigenvalues over a list of Bloch vectors (lattice sums on
+    their default eta ladder); Bragg-singular points come back as None."""
     rows = []
     for q in q_list:
         try:
-            ev = lattice_sums(a, q, eta_ladder=eta_ladder).collective_eigenvalues()
+            ev = lattice_sums(a, q).collective_eigenvalues()
         except BraggResonanceError:
             ev = None
         rows.append((np.asarray(q), ev))

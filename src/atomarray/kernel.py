@@ -190,14 +190,14 @@ def momentum_kernel_3d(p, eta: float = 0.0) -> np.ndarray:
     return reg * (K**2 * np.eye(3) - np.outer(p, p)) / (p2 - K**2)
 
 
-def momentum_kernel_2d(q_par, x: float = 0.0, eta: float = 0.0) -> np.ndarray:
+def momentum_kernel_2d(q_par, x: float = 0.0) -> np.ndarray:
     """2D (in-plane) Fourier transform of the kernel at out-of-plane offset x:
 
         (i/2) (k^2 delta - q_nu q_mu) / k_perp * e^{i k_perp |x|},
-        q = (sgn(x) k_perp, q_par),  k_perp = sqrt(k^2 - |q_par|^2),
+        q = (sgn(x) k_perp, q_par),  k_perp = sqrt(k^2 - |q_par|^2).
 
-    times exp(-|q_par|^2 eta^2 / 4).  Outside the light circle k_perp is
-    +i sqrt(|q_par|^2 - k^2) so the field decays away from the plane.
+    Outside the light circle k_perp is +i sqrt(|q_par|^2 - k^2) so the
+    field decays away from the plane.
     Components ordered (x, y, z) with q_par = (q_y, q_z).
     """
     qy, qz = np.asarray(q_par, dtype=float)
@@ -211,5 +211,4 @@ def momentum_kernel_2d(q_par, x: float = 0.0, eta: float = 0.0) -> np.ndarray:
     sgn = 1.0 if x >= 0 else -1.0
     q = np.array([sgn * k_perp, qy, qz], dtype=complex)
     mat = (K**2 * np.eye(3) - np.outer(q, q)).astype(complex)
-    reg = np.exp(-q2 * eta**2 / 4.0)
-    return 0.5j * reg * mat / k_perp * np.exp(1j * k_perp * abs(x))
+    return 0.5j * mat / k_perp * np.exp(1j * k_perp * abs(x))

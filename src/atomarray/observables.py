@@ -165,11 +165,12 @@ def farfield_detector(geometry: Geometry, beam, n_theta=N_THETA, n_phi=N_PHI,
 
 
 def transmission_reflection(dipoles, geometry: Geometry, beam,
-                            n_theta=N_THETA, n_phi=N_PHI,
                             collection_half_angle=np.pi / 2):
-    """Amplitude t and r of a beam through the array (`farfield_detector`)."""
-    return farfield_detector(geometry, beam, n_theta, n_phi,
-                             collection_half_angle).project(dipoles)
+    """Amplitude t and r of a beam through the array (`farfield_detector`
+    on its default direction grids)."""
+    return farfield_detector(
+        geometry, beam,
+        collection_half_angle=collection_half_angle).project(dipoles)
 
 
 def spectrum(system, detector: Detector, deltas):

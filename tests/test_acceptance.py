@@ -265,7 +265,7 @@ def test_criterion_11_one_dimensional_reduction():
         d = dfrac * LAMBDA
         geo = build_bilayer(n, n, a, d)
         system = lli.assemble(geo, EY, PlaneWave(amplitude=1.0))
-        stack = s1d.LayerStack.uniform([-d / 2, d / 2], g1d, om)
+        stack = s1d.LayerStack([-d / 2, d / 2], g1d, om)
         for delta_1d in (0.4, 0.8, 1.5):
             delta = delta_1d - om
             b = lli.steady_state(system, delta)
@@ -277,8 +277,7 @@ def test_criterion_11_one_dimensional_reduction():
 
     # scattering-composition r/t equals the coupled-layer steady state to
     # 1e-8
-    stack = s1d.LayerStack.uniform([0.0, 0.75 * LAMBDA, 1.5 * LAMBDA],
-                                   g1d, om)
+    stack = s1d.LayerStack([0.0, 0.75 * LAMBDA, 1.5 * LAMBDA], g1d, om)
     tm_dev = 0.0
     for delta in np.linspace(-2, 2, 21):
         t1, r1 = s1d.system_rt(stack, delta)

@@ -4,7 +4,7 @@ import pytest
 from atomarray import infinite
 from atomarray.errors import BraggResonanceError
 from atomarray.geometry import LAMBDA
-from atomarray.kernel import GAMMA, K, XI
+from atomarray.kernel import GAMMA, K, XI, direction
 from atomarray.infinite import (TwoModeParams, band_structure, lattice_sums,
                                 magnetic_mirror_rt, nonnormal_response,
                                 rydberg_eit_rt, single_mode_rt,
@@ -209,8 +209,13 @@ def test_nonnormal_continuity_in_theta():
     assert np.max(np.abs(np.diff(vals))) < 0.1
 
 
-def test_nonnormal_flux_closure_single_order():
-    resp = nonnormal_response(0.5 * LAMBDA, 0.4 * np.pi, np.pi / 8, 0.3)
+@pytest.mark.parametrize("p_polarized", [False, True], ids=["s", "p"])
+def test_nonnormal_flux_closure_single_order(p_polarized):
+    theta, phi = 0.4 * np.pi, np.pi / 8
+    khat = direction(theta, phi)
+    s = infinite.in_plane_polarization(khat)
+    pol = np.cross(khat, s) if p_polarized else s
+    resp = nonnormal_response(0.5 * LAMBDA, theta, phi, 0.3, pol)
     assert not resp.multi_order
     assert abs(resp.reflectance + resp.transmittance - 1.0) < 1e-5
 

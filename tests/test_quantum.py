@@ -685,11 +685,15 @@ def test_trajectory_propagator_guard(monkeypatch):
                             np.linspace(0, 1, 3), 10, seed=0)
 
 
-def test_g2_antibunching_and_closed_form():
+@pytest.mark.parametrize("theta, phi", [(0.0, 0.0), (np.pi / 3, np.pi / 4),
+                                        (2.5, 0.3)],
+                         ids=["forward", "oblique", "backward"])
+def test_g2_antibunching_and_closed_form(theta, phi):
+    # one atom radiates the same g2 into every direction
     R = 0.35
     qs = qt.build_quantum_system(single_atom(), EY, PlaneWave(amplitude=R))
     tau = np.linspace(0, 10, 81)
-    g2 = qt.g2_regression(qs, tau)
+    g2 = qt.g2_regression(qs, tau, theta, phi)
     assert abs(g2[0]) < 1e-10                   # two-level antibunching
     want = qt.g2_analytic(tau, 2 * R**2)
     assert np.max(np.abs(g2 - want)) < 1e-6

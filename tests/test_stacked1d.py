@@ -10,7 +10,7 @@ from atomarray.kernel import K
 
 
 def two_layer(d, g1d=0.789, shift=0.0):
-    return s1d.LayerStack.uniform([-d / 2, d / 2], g1d, shift)
+    return s1d.LayerStack([-d / 2, d / 2], g1d, shift)
 
 
 def test_layer_transfer_identity_at_zero_reflection():
@@ -38,7 +38,7 @@ def test_propagation_half_wave():
 
 def test_single_layer_system_rt():
     g1d = 0.52
-    stack = s1d.LayerStack.uniform([0.0], g1d, 0.0)
+    stack = s1d.LayerStack([0.0], g1d, 0.0)
     for delta in (-1.0, 0.0, 0.8):
         t, r = s1d.system_rt(stack, delta)
         want_r = -1j * g1d / (delta + 1j * g1d)
@@ -66,7 +66,7 @@ def test_transfer_matrix_matches_direct_steady_state():
 def test_system_rt_matches_direct_for_unequal_lossy_stacks(
         spacings_wl, loss, g1d, shift, delta):
     x = np.concatenate([[0.0], np.cumsum(spacings_wl)]) * LAMBDA
-    stack = s1d.LayerStack.uniform(x, g1d, shift, loss_factor=loss)
+    stack = s1d.LayerStack(x, g1d, shift, loss_factor=loss)
     # the direct solve is the reference only where it is well conditioned
     # (a lossless stack has exact cavity resonances, e.g. d = lambda/2)
     assume(np.linalg.cond(s1d._coupling_matrix(stack, delta)) < 1e4)
@@ -88,7 +88,7 @@ def test_half_wave_cavity_resonance_is_singular():
 
 
 def test_lossless_unitarity():
-    stack = s1d.LayerStack.uniform(
+    stack = s1d.LayerStack(
         np.array([0.0, 0.6, 1.35, 2.0]) * LAMBDA, 0.52, -0.1)
     for delta in np.linspace(-4, 4, 33):
         t, r = s1d.system_rt(stack, delta)
@@ -96,8 +96,7 @@ def test_lossless_unitarity():
 
 
 def test_purcell_loss_breaks_unitarity():
-    stack = s1d.LayerStack.uniform([0.0, 0.6 * LAMBDA], 0.52, 0.0,
-                                   loss_factor=0.8)
+    stack = s1d.LayerStack([0.0, 0.6 * LAMBDA], 0.52, 0.0, loss_factor=0.8)
     t, r = s1d.system_rt(stack, 0.3)
     assert abs(t) ** 2 + abs(r) ** 2 < 1.0 - 1e-3
 
@@ -115,7 +114,7 @@ def test_transfer_composition_associativity():
 def test_redheffer_star_matches_transfer_route():
     d = 0.65 * LAMBDA
     g1d = 0.52
-    stack = s1d.LayerStack.uniform([0.0, d], g1d, 0.0)
+    stack = s1d.LayerStack([0.0, d], g1d, 0.0)
     for delta in (-0.7, 0.3, 1.1):
         r1 = s1d.layer_reflection(delta, g1d)
         sa = s1d.layer_scattering(r1, d_next=d)
@@ -129,14 +128,14 @@ def test_redheffer_star_matches_transfer_route():
 
 def test_validity_warning_below_half_wave():
     with pytest.warns(UserWarning):
-        s1d.LayerStack.uniform([0.0, 0.25 * LAMBDA], 0.5, 0.0)
+        s1d.LayerStack([0.0, 0.25 * LAMBDA], 0.5, 0.0)
 
 
 def test_stack_validation():
     with pytest.raises(ValueError):
-        s1d.LayerStack.uniform([0.0, -1.0], 0.5, 0.0)
+        s1d.LayerStack([0.0, -1.0], 0.5, 0.0)
     with pytest.raises(ValueError):
-        s1d.LayerStack.uniform([0.0, 1.0 * LAMBDA], -0.5, 0.0)
+        s1d.LayerStack([0.0, 1.0 * LAMBDA], -0.5, 0.0)
 
 
 def test_evolution_reaches_steady_state():
@@ -153,7 +152,7 @@ def test_transmission_peaks_accumulate_at_band_edge():
     g1d = 0.3
     for dfrac in (0.45, 0.55, 0.6):
         d = dfrac * LAMBDA
-        stack = s1d.LayerStack.uniform(np.arange(8) * d, g1d, 0.0)
+        stack = s1d.LayerStack(np.arange(8) * d, g1d, 0.0)
         deltas = np.linspace(-1.0, 1.0, 8001)
         T = np.array([abs(s1d.system_rt(stack, x)[0]) ** 2 for x in deltas])
         pk = argrelmax(T)[0]
