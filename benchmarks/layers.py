@@ -12,7 +12,8 @@ J=0->1, and its sample with 0.05 lambda Gaussian displacements, seed 0,
 which keeps no mirror), the qme ring at N = 6-8 and the traj workload; the
 pair of acceptance criterion 8(a) runs 2e4 trajectories to t = 6.  The
 QME generator layer has three cases: the build, one call on the ground
-state, and `steady_state_qme`.  `--layers` keeps the cases whose name
+state, and `steady_state_qme`; the call also runs on the qme ring of four
+J=0->1 atoms (D = 256).  `--layers` keeps the cases whose name
 starts with one of its values.
 
 For each BLAS thread count, each tree runs in its own worker process, with
@@ -53,13 +54,14 @@ SETTLE_S = 0.2
 # cases: each setup returns (call, output); output(call()) is the array
 # compared between the trees
 
-def _array(workload, **geometry):
-    """Geometry, transition and drive of a workload config, with `geometry`
-    overriding keys of its geometry section."""
+def _array(workload, transition=(), **geometry):
+    """Geometry, transition and drive of a workload config, with
+    `transition` and `geometry` overriding keys of those sections."""
     import workloads
     from atomarray import cli
     cfg = workloads.config("full", workload)
-    cfg = {**cfg, "geometry": {**cfg["geometry"], **geometry}}
+    cfg = {**cfg, "geometry": {**cfg["geometry"], **geometry},
+           "transition": {**cfg.get("transition", {}), **dict(transition)}}
     return (cli.geometry_from_config(cfg), cli.transition_from_config(cfg),
             cli.drive_from_config(cfg))
 
@@ -113,9 +115,10 @@ def farfield_detector(n):
             lambda d: np.stack([d.forward, d.backward]))
 
 
-def _ring(natoms):
+def _ring(natoms, levels=2):
     from atomarray import quantum
-    return quantum.build_quantum_system(*_array("qme", natoms=natoms))
+    return quantum.build_quantum_system(
+        *_array("qme", {"levels": levels}, natoms=natoms))
 
 
 def _ground(system):
@@ -134,8 +137,8 @@ def build_quantum_system(natoms):
     return build, lambda system: system.generator(_ground(system))
 
 
-def generator(natoms):
-    system = _ring(natoms)
+def generator(natoms, levels=2):
+    system = _ring(natoms, levels)
     rho = _ground(system)
     return lambda: system.generator(rho), np.asarray
 
@@ -185,6 +188,7 @@ CASES = {
        for n in (10, 20, 40)},
     **{f"quantum.{f.__name__}@N{n}": (f, n) for f in (
         build_quantum_system, generator, steady_state_qme) for n in (6, 7, 8)},
+    "quantum.generator@J01-N4": (generator, 4, 4),
     **{f"quantum.run_trajectories@{b}": (run_trajectories, b)
        for b in ("source", "directional-8x16", "pair-8a")},
 }

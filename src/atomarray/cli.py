@@ -286,17 +286,18 @@ def run_qme(cfg, out, seed, diagnostics):
     psi0 = system.ground_state()
     rhos = evolve_qme(np.outer(psi0, psi0.conj()), system, tgrid)
     pop_op = system.population_operator()
-    rows = [(t, float(np.real(np.trace(pop_op @ r))))
-            for t, r in zip(tgrid, rhos)]
+    pops = np.einsum("ij,tji->t", pop_op, rhos).real
     path = out / "qme_populations.csv"
-    write_csv(path, ["t[1/gamma]", "total_excited[1]"], rows)
+    write_csv(path, ["t[1/gamma]", "total_excited[1]"],
+              zip(tgrid, pops.tolist()))
     rho_ss = steady_state_qme(system)
     diagnostics["qme_steady_residual"] = float(
         np.abs(qme_rhs(rho_ss, system)).sum())
     means = mean_lowering(rho_ss, system)
     meta = out / "qme_steady.json"
     meta.write_text(json.dumps(
-        {"steady_population": float(np.real(np.trace(pop_op @ rho_ss))),
+        {"steady_population": float(np.einsum("ij,ji->", pop_op,
+                                              rho_ss).real),
          "mean_lowering_abs": np.abs(means).tolist()}, indent=2))
     return [path, meta]
 

@@ -28,8 +28,12 @@ reads these moves: sum_i c_i s-_i is one assignment (`lowering`), the pair
 sum sum c_il s+_i s-_l one row move per i (`pair_sum`).  The one generator
 (`QuantumSystem.generator`) is the pairwise form above, built once as
 
-  drho/dt = -i (Hnh rho - rho Hnh^dag) + 2 sum_i s-_i rho L_i^dag,
-  Hnh = H - i sum B_{il} s+_i s-_l,   L_i = sum_l B_{il} s-_l.
+  drho/dt = -i (Hnh rho - rho Hnh^dag) + J vec rho,
+  Hnh = H - i sum B_{il} s+_i s-_l,   J = sum_il 2 B_{il} s-_i (x) s-_l,
+
+two dense products and one sparse one: J, the jump term sum 2 B_il s-_i
+rho s+_l on row-major vec rho, is a CSR matrix whose entries come from the
+row moves by index arithmetic (`jump_superoperator`).
 
 Trajectory jumps J_k = sum_i a_{ki} s-_i are the rows of a (K, M) amplitude
 matrix A (`JumpBasis`).  The collective decay channels a_m = sqrt(beta_m)
@@ -41,7 +45,8 @@ eigenbasis of Hnh, falls to a drawn threshold (`run_trajectories`).
 
 The steady state solves drho/dt + |G><G| Tr rho = |G><G| (so drho/dt = 0
 and Tr rho = 1) by GMRES, preconditioned with the inverse of the no-jump
-part, a Sylvester equation in the Schur basis of Hnh (`steady_state_qme`).
+part, a Sylvester equation in the Schur basis of Hnh (`steady_state_qme`)
+solved by recursive blocking (`triangular_sylvester`).
 
 Light leaves the array through the far field: `farfield_coefficients`
 gives the amplitude rows (pol^* . e_c) e^{-i k n.r_j} of
@@ -76,12 +81,12 @@ from .observables import sphere_grid
 TRAJ_CHUNK = 4096           # trajectories per RNG stream
 TRAJ_JUMP_BLOCK = 16        # jumps per table of pre-drawn uniforms
 PROPAGATOR_TOL = 1e-6       # max-abs error of the trajectory propagator
+SYLVESTER_BLOCK = 32        # largest side that ztrsyl solves directly
 
 
-def _check_memory(what, dim, arrays):
-    """DimensionCapError if `arrays` complex D x D arrays exceed the RAM."""
+def _check_memory(what, dim, need):
+    """DimensionCapError if an estimate of `need` bytes exceeds the RAM."""
     import os
-    need = 16 * arrays * dim**2
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise DimensionCapError(
@@ -146,36 +151,73 @@ class QuantumSystem:
     def population_operator(self) -> np.ndarray:
         return pair_sum(np.eye(len(self.bmatrix)), self.moves, self.dim)
 
+    @property
+    def generator_bytes(self) -> int:
+        """Bytes the generator holds: the entries of J (a 16 B value and a
+        4 B column each, one per nonzero B_il and pair of row moves), its
+        D^2 + 1 row pointers, and the dense Hnh and Hnh^dag."""
+        nnz = np.count_nonzero(self.bmatrix) * self.moves[0].shape[1]**2
+        return 20 * nnz + 4 * (self.dim**2 + 1) + 32 * self.dim**2
+
     @cached_property
     def generator(self) -> "QmeGenerator":
         """The master-equation generator, built once per system."""
         B, moves, D = self.bmatrix, self.moves, self.dim
-        _check_memory("QME generator", D, len(B) + 2)
-        # 2 L_i^dag = sum_l 2 B_il s+_l (B real): the moves reversed
+        _check_memory("QME generator", D, self.generator_bytes)
         return QmeGenerator(self.hamiltonian - 1j * pair_sum(B, moves, D),
-                            moves, lowering(2.0 * B, moves[::-1], D))
+                            jump_superoperator(2.0 * B, moves, D))
+
+
+def jump_superoperator(coefficients, moves, dim):
+    """J = sum_il c_il s-_i (x) s-_l, the map X -> sum_il c_il s-_i X s+_l on
+    row-major vec X, as a CSR matrix with int32 indices: entry
+    [dst_i[a] D + dst_l[b], src_i[a] D + src_l[b]] = c_il for every nonzero
+    c_il.  No two (i, a) share a (dst, src) pair, so no entry repeats; the
+    rows are counted first and each pair's entries placed at the next free
+    slots of their rows.  DimensionCapError beyond 2^31 - 1 entries, which
+    int32 row pointers cannot address."""
+    dst, src = moves
+    hits = np.zeros((len(dst), dim))                # hits[i, p]: p in dst_i
+    hits[np.arange(len(dst))[:, None], dst] = 1.0
+    ends = np.cumsum(hits.T @ (coefficients != 0) @ hits)
+    if ends[-1] >= 2**31:
+        raise DimensionCapError(f"the jump superoperator at dimension {dim} "
+                                f"has {ends[-1]:.0f} entries, more than "
+                                f"int32 indices address")
+    indptr = np.zeros(dim * dim + 1, dtype=np.int32)
+    indptr[1:] = ends
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1], dtype=complex)
+    free = indptr[:-1].copy()
+    for i, l in np.argwhere(coefficients):
+        rows = (dst[i][:, None] * dim + dst[l]).ravel()
+        slots = free[rows]
+        free[rows] += 1
+        indices[slots] = (src[i][:, None] * dim + src[l]).ravel()
+        data[slots] = coefficients[i, l]
+    return scipy.sparse.csr_array((data, indices, indptr),
+                                  shape=(dim * dim, dim * dim))
 
 
 class QmeGenerator:
-    """drho/dt = -i (Hnh rho - rho Hnh^dag) + sum_i s-_i rho (2 L_i^dag)."""
+    """drho/dt = -i (Hnh rho - rho Hnh^dag) + J vec rho, the jump term one
+    sparse superoperator on row-major vec rho (`jump_superoperator`)."""
 
-    def __init__(self, hnh, moves, l_dag):
+    def __init__(self, hnh, jump):
         self.hnh = hnh
         self.hnh_dag = hnh.conj().T
-        self.moves = moves
-        self.l_dag = l_dag                   # 2 L_i^dag, (M, D, D)
+        self.jump = jump                     # J, CSR (D^2, D^2)
 
     def __call__(self, rho) -> np.ndarray:
         out = -1j * (self.hnh @ rho - rho @ self.hnh_dag)
-        for dst, src, Ld in zip(*self.moves, self.l_dag):
-            out[dst] += rho[src] @ Ld
+        out += (self.jump @ rho.ravel()).reshape(out.shape)
         return out
 
 
 def build_quantum_system(geometry: Geometry, transition: TransitionSpec,
                          drive=None) -> QuantumSystem:
     n, D = geometry.natoms, transition.levels**geometry.natoms
-    _check_memory("build_quantum_system", D, 4)   # H and pair_sum's rows
+    _check_memory("build_quantum_system", D, 64 * D**2)  # H, pair_sum's rows
     moves = lowering_moves(n, transition.levels)
 
     C = coupling_matrix(geometry.positions, transition.basis)
@@ -198,9 +240,10 @@ def qme_rhs(rho, system: QuantumSystem) -> np.ndarray:
 def evolve_qme(rho0, system: QuantumSystem, t_grid, rtol=1e-9, atol=1e-11):
     """Integrate the master equation; returns (nt, D, D)."""
     D = system.dim
-    # the generator's M + 2; DOP853's 16 stages, 7 interpolant rows and step
-    # temporaries (36 measured); the output once
-    _check_memory("evolve_qme", D, len(system.bmatrix) + 40 + len(t_grid))
+    # the generator; DOP853's 16 stages, 7 interpolant rows and step
+    # temporaries (36 measured) and the output once, complex D x D each
+    _check_memory("evolve_qme", D, system.generator_bytes
+                  + 16 * (38 + len(t_grid)) * D**2)
     generator = system.generator
 
     def rhs(t, y):
@@ -216,22 +259,23 @@ def steady_state_qme(system: QuantumSystem, residual_tol=1e-9, rho0=None):
     from `rho0` (default w); Tr(L X) = 0 for all X, so L rho = 0 and
     Tr rho = 1.  The right preconditioner is S^-1, S X = -i (Hnh X -
     X Hnh^dag) - sigma X: with one Schur form Hnh = Q T Q^dag, S^-1 Y =
-    Q Z Q^dag where T Z - Z T^dag = i Q^dag Y Q (LAPACK ztrsyl).  sigma =
-    1e-3 gamma keeps S invertible where Hnh has a real eigenvalue (undriven,
-    |G> never decays).  Raises NonConvergenceError unless the result has
-    ||L rho||_1 < residual_tol."""
+    Q Z Q^dag where T Z - Z T^dag = i Q^dag Y Q (`triangular_sylvester`).
+    sigma = 1e-3 gamma keeps S invertible where Hnh has a real eigenvalue
+    (undriven, |G> never decays).  Raises NonConvergenceError unless the
+    result has ||L rho||_1 < residual_tol."""
     D = system.dim
-    # the generator's M + 2, the 51 GMRES vectors, the Schur form, iterates
-    _check_memory("steady_state_qme", D, len(system.bmatrix) + 65)
+    # the generator; the 51 GMRES vectors, the Schur form and iterates
+    _check_memory("steady_state_qme", D, system.generator_bytes
+                  + 16 * 63 * D**2)
     generator = system.generator
     T, Q = scipy.linalg.schur(generator.hnh - 0.5e-3j * GAMMA * np.eye(D),
                               output="complex")
+    Qh = Q.conj().T
     w = np.diag(system.ground_state())
 
     def precondition(y):
-        Z, scale, _ = ztrsyl(T, T, Q.conj().T @ y.reshape(D, D) @ Q,
-                             trana="N", tranb="C", isgn=-1)
-        return (1j / scale) * (Q @ Z @ Q.conj().T)
+        Z, scale = triangular_sylvester(T, T, Qh @ y.reshape(D, D) @ Q)
+        return (1j / scale) * (Q @ Z @ Qh)
 
     def augmented(X):
         return generator(X) + np.trace(X) * w
@@ -251,6 +295,35 @@ def steady_state_qme(system: QuantumSystem, residual_tol=1e-9, rho0=None):
             f"QME steady state residual {resid:.2e} after GMRES",
             residual=resid)
     return rho
+
+
+def triangular_sylvester(A, B, C) -> tuple:
+    """(X, scale) with A X - X B^dag = scale C for upper triangular A (m x m)
+    and B (n x n), the scaled solution of LAPACK ztrsyl, by the recursive
+    blocked algorithm of Jonsson & Kagstrom (ACM TOMS 28, 392 (2002)).  It
+    halves the larger side, solves the bottom rows (or the right columns)
+    first, moves them into the other half's right-hand side with one
+    product against the off-diagonal block of A (or B^dag), and recurses;
+    ztrsyl solves sides <= SYLVESTER_BLOCK.  Each half's scale (1 unless X
+    would overflow) multiplies the part solved before it.  Unlike ztrsyl's
+    own updates, the block products are not guarded against overflow, so C
+    must stay well below the largest float (the preconditioner's C is
+    O(1))."""
+    m, n = C.shape
+    if max(m, n) <= SYLVESTER_BLOCK:
+        X, scale, _ = ztrsyl(A, B, C, trana="N", tranb="C", isgn=-1)
+        return X, scale
+    if m >= n:
+        h = m // 2
+        X2, s2 = triangular_sylvester(A[h:, h:], B, C[h:])
+        X1, s1 = triangular_sylvester(A[:h, :h], B,
+                                      s2 * C[:h] - A[:h, h:] @ X2)
+        return np.vstack([X1, s1 * X2]), s1 * s2
+    h = n // 2
+    X2, s2 = triangular_sylvester(A, B[h:, h:], C[:, h:])
+    X1, s1 = triangular_sylvester(A, B[:h, :h],
+                                  s2 * C[:, :h] + X2 @ B[:h, h:].conj().T)
+    return np.hstack([X1, s1 * X2]), s1 * s2
 
 
 def correlation_table(rho, system: QuantumSystem) -> np.ndarray:
@@ -393,7 +466,8 @@ def run_trajectories(psi0, system: QuantumSystem, jump_basis: JumpBasis,
     record_clicks = jump_basis.directions is not None
 
     _check_memory("run_trajectories", D,    # rho_acc, Hnh, V, 8 (chunk, D)
-                  len(t_grid) + 10 + 8 * min(n_traj, TRAJ_CHUNK) / D)
+                  16 * D * ((len(t_grid) + 10) * D
+                            + 8 * min(n_traj, TRAJ_CHUNK)))
     A = jump_basis.amplitudes
     dst, src = system.moves
     M = len(dst)

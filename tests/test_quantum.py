@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import ztrsyl
 
 from atomarray import lli, quantum as qt
 from atomarray.drives import PlaneWave, no_drive
@@ -210,6 +211,110 @@ def test_qme_rhs_equals_pairwise_lindblad_sum(tr, positions):
                                - rho @ Sd[i] @ S[l])
     got = qt.qme_rhs(rho, qs)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def generator_by_row_moves(system, rho):
+    """Reference: the generator with each jump applied as a row move of rho
+    times a dense 2 L_i^dag = sum_l 2 B_il s+_l, the form before the sparse
+    superoperator J."""
+    B, (dst, src), D = system.bmatrix, system.moves, system.dim
+    hnh = system.hamiltonian - 1j * qt.pair_sum(B, system.moves, D)
+    out = -1j * (hnh @ rho - rho @ hnh.conj().T)
+    for d, s, l_dag in zip(dst, src, qt.lowering(2.0 * B, (src, dst), D)):
+        out[d] += rho[s] @ l_dag
+    return out
+
+
+@st.composite
+def generator_systems(draw):
+    """2-4 two-level atoms with a random tilted dipole, or 2-4 Zeeman-split
+    J=0->1 atoms, at random positions at least 0.05 lambda apart, driven by
+    a plane wave; and a random non-Hermitian D x D matrix."""
+    natoms = draw(st.integers(2, 4))
+    shift = st.floats(-1.0, 1.0)
+    if draw(st.booleans()):
+        tr = TransitionSpec(levels=4, zeeman=tuple(draw(shift)
+                                                   for _ in range(3)),
+                            detuning=draw(shift))
+    else:
+        axis = np.array([draw(shift) for _ in range(3)])
+        assume(np.linalg.norm(axis) > 0.1)
+        tr = TransitionSpec(levels=2, orientation=tuple(axis),
+                            detuning=draw(shift))
+    coord = st.floats(-0.6, 0.6)
+    pos = LAMBDA * np.array([[draw(coord) for _ in range(3)]
+                             for _ in range(natoms)])
+    for i in range(natoms):
+        for j in range(i):
+            assume(np.linalg.norm(pos[i] - pos[j]) > 0.05 * LAMBDA)
+    qs = qt.build_quantum_system(Geometry(pos), tr,
+                                 PlaneWave(amplitude=0.7,
+                                           polarization=(0, 0.6, 0.8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(qs.dim, qs.dim)) + 1j * rng.normal(size=(qs.dim,
+                                                                  qs.dim))
+    return qs, X
+
+
+@settings(max_examples=25, deadline=None)
+@given(generator_systems())
+def test_generator_equals_row_move_form(case):
+    qs, X = case
+    want = generator_by_row_moves(qs, X)
+    got = qs.generator(X)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@settings(max_examples=25, deadline=None)
+@given(generator_systems())
+def test_generator_keeps_trace_and_adjoint(case):
+    """Tr L(X) = 0 and L(X^dag) = L(X)^dag for non-Hermitian X, which the
+    GMRES steady state relies on."""
+    qs, X = case
+    LX = qs.generator(X)
+    scale = np.max(np.abs(LX))
+    assert abs(np.trace(LX)) <= 1e-13 * qs.dim * scale
+    assert np.max(np.abs(qs.generator(X.conj().T) - LX.conj().T)) <= (
+        1e-14 * scale)
+
+
+def _triangle(rng, n):
+    """Random upper triangular, its diagonal in (1, 2) - i (1, 2), so that
+    A_kk - conj(B_ll) has modulus > 2 for two of them."""
+    off = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return (np.triu(off, 1) / np.sqrt(n)
+            + np.diag(rng.uniform(1, 2, n) - 1j * rng.uniform(1, 2, n)))
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (31, 31), (33, 33), (64, 64),
+                                  (100, 100), (1, 64), (33, 100), (100, 31)])
+def test_triangular_sylvester_equals_ztrsyl(m, n):
+    """The recursive blocked solve against one ztrsyl call, on triangles
+    whose sides split unevenly (33 -> 16 + 17) or not at all (<= 32)."""
+    rng = np.random.default_rng(m * 1000 + n)
+    A, B = _triangle(rng, m), _triangle(rng, n)
+    C = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    want, want_scale, _ = ztrsyl(A, B, C, trana="N", tranb="C", isgn=-1)
+    got, scale = qt.triangular_sylvester(A, B, C)
+    assert scale == want_scale == 1.0
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_triangular_sylvester_carries_the_scale():
+    """A near-singular pair A_00 - conj(B_00) = 1e-9 with a right-hand side
+    of 1e282: LAPACK scales the solution down to avoid overflow there, and
+    only there, every other A_kk - conj(B_ll) being far from zero.  Row 0
+    and column 0 are solved last, so the recursion must rescale every
+    block solved before them, below and to the right."""
+    rng = np.random.default_rng(0)
+    A, B = _triangle(rng, 100), _triangle(rng, 33)
+    A[0, 0] = B[0, 0].conj() + 1e-9
+    C = 1e282 * (rng.normal(size=(100, 33)) + 1j * rng.normal(size=(100, 33)))
+    want, want_scale, _ = ztrsyl(A, B, C, trana="N", tranb="C", isgn=-1)
+    got, scale = qt.triangular_sylvester(A, B, C)
+    assert 0.0 < want_scale < 1e-280
+    assert scale == pytest.approx(want_scale, rel=1e-12)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_undriven_steady_state_is_ground():
@@ -780,9 +885,11 @@ def test_build_memory_is_a_few_dense_matrices():
 
 def test_evolve_qme_holds_its_output_once():
     """On the 8-atom ring (D = 256) the traced peak of evolve_qme, generator
-    build included, stays within its cap estimate M + 40 + nt complex D x D
-    arrays (measured M + 38 + nt); holding the output twice, as solve_ivp's
-    per-step list and stacked copy do, needs 2 nt + M + 29."""
+    build included, stays within its cap estimate: the generator's bytes
+    (J's 2^20 entries at 20 B and its row pointers, 20.25 MiB, plus Hnh and
+    Hnh^dag, 2 MiB) and 38 + nt complex D x D arrays, 81.25 MiB at nt = 21
+    (measured 80.3 MiB); holding the output twice, as solve_ivp's per-step
+    list and stacked copy do, needs nt arrays more."""
     import scipy.integrate  # noqa: F401  (its import is not the evolution's)
     qs = qt.build_quantum_system(build_ring(8, 0.4 * LAMBDA), EY,
                                  PlaneWave(amplitude=0.8))
@@ -795,7 +902,7 @@ def test_evolve_qme_holds_its_output_once():
     finally:
         tracemalloc.stop()
     assert rhos.shape == (21, 256, 256)
-    assert peak < (len(qs.bmatrix) + 40 + len(t)) * qs.dim**2 * 16
+    assert peak < qs.generator_bytes + (38 + len(t)) * qs.dim**2 * 16
 
 
 def test_trajectory_rejects_nonzero_start():
