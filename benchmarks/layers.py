@@ -11,9 +11,11 @@ arrays of transmit (10x10), disorder (sampled, seed 0) and eigen (16x16
 J=0->1, and its sample with 0.05 lambda Gaussian displacements, seed 0,
 which keeps no mirror), the qme ring at N = 6-8 and the traj workload; the
 pair of acceptance criterion 8(a) runs 2e4 trajectories to t = 6.  The
-QME generator layer has three cases: the build, one call on the ground
-state, and `steady_state_qme`; the call also runs on the qme ring of four
-J=0->1 atoms (D = 256).  `--layers` keeps the cases whose name
+QME generator layer has four cases: the build, one call on the ground
+state (a D x D call, which maps its argument into the mirror-parity
+sectors and back), `evolve_qme` from the ground state on the qme
+workload's time grid (N = 6 and 7 only), and `steady_state_qme`; the call
+also runs on the qme ring of four J=0->1 atoms (D = 256).  `--layers` keeps the cases whose name
 starts with one of its values.
 
 For each BLAS thread count, each tree runs in its own worker process, with
@@ -143,6 +145,16 @@ def generator(natoms, levels=2):
     return lambda: system.generator(rho), np.asarray
 
 
+def evolve_qme(natoms):
+    import workloads
+    from atomarray import quantum
+    cfg = workloads.config("full", "qme")
+    system = _ring(natoms)
+    rho, t_grid = _ground(system), np.linspace(0, cfg["t_final"],
+                                               cfg["n_times"])
+    return lambda: quantum.evolve_qme(rho, system, t_grid), np.asarray
+
+
 def steady_state_qme(natoms):
     from atomarray import quantum
     system = _ring(natoms)
@@ -189,6 +201,7 @@ CASES = {
     **{f"quantum.{f.__name__}@N{n}": (f, n) for f in (
         build_quantum_system, generator, steady_state_qme) for n in (6, 7, 8)},
     "quantum.generator@J01-N4": (generator, 4, 4),
+    **{f"quantum.evolve_qme@N{n}": (evolve_qme, n) for n in (6, 7)},
     **{f"quantum.run_trajectories@{b}": (run_trajectories, b)
        for b in ("source", "directional-8x16", "pair-8a")},
 }

@@ -282,6 +282,7 @@ def run_qme(cfg, out, seed, diagnostics):
     from .quantum import (build_quantum_system, evolve_qme, mean_lowering,
                           qme_rhs, steady_state_qme)
     system = build_quantum_system(*_array(cfg))
+    diagnostics["qme_sectors"] = system.sectors.sizes
     tgrid = np.linspace(0, cfg.get("t_final", 20.0), cfg.get("n_times", 41))
     psi0 = system.ground_state()
     rhos = evolve_qme(np.outer(psi0, psi0.conj()), system, tgrid)
@@ -306,6 +307,7 @@ def run_traj(cfg, out, seed, diagnostics):
     from .quantum import (build_quantum_system, directional_basis, evolve_qme,
                           run_trajectories, source_mode_basis, trace_distance)
     system = build_quantum_system(*_array(cfg))
+    diagnostics["qme_sectors"] = system.sectors.sizes
     tgrid = np.linspace(0, cfg.get("t_final", 5.0), cfg.get("n_times", 11))
     psi0 = system.ground_state()
     n_traj = cfg.get("n_trajectories", 2000)
@@ -338,6 +340,7 @@ def run_traj(cfg, out, seed, diagnostics):
 def run_g2(cfg, out, seed, diagnostics):
     from .quantum import build_quantum_system, g2_analytic, g2_regression
     system = build_quantum_system(*_array(cfg))
+    diagnostics["qme_sectors"] = system.sectors.sizes
     tau = np.linspace(0, cfg.get("tau_max", 10.0), 101)
     vals = g2_regression(system, tau)
     rabi = cfg.get("drive", {}).get("rabi", 1.0)

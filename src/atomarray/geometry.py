@@ -180,6 +180,72 @@ def coordinate_mirrors(positions) -> dict:
     return mirrors
 
 
+@dataclass(frozen=True)
+class OrbitBasis:
+    """Real orthogonal basis Q of a space of size n adapted to an abelian
+    group of signed permutations U e_i = sign_i e_idx_i that are
+    involutions.  Column a of Q is the orbit sum sum_g coefs[g, a]
+    e_rows[g, a] over the |G| group elements (a site that several elements
+    reach is summed as often), with entries +-1/sqrt(|orbit|); rows[0] is
+    the identity's, so rows[0, a] is the orbit's smallest index.  Columns
+    offsets[s]:offsets[s+1] form sector s, on which group element g acts
+    as (-1)^popcount(labels[s] & g), g's bits naming the kept generators
+    it is the product of."""
+    kept: tuple                  # indices of the actions that generate G
+    rows: np.ndarray             # (|G|, n) indices
+    coefs: np.ndarray            # (|G|, n) their coefficients
+    offsets: np.ndarray
+    labels: tuple                # character of each sector
+
+    @property
+    def sizes(self) -> list:
+        return np.diff(self.offsets).tolist()
+
+    def sector(self, s) -> tuple:
+        """(rows, coefs) of the columns of sector s."""
+        lo, hi = self.offsets[s], self.offsets[s + 1]
+        return self.rows[:, lo:hi], self.coefs[:, lo:hi]
+
+
+def orbit_basis(actions, size: int) -> OrbitBasis:
+    """The group generated by the signed permutations `actions`, a list of
+    (idx, sign) on a space of `size`, and its orbit-sum basis.  An action
+    that is already in the group (a mirror that fixes every atom and every
+    dipole component acts as the identity) is not added.  A sector whose
+    character the stabilizer of every orbit flips is empty and left out."""
+    idx, sign, kept = [np.arange(size)], [np.ones(size)], []
+    for k, (a_idx, a_sign) in enumerate(actions):
+        if any(np.array_equal(a_idx, i) and np.array_equal(a_sign, s)
+               for i, s in zip(idx, sign)):
+            continue
+        kept.append(k)
+        # the group grows by the new action's products with every element
+        # so far: U_a U_g e_i = sign_g[i] sign_a[idx_g[i]] e_idx_a[idx_g[i]]
+        idx, sign = (idx + [a_idx[i] for i in idx],
+                     sign + [s * a_sign[i] for i, s in zip(idx, sign)])
+    img, sgn = np.array(idx), np.array(sign)          # (|G|, n) each
+    n_group = len(img)
+    reps = np.flatnonzero(img.min(axis=0) == np.arange(size))
+    img, sgn = img[:, reps], sgn[:, reps]
+    stab = img == reps                                # (|G|, orbits)
+    # each site of an orbit is reached by |stabilizer| group elements
+    scale = 1.0 / np.sqrt(n_group * stab.sum(axis=0))
+    rows, coefs, offsets, labels = [], [], [0], []
+    for sector in range(n_group):
+        parity = [(-1) ** bin(sector & g).count("1") for g in range(n_group)]
+        coef = np.array(parity)[:, None] * sgn
+        # an orbit carries this sector unless its stabilizer flips it
+        live = np.flatnonzero(~(stab & (coef < 0)).any(axis=0))
+        if len(live) == 0:
+            continue
+        rows.append(img[:, live])
+        coefs.append(coef[:, live] * scale[live])
+        offsets.append(offsets[-1] + len(live))
+        labels.append(sector)
+    return OrbitBasis(tuple(kept), np.hstack(rows), np.hstack(coefs),
+                      np.array(offsets), tuple(labels))
+
+
 def wannier_width(spec: LatticeTrapSpec) -> float:
     """In-plane 1/e half-width of the on-site ground-state density,
     ell = a * s**(-1/4) / pi."""

@@ -17,7 +17,9 @@ i*gamma, off-diagonal XI * e.G(r_j - r_l).e' between dipole components;
 symmetric array that act on every atom's dipole components as +-1 and
 leave H invariant are diagonal in a real orthogonal orbit-sum basis
 (`mirror_basis`), which splits a centred square J=0 -> J'=1 lattice into
-eight blocks.  An array without such a mirror is one block.
+eight blocks.  An array without such a mirror is one block.  The group and
+its basis come from `geometry.orbit_basis`, which also gives the
+mirror-parity sectors of the quantum master equation.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .geometry import Geometry, coordinate_mirrors
+from .geometry import Geometry, OrbitBasis, coordinate_mirrors, orbit_basis
 from .integrate import affine_evolve, solve_checked
 from .kernel import circular_basis, coupling_matrix
 
@@ -172,22 +174,10 @@ DEGENERATE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class MirrorBasis:
-    """Real orthogonal basis Q of the amplitudes adapted to the coordinate
-    mirrors that leave H invariant.  Column a of Q is the orbit sum
-    sum_g coefs[g, a] e_rows[g, a] over the |G| elements of the mirror
-    group (a site that several elements reach is summed as often), with
-    entries +-1/sqrt(|orbit|) and one parity under every kept mirror;
-    columns offsets[s]:offsets[s+1] share theirs, so Q^T H Q is block
-    diagonal with blocks of `sizes`."""
-    mirrors: tuple               # kept mirror axes (0, 1, 2 = x, y, z)
-    rows: np.ndarray             # (|G|, M) amplitude indices
-    coefs: np.ndarray            # (|G|, M) their coefficients
-    offsets: np.ndarray
-
-    @property
-    def sizes(self) -> list:
-        return np.diff(self.offsets).tolist()
+class MirrorBasis(OrbitBasis):
+    """The orbit-sum basis of the coordinate mirrors that leave H
+    invariant; Q^T H Q is block diagonal with blocks of `sizes`."""
+    mirrors: tuple = ()          # kept mirror axes (0, 1, 2 = x, y, z)
 
 
 def _project(X: np.ndarray, rows, coefs) -> np.ndarray:
@@ -207,11 +197,11 @@ def _expand(v: np.ndarray, rows, coefs, size: int) -> np.ndarray:
     return out
 
 
-def _signed_permutation(system: CouplingSystem, axis: int, perm):
+def mirror_action(transition: TransitionSpec, axis: int, perm):
     """(idx, sign) of the mirror on the amplitudes, U e_i = sign_i e_idx_i,
     or None where its per-atom action basis^H R basis is not diagonal +-1
     (a dipole tilted off the mirror's axis and plane)."""
-    basis = system.transition.basis
+    basis = transition.basis
     R = np.ones(3)
     R[axis] = -1.0
     action = basis.conj().T @ (R[:, None] * basis)
@@ -223,7 +213,7 @@ def _signed_permutation(system: CouplingSystem, axis: int, perm):
             np.tile(sign, len(perm)))
 
 
-def _invariant(H: np.ndarray, idx, sign) -> bool:
+def invariant(H: np.ndarray, idx, sign) -> bool:
     """U H U^T == H to MIRROR_TOL relative, one slab of rows at a time."""
     tol = MIRROR_TOL * np.abs(H).max()
     rows = 128
@@ -242,38 +232,15 @@ def mirror_basis(system: CouplingSystem) -> MirrorBasis:
     """Orbit-sum basis of the mirrors that `geometry.coordinate_mirrors`
     proposes and that leave H invariant.  With none kept, Q = 1 and the
     whole of H is one block."""
-    M = system.size
-    mirrors, idx, sign = [], [np.arange(M)], [np.ones(M)]
+    axes, actions = [], []
     for axis, perm in coordinate_mirrors(system.geometry.positions).items():
-        op = _signed_permutation(system, axis, perm)
-        if op is None or not _invariant(system.H, *op):
-            continue
-        mirrors.append(axis)
-        # the group grows by the new mirror's products with every element
-        # so far: U_a U_g e_i = sign_g[i] sign_a[idx_g[i]] e_idx_a[idx_g[i]]
-        a_idx, a_sign = op
-        idx, sign = (idx + [a_idx[i] for i in idx],
-                     sign + [s * a_sign[i] for i, s in zip(idx, sign)])
-    img, sgn = np.array(idx), np.array(sign)          # (|G|, M) each
-    n_group = len(img)
-    reps = np.flatnonzero(img.min(axis=0) == np.arange(M))
-    img, sgn = img[:, reps], sgn[:, reps]
-    stab = img == reps                                # (|G|, orbits)
-    # each site of an orbit is reached by |stabilizer| group elements
-    scale = 1.0 / np.sqrt(n_group * stab.sum(axis=0))
-    rows, coefs, offsets = [], [], [0]
-    for sector in range(n_group):
-        parity = [(-1) ** bin(sector & g).count("1") for g in range(n_group)]
-        coef = np.array(parity)[:, None] * sgn
-        # an orbit carries this sector unless its stabilizer flips it
-        live = np.flatnonzero(~(stab & (coef < 0)).any(axis=0))
-        if len(live) == 0:
-            continue
-        rows.append(img[:, live])
-        coefs.append(coef[:, live] * scale[live])
-        offsets.append(offsets[-1] + len(live))
-    return MirrorBasis(tuple(mirrors), np.hstack(rows), np.hstack(coefs),
-                       np.array(offsets))
+        op = mirror_action(system.transition, axis, perm)
+        if op is not None and invariant(system.H, *op):
+            axes.append(axis)
+            actions.append(op)
+    orbits = orbit_basis(actions, system.size)
+    return MirrorBasis(**vars(orbits),
+                       mirrors=tuple(axes[k] for k in orbits.kept))
 
 
 def _runs(idx: np.ndarray, key: np.ndarray, tol: float) -> list:
@@ -331,8 +298,7 @@ def eigenmodes(system: CouplingSystem) -> EigenSystem:
     """
     basis = mirror_basis(system)
     vecs = np.empty((system.size, system.size), dtype=complex)
-    sectors = [(basis.rows[:, lo:hi], basis.coefs[:, lo:hi])
-               for lo, hi in zip(basis.offsets[:-1], basis.offsets[1:])]
+    sectors = [basis.sector(s) for s in range(len(basis.labels))]
     solved = [scipy.linalg.eig(_project(_project(system.H, *q).T, *q).T,
                                overwrite_a=True) for q in sectors]
     for w, v in solved:

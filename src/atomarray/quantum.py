@@ -26,14 +26,24 @@ as its row move (`lowering_moves`, which states the product-space layout):
 s-_i X is X[src_i] placed at the rows dst_i.  Every operator and observable
 reads these moves: sum_i c_i s-_i is one assignment (`lowering`), the pair
 sum sum c_il s+_i s-_l one row move per i (`pair_sum`).  The one generator
-(`QuantumSystem.generator`) is the pairwise form above, built once as
+(`QuantumSystem.generator`) is the pairwise form above,
 
   drho/dt = -i (Hnh rho - rho Hnh^dag) + J vec rho,
   Hnh = H - i sum B_{il} s+_i s-_l,   J = sum_il 2 B_{il} s-_i (x) s-_l,
 
-two dense products and one sparse one: J, the jump term sum 2 B_il s-_i
-rho s+_l on row-major vec rho, is a CSR matrix whose entries come from the
-row moves by index arithmetic (`jump_superoperator`).
+J, the jump term sum 2 B_il s-_i rho s+_l on row-major vec rho, a CSR
+matrix whose entries come from the row moves by index arithmetic
+(`jump_superoperator`).  It runs block by block in mirror-parity sectors
+(`parity_sectors`): a coordinate mirror that leaves the couplings, B and
+the drive invariant is a signed permutation U of the product space that
+commutes with the generator, so Hnh is block diagonal in the orbit-sum
+basis P of the group of such mirrors (`geometry.orbit_basis`, shared with
+`lli.mirror_basis`), and J maps the block (s, t) of P^T rho P only to
+blocks of its charge, the character product of s and t.  The generator
+holds the blocks of Hnh and the jump term of each charge it is asked for
+(`QmeGenerator`), two small dense products per block and one sparse one
+per charge.  |G><G| occupies charge 0, and so does the steady state.  An
+array without a kept mirror is one sector, on the same path.
 
 Trajectory jumps J_k = sum_i a_{ki} s-_i are the rows of a (K, M) amplitude
 matrix A (`JumpBasis`).  The collective decay channels a_m = sqrt(beta_m)
@@ -44,9 +54,10 @@ A trajectory jumps when its norm under the no-jump evolution, exact in the
 eigenbasis of Hnh, falls to a drawn threshold (`run_trajectories`).
 
 The steady state solves drho/dt + |G><G| Tr rho = |G><G| (so drho/dt = 0
-and Tr rho = 1) by GMRES, preconditioned with the inverse of the no-jump
-part, a Sylvester equation in the Schur basis of Hnh (`steady_state_qme`)
-solved by recursive blocking (`triangular_sylvester`).
+and Tr rho = 1) in charge 0 by GMRES, preconditioned with the inverse of
+the no-jump part, one Sylvester equation per sector in the Schur basis of
+its block of Hnh (`steady_state_qme`), solved by recursive blocking
+(`triangular_sylvester`).
 
 Light leaves the array through the far field: `farfield_coefficients`
 gives the amplitude rows (pol^* . e_c) e^{-i k n.r_j} of
@@ -71,11 +82,12 @@ from scipy.linalg.lapack import ztrsyl
 
 from .errors import (DimensionCapError, NonConvergenceError, PropagatorError,
                      UndefinedG2Error)
-from .geometry import Geometry
+from .geometry import Geometry, OrbitBasis, coordinate_mirrors, orbit_basis
 from .integrate import integrate_complex
 from .kernel import (GAMMA, coupling_matrix, direction, direction_angles,
                      farfield_phase, transverse)
-from .lli import TransitionSpec, block_diagonal
+from .lli import (MIRROR_TOL, TransitionSpec, block_diagonal, invariant,
+                  mirror_action)
 from .observables import sphere_grid
 
 TRAJ_CHUNK = 4096           # trajectories per RNG stream
@@ -134,6 +146,7 @@ class QuantumSystem:
     dim: int
     hamiltonian: np.ndarray      # drive + detuning/Zeeman + coherent couplings
     bmatrix: np.ndarray          # dissipative matrix, M x M real symmetric
+    sectors: OrbitBasis          # mirror-parity sectors (`parity_sectors`)
 
     def ground_state(self) -> np.ndarray:
         psi = np.zeros(self.dim, dtype=complex)
@@ -151,21 +164,107 @@ class QuantumSystem:
     def population_operator(self) -> np.ndarray:
         return pair_sum(np.eye(len(self.bmatrix)), self.moves, self.dim)
 
-    @property
-    def generator_bytes(self) -> int:
-        """Bytes the generator holds: the entries of J (a 16 B value and a
-        4 B column each, one per nonzero B_il and pair of row moves), its
-        D^2 + 1 row pointers, and the dense Hnh and Hnh^dag."""
-        nnz = np.count_nonzero(self.bmatrix) * self.moves[0].shape[1]**2
-        return 20 * nnz + 4 * (self.dim**2 + 1) + 32 * self.dim**2
+    def jump_entries(self, charge) -> int:
+        """A bound on the entries of the jump term of one charge: entry
+        ((a, b), (c, d)) needs c raised from the orbit of a and d from that
+        of b, so row (a, b) has at most sum_v cnt[a, v] cnt[b, v ^ q]
+        entries, cnt[a, v] the orbits one raising away from a's that carry
+        sector v, and q = charge."""
+        basis, (dst, src) = self.sectors, self.moves
+        n_group = len(basis.rows)
+        orbits, column_orbit = np.unique(basis.rows[0], return_inverse=True)
+        rep = np.empty(self.dim, dtype=int)
+        rep[basis.rows] = basis.rows[0]
+        state_orbit = np.searchsorted(orbits, rep)
+        carries = np.zeros((len(orbits), n_group))
+        carries[column_orbit, np.repeat(basis.labels, basis.sizes)] = 1.0
+        pairs = np.unique(state_orbit[dst].ravel() * len(orbits)
+                          + state_orbit[src].ravel())
+        A = (carries[pairs // len(orbits)].T
+             @ carries[pairs % len(orbits)])        # (sector u, sector v)
+        g = np.arange(n_group)
+        return int((A * A[np.ix_(g ^ charge, g ^ charge)]).sum())
+
+    def generator_bytes(self, charges) -> int:
+        """Bytes of the generator with the jump term of `charges` built: the
+        sector blocks of Hnh and of -i Hnh and i Hnh^dag (48 B per entry of
+        sum d_s^2), P and P^T (24 B per entry of P, one per orbit site of
+        each column) and each charge's CSR jump term (20 B per entry, bounded
+        by `jump_entries`, and its row pointers); plus what a build holds
+        besides: the full J (20 B per entry, one per nonzero B_il and pair
+        of row moves, and D^2 + 1 row pointers) and, for one charge at a
+        time, the selectors S_q and T_q (40 B per entry, as COO and CSR)
+        and J T_q^T, which has at most as many entries as J: a column
+        (rep, r') of J enters it once for each of the |orbit| sectors on the
+        orbit of rep, and J's columns on one orbit have equally many
+        entries."""
+        basis, D = self.sectors, self.dim
+        orbit = len(basis.rows) // (basis.rows == basis.rows[0]).sum(axis=0)
+        per_sector = [orbit[lo:hi].sum()
+                      for lo, hi in zip(basis.offsets[:-1], basis.offsets[1:])]
+        nnz_j = np.count_nonzero(self.bmatrix) * self.moves[0].shape[1]**2
+        held = 48 * sum(d * d for d in basis.sizes) + 24 * sum(per_sector)
+        build = 0
+        for q in charges:
+            blocks = sector_blocks(basis, q)
+            rows = sum(basis.sizes[s] * basis.sizes[t] for s, t in blocks)
+            selectors = sum((basis.sizes[s] + per_sector[s]) * per_sector[t]
+                            for s, t in blocks)
+            held += 20 * self.jump_entries(q) + 4 * (rows + 1)
+            build = max(build, 40 * selectors + 20 * nnz_j)
+        return held + 20 * nnz_j + 4 * (D * D + 1) + build
 
     @cached_property
     def generator(self) -> "QmeGenerator":
         """The master-equation generator, built once per system."""
-        B, moves, D = self.bmatrix, self.moves, self.dim
-        _check_memory("QME generator", D, self.generator_bytes)
-        return QmeGenerator(self.hamiltonian - 1j * pair_sum(B, moves, D),
-                            jump_superoperator(2.0 * B, moves, D))
+        D = self.dim
+        # Hnh and its sector form, each with the projection's temporaries
+        _check_memory("QME generator", D, 16 * 6 * D**2)
+        hnh = self.hamiltonian - 1j * pair_sum(self.bmatrix, self.moves, D)
+        return QmeGenerator(self.sectors, hnh, 2.0 * self.bmatrix, self.moves)
+
+
+def parity_sectors(geometry: Geometry, transition: TransitionSpec, omega,
+                   bmatrix, rabi) -> OrbitBasis:
+    """Sectors of the product space under the coordinate mirrors that leave
+    the master equation invariant.  A mirror that permutes the atoms
+    (`geometry.coordinate_mirrors`) with a +-1 action s_c on the dipole
+    components (`lli.mirror_action`) is kept if it leaves the coherent
+    couplings plus level blocks `omega` and B invariant, and the Rabi
+    vector too with the component signs s or, failing that, -s; the two
+    differ by the global sign e^{i pi N_e}, so both are unitaries.  On the
+    product space it moves digit j of a basis state to digit perm[j], with
+    the product of the component signs of the excited atoms as its sign.
+    The kept mirrors and their products are a group of signed
+    permutations (`geometry.orbit_basis`), a weak symmetry of the Lindblad
+    generator (Buca & Prosen, New J. Phys. 14, 073007 (2012)): the block
+    (s, t) of rho couples only to blocks of the same charge, the character
+    product of s and t."""
+    n, L = geometry.natoms, transition.levels
+    place = L ** np.arange(n - 1, -1, -1)
+    digits = np.arange(L**n) // place[:, None] % L              # (n, D)
+    tol = MIRROR_TOL * np.abs(rabi).max(initial=0.0)
+    actions = []
+    for axis, perm in coordinate_mirrors(geometry.positions).items():
+        op = mirror_action(transition, axis, perm)
+        if op is None or not (invariant(omega, *op)
+                              and invariant(bmatrix, *op)):
+            continue
+        idx, sign = op
+        for flip in (1.0, -1.0):
+            if np.abs(flip * sign * rabi[idx] - rabi).max() <= tol:
+                ext = np.concatenate([[1.0], flip * sign[:L - 1]])
+                actions.append((place[perm] @ digits,
+                                ext[digits].prod(axis=0)))
+                break
+    return orbit_basis(actions, L**n)
+
+
+def sector_blocks(basis: OrbitBasis, charge) -> list:
+    """The blocks (s, t) of one charge: labels[s] ^ labels[t] = charge."""
+    sector = {label: s for s, label in enumerate(basis.labels)}
+    return [(s, sector[label ^ charge]) for s, label in enumerate(basis.labels)
+            if label ^ charge in sector]
 
 
 def jump_superoperator(coefficients, moves, dim):
@@ -200,18 +299,130 @@ def jump_superoperator(coefficients, moves, dim):
 
 
 class QmeGenerator:
-    """drho/dt = -i (Hnh rho - rho Hnh^dag) + J vec rho, the jump term one
-    sparse superoperator on row-major vec rho (`jump_superoperator`)."""
+    """drho/dt = -i (Hnh rho - rho Hnh^dag) + J vec rho, block by block in
+    the mirror-parity sectors: rho = P Y P^T with P the orbit-sum basis of
+    the sectors (`to_sectors`, `from_sectors`).  Hnh is block diagonal, held
+    as its blocks P_s^T Hnh P_s; the jump term of a charge q is
+    J_q = S_q J S_q^T on the row-major blocks (s, t) of q, one after the
+    other (S_q stacks P_s^T (x) P_t^T).  It is built, once, when a charge is
+    first asked for: from the full J of `jump_superoperator`, which is then
+    dropped, as S_q J T_q^T, where T_q stacks sqrt|orbit| e_rep^T (x) P_t^T
+    and has up to |G| times fewer entries than S_q; since J commutes with
+    every U (x) U, the two agree.  A state is the concatenated blocks of the
+    charges it occupies (`split`, `merge`), and a D x D call maps its
+    argument in and out."""
 
-    def __init__(self, hnh, jump):
-        self.hnh = hnh
-        self.hnh_dag = hnh.conj().T
-        self.jump = jump                     # J, CSR (D^2, D^2)
+    def __init__(self, basis: OrbitBasis, hnh, coefficients, moves):
+        self.basis = basis
+        self.dim = D = len(hnh)
+        n_group = len(basis.rows)
+        # P as a sparse matrix; a stabilizer's repeated entries are summed
+        self._p = scipy.sparse.csr_array((basis.coefs.ravel(), (
+            basis.rows.ravel(), np.tile(np.arange(D), n_group))), shape=(D, D))
+        self._pt = scipy.sparse.csr_array(self._p.T)
+        blocks = self.to_sectors(hnh)
+        self.hnh = [blocks[lo:hi, lo:hi].copy()
+                    for lo, hi in zip(basis.offsets[:-1], basis.offsets[1:])]
+        self._left = [-1j * h for h in self.hnh]
+        self._right = [1j * h.conj().T for h in self.hnh]
+        self._coefficients, self._moves = coefficients, moves
+        self.jumps, self._rhs = {}, {}
+        labels = np.array(basis.labels)
+        self._charge = labels[:, None] ^ labels        # of block (s, t)
+        self.charges = np.unique(self._charge).tolist()
+
+    def to_sectors(self, X) -> np.ndarray:
+        """P^T X P, the sectors one after the other."""
+        return (self._pt @ (self._pt @ X).T).T
+
+    def from_sectors(self, Y) -> np.ndarray:
+        """P Y P^T."""
+        return (self._p @ (self._p @ Y).T).T
+
+    def layout(self, charges) -> list:
+        """(s, t, lo, hi) of every block of `charges` in a state vector."""
+        out, lo, sizes = [], 0, self.basis.sizes
+        for q in charges:
+            for s, t in sector_blocks(self.basis, q):
+                out.append((s, t, lo, lo + sizes[s] * sizes[t]))
+                lo += sizes[s] * sizes[t]
+        return out
+
+    def occupied(self, Y) -> list:
+        """The charges with a nonzero block in the sector form Y."""
+        lo = self.basis.offsets[:-1]
+        nonzero = np.logical_or.reduceat(np.logical_or.reduceat(
+            Y != 0, lo, axis=0), lo, axis=1)
+        return np.unique(self._charge[nonzero]).tolist()
+
+    def split(self, Y, charges) -> np.ndarray:
+        off = self.basis.offsets
+        return np.concatenate([np.zeros(0, dtype=complex)] + [
+            Y[off[s]:off[s + 1], off[t]:off[t + 1]].ravel()
+            for s, t, _, _ in self.layout(charges)])
+
+    def merge(self, y, charges) -> np.ndarray:
+        off = self.basis.offsets
+        Y = np.zeros((self.dim, self.dim), dtype=complex)
+        for s, t, lo, hi in self.layout(charges):
+            Y[off[s]:off[s + 1], off[t]:off[t + 1]] = y[lo:hi].reshape(
+                off[s + 1] - off[s], off[t + 1] - off[t])
+        return Y
+
+    def _build(self, charges):
+        missing = [q for q in charges if q not in self.jumps]
+        if not missing:
+            return
+        basis, D = self.basis, self.dim
+        J = jump_superoperator(self._coefficients, self._moves, D)
+        n_group, off = len(basis.rows), basis.offsets
+        P = [self._pt[lo:hi] for lo, hi in zip(off[:-1], off[1:])]
+        rep = [scipy.sparse.csr_array((n_group * basis.coefs[0, lo:hi], (
+            np.arange(hi - lo), basis.rows[0, lo:hi])), shape=(hi - lo, D))
+            for lo, hi in zip(off[:-1], off[1:])]
+        for q in missing:
+            blocks = sector_blocks(basis, q)
+            S = scipy.sparse.vstack([scipy.sparse.kron(P[s], P[t])
+                                     for s, t in blocks], format="csr")
+            T = scipy.sparse.vstack([scipy.sparse.kron(rep[s], P[t])
+                                     for s, t in blocks], format="csr")
+            self.jumps[q] = scipy.sparse.csr_array(S @ (J @ T.T))
+
+    def block_rhs(self, charges):
+        """drho/dt on the state vector of `charges`, made once per list."""
+        key = tuple(charges)
+        if key not in self._rhs:
+            self._rhs[key] = self._block_rhs(charges)
+        return self._rhs[key]
+
+    def _block_rhs(self, charges):
+        self._build(charges)
+        layout = self.layout(charges)
+        jumps, lo = [], 0
+        for q in charges:
+            J = self.jumps[q]
+            jumps.append((J, lo, lo + J.shape[0]))
+            lo += J.shape[0]
+        sizes = self.basis.sizes
+        blocks = [(self._left[s], self._right[t], lo, hi, (sizes[s], sizes[t]))
+                  for s, t, lo, hi in layout]
+
+        def rhs(y):
+            out = np.empty_like(y)
+            for J, lo, hi in jumps:
+                out[lo:hi] = J @ y[lo:hi]
+            for left, right, lo, hi, shape in blocks:
+                x, o = y[lo:hi].reshape(shape), out[lo:hi].reshape(shape)
+                o += left @ x
+                o += x @ right
+            return out
+        return rhs
 
     def __call__(self, rho) -> np.ndarray:
-        out = -1j * (self.hnh @ rho - rho @ self.hnh_dag)
-        out += (self.jump @ rho.ravel()).reshape(out.shape)
-        return out
+        Y = self.to_sectors(rho)
+        charges = self.occupied(Y)
+        y = self.block_rhs(charges)(self.split(Y, charges))
+        return self.from_sectors(self.merge(y, charges))
 
 
 def build_quantum_system(geometry: Geometry, transition: TransitionSpec,
@@ -225,11 +436,13 @@ def build_quantum_system(geometry: Geometry, transition: TransitionSpec,
     # coherent couplings (zero diagonal) plus the per-atom level blocks
     omega = C.real + block_diagonal(n, transition.level_block)
     H = -pair_sum(omega, moves, D)
+    R = np.zeros(len(B), dtype=complex)
     if drive is not None:
         R = transition.rabi(drive.field(geometry.positions)).reshape(-1)
         pump = lowering(R.conj(), moves, D)
         H -= pump + pump.conj().T                  # sum R* s- + R s+
-    return QuantumSystem(geometry, transition, moves, D, H, B)
+    return QuantumSystem(geometry, transition, moves, D, H, B,
+                         parity_sectors(geometry, transition, omega, B, R))
 
 
 def qme_rhs(rho, system: QuantumSystem) -> np.ndarray:
@@ -238,55 +451,74 @@ def qme_rhs(rho, system: QuantumSystem) -> np.ndarray:
 
 
 def evolve_qme(rho0, system: QuantumSystem, t_grid, rtol=1e-9, atol=1e-11):
-    """Integrate the master equation; returns (nt, D, D)."""
-    D = system.dim
-    # the generator; DOP853's 16 stages, 7 interpolant rows and step
-    # temporaries (36 measured) and the output once, complex D x D each
-    _check_memory("evolve_qme", D, system.generator_bytes
-                  + 16 * (38 + len(t_grid)) * D**2)
+    """Integrate the master equation on the blocks of the charges that rho0
+    occupies; returns (nt, D, D)."""
+    D, nt = system.dim, len(t_grid)
     generator = system.generator
-
-    def rhs(t, y):
-        return generator(y.reshape(D, D)).ravel()
-
-    out = integrate_complex(rhs, np.asarray(rho0, dtype=complex).ravel(),
+    Y0 = generator.to_sectors(np.asarray(rho0, dtype=complex))
+    charges = generator.occupied(Y0)
+    n = sum(hi - lo for _, _, lo, hi in generator.layout(charges))
+    # the generator; DOP853's 16 stages, 7 interpolant rows and step
+    # temporaries (36 measured) and its output, n entries each; the
+    # expanded output and the expansion's temporaries, D x D each
+    _check_memory("evolve_qme", D, system.generator_bytes(charges)
+                  + 16 * (38 + nt) * n + 16 * (nt + 6) * D**2)
+    rhs = generator.block_rhs(charges)
+    out = integrate_complex(lambda t, y: rhs(y), generator.split(Y0, charges),
                             t_grid, rtol=rtol, atol=atol)
-    return out.reshape(len(t_grid), D, D)
+    rhos = np.empty((nt, D, D), dtype=complex)
+    for k, y in enumerate(out):
+        rhos[k] = generator.from_sectors(generator.merge(y, charges))
+    return rhos
 
 
 def steady_state_qme(system: QuantumSystem, residual_tol=1e-9, rho0=None):
     """Solve (L + w Tr) rho = w, L the generator and w = |G><G|, by GMRES
-    from `rho0` (default w); Tr(L X) = 0 for all X, so L rho = 0 and
-    Tr rho = 1.  The right preconditioner is S^-1, S X = -i (Hnh X -
-    X Hnh^dag) - sigma X: with one Schur form Hnh = Q T Q^dag, S^-1 Y =
-    Q Z Q^dag where T Z - Z T^dag = i Q^dag Y Q (`triangular_sylvester`).
-    sigma = 1e-3 gamma keeps S invertible where Hnh has a real eigenvalue
-    (undriven, |G> never decays).  Raises NonConvergenceError unless the
-    result has ||L rho||_1 < residual_tol."""
+    from `rho0` (default w) in charge 0, where the steady state lives;
+    Tr(L X) = 0 for all X, so L rho = 0 and Tr rho = 1.  The right
+    preconditioner is S^-1, S X = -i (Hnh X - X Hnh^dag) - sigma X, block
+    by block: with one Schur form per sector, Hnh_s = Q T Q^dag, the block
+    (s, s) of S^-1 Y is Q Z Q^dag where T Z - Z T^dag = i Q^dag Y_ss Q
+    (`triangular_sylvester`).  sigma = 1e-3 gamma keeps S invertible where
+    Hnh has a real eigenvalue (undriven, |G> never decays).  Raises
+    NonConvergenceError unless the result has ||L rho||_1 < residual_tol,
+    L applied to the D x D rho (every charge)."""
     D = system.dim
-    # the generator; the 51 GMRES vectors, the Schur form and iterates
-    _check_memory("steady_state_qme", D, system.generator_bytes
-                  + 16 * 63 * D**2)
     generator = system.generator
-    T, Q = scipy.linalg.schur(generator.hnh - 0.5e-3j * GAMMA * np.eye(D),
-                              output="complex")
-    Qh = Q.conj().T
-    w = np.diag(system.ground_state())
+    layout = generator.layout([0])
+    n = layout[-1][3]
+    # the generator with every charge (the residual); the 51 GMRES vectors,
+    # the Schur forms and iterates; rho and the residual's temporaries
+    _check_memory("steady_state_qme", D,
+                  system.generator_bytes(generator.charges)
+                  + 16 * 63 * n + 16 * 8 * D**2)
+    rhs = generator.block_rhs([0])
+    schur = [scipy.linalg.schur(h - 0.5e-3j * GAMMA * np.eye(len(h)),
+                                output="complex") for h in generator.hnh]
+    w = generator.split(generator.to_sectors(np.diag(system.ground_state())),
+                        [0])
 
     def precondition(y):
-        Z, scale = triangular_sylvester(T, T, Qh @ y.reshape(D, D) @ Q)
-        return (1j / scale) * (Q @ Z @ Qh)
+        out = np.empty_like(y)
+        for (s, _, lo, hi), (T, Q) in zip(layout, schur):
+            Qh = Q.conj().T
+            Z, scale = triangular_sylvester(
+                T, T, Qh @ y[lo:hi].reshape(len(T), len(T)) @ Q)
+            out[lo:hi] = ((1j / scale) * (Q @ Z @ Qh)).ravel()
+        return out
 
-    def augmented(X):
-        return generator(X) + np.trace(X) * w
+    def augmented(x):
+        trace = sum(np.trace(x[lo:hi].reshape(len(T), len(T)))
+                    for (_, _, lo, hi), (T, _) in zip(layout, schur))
+        return rhs(x) + trace * w
 
-    rho = w if rho0 is None else np.asarray(rho0, dtype=complex)
+    x = w if rho0 is None else generator.split(
+        generator.to_sectors(np.asarray(rho0, dtype=complex)), [0])
     A = scipy.sparse.linalg.LinearOperator(
-        (D * D, D * D), dtype=complex,
-        matvec=lambda y: augmented(precondition(y)).ravel())
-    y, _ = scipy.sparse.linalg.gmres(A, (w - augmented(rho)).ravel(), rtol=0.0,
+        (n, n), dtype=complex, matvec=lambda y: augmented(precondition(y)))
+    y, _ = scipy.sparse.linalg.gmres(A, w - augmented(x), rtol=0.0,
                                      atol=1e-13, restart=50, maxiter=10)
-    rho = rho + precondition(y)
+    rho = generator.from_sectors(generator.merge(x + precondition(y), [0]))
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
     resid = float(np.abs(qme_rhs(rho, system)).sum())

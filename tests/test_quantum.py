@@ -265,8 +265,73 @@ def test_generator_equals_row_move_form(case):
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+@st.composite
+def symmetric_systems(draw):
+    """Mirror-symmetric arrays in the yz plane: rings of 2-4 atoms, pairs
+    along y or z and 2x2 squares, of two-level y or z dipoles or J=0->1
+    atoms, driven by a plane wave along x polarized along y or z; and a
+    random non-Hermitian D x D matrix."""
+    spacing = draw(st.floats(0.2, 0.6)) * LAMBDA
+    shape = draw(st.sampled_from(["ring", "pair", "square"]))
+    if shape == "ring":
+        geo = build_ring(draw(st.integers(2, 4)), spacing)
+    elif shape == "pair":
+        geo = pair(spacing) if draw(st.booleans()) else Geometry(
+            [[0, 0, 0], [0, spacing, 0]])
+    else:
+        geo = build_square_lattice(2, 2, spacing)
+    tr = draw(st.sampled_from([
+        TransitionSpec(levels=2, orientation=(0, 1, 0), detuning=0.3),
+        TransitionSpec(levels=2, orientation=(0, 0, 1)), J01]))
+    drive = PlaneWave(amplitude=draw(st.floats(0.1, 2.0)),
+                      polarization=draw(st.sampled_from([(0, 1, 0),
+                                                         (0, 0, 1)])))
+    qs = qt.build_quantum_system(geo, tr, drive)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(qs.dim, qs.dim)) + 1j * rng.normal(size=(qs.dim,
+                                                                  qs.dim))
+    return qs, X
+
+
+@settings(max_examples=40, deadline=None)
+@given(symmetric_systems())
+def test_sector_generator_equals_row_move_form(case):
+    """The block generator, every charge of X mapped in and out, against
+    the row-move form on systems that split into several sectors."""
+    qs, X = case
+    assert len(qs.sectors.sizes) > 1
+    assert sum(qs.sectors.sizes) == qs.dim
+    want = generator_by_row_moves(qs, X)
+    got = qs.generator(X)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("natoms, sizes", [(6, [24, 16, 12, 12]),
+                                           (7, [72, 56])])
+def test_ring_sector_sizes(natoms, sizes):
+    """The qme ring keeps z -> -z and, unsigned (the drive is even under
+    it, the y dipoles odd), y -> -y: four sectors; an odd ring has no
+    y -> -y.  x -> -x fixes every atom and y dipole, the identity."""
+    qs = qt.build_quantum_system(build_ring(natoms, 0.4 * LAMBDA), EY,
+                                 PlaneWave(amplitude=0.8))
+    assert qs.sectors.sizes == sizes
+
+
+def test_asymmetric_systems_are_one_sector():
+    drive = PlaneWave(amplitude=0.8)
+    rng = np.random.default_rng(4)
+    sampled = Geometry(rng.uniform(-0.6, 0.6, size=(4, 3)) * LAMBDA)
+    tilted = qt.build_quantum_system(build_ring(4, 0.3 * LAMBDA), TILTED,
+                                     drive)
+    for qs in (qt.build_quantum_system(sampled, EY, drive),
+               qt.build_quantum_system(sampled, J01, drive), tilted):
+        assert qs.sectors.sizes == [qs.dim]
+    atom = qt.build_quantum_system(single_atom(), EY, drive)
+    assert atom.sectors.kept == () and atom.sectors.sizes == [2]
+
+
 @settings(max_examples=25, deadline=None)
-@given(generator_systems())
+@given(st.one_of(generator_systems(), symmetric_systems()))
 def test_generator_keeps_trace_and_adjoint(case):
     """Tr L(X) = 0 and L(X^dag) = L(X)^dag for non-Hermitian X, which the
     GMRES steady state relies on."""
@@ -393,16 +458,30 @@ def test_close_pair_steady_state_equals_dense_solve(sep, axis):
     qs = qt.build_quantum_system(
         pair(sep * LAMBDA), TransitionSpec(levels=2, orientation=axis),
         PlaneWave(amplitude=2.0))
-    gen, eye = qs.generator, np.eye(qs.dim)
-    L = -1j * (np.kron(gen.hnh, eye) - np.kron(eye, gen.hnh.conj()))
-    S, B = table(qs), qs.bmatrix
+    assert np.max(np.abs(qt.steady_state_qme(qs) - dense_steady_state(qs))
+                  ) < 1e-10
+
+
+def dense_liouvillian(qs):
+    """Reference: the dense Liouvillian on row-major vec rho, the no-jump
+    part from Hnh and the pairwise jump term 2 B_il s-_i rho s+_l."""
+    B, eye = qs.bmatrix, np.eye(qs.dim)
+    hnh = qs.hamiltonian - 1j * qt.pair_sum(B, qs.moves, qs.dim)
+    L = -1j * (np.kron(hnh, eye) - np.kron(eye, hnh.conj()))
+    S = table(qs)
     L += 2 * sum(B[i, l] * np.kron(S[i], S[l].conj())
                  for i in range(len(S)) for l in range(len(S)))
-    L[0] = eye.ravel()
+    return L
+
+
+def dense_steady_state(qs):
+    """Reference: the dense Liouvillian with the rho_00 equation replaced
+    by Tr rho = 1, solved by LU."""
+    L = dense_liouvillian(qs)
+    L[0] = np.eye(qs.dim).ravel()
     rhs = np.zeros(qs.dim**2)
     rhs[0] = 1.0
-    want = np.linalg.solve(L, rhs).reshape(qs.dim, qs.dim)
-    assert np.max(np.abs(qt.steady_state_qme(qs) - want)) < 1e-10
+    return np.linalg.solve(L, rhs).reshape(qs.dim, qs.dim)
 
 
 def test_steady_state_of_seven_atom_ring():
@@ -805,6 +884,29 @@ def test_g2_antibunching_and_closed_form(theta, phi):
     assert abs(g2[-1] - 1.0) < 1e-3
 
 
+def test_g2_off_charge_equals_dense_liouvillian():
+    """At an oblique direction the detection operator of a symmetric ring
+    is no mirror eigenoperator, so the conditional state E rho_ss E^dag
+    occupies charges other than 0: g2 against the exact propagator
+    expm(L tau) of the dense Liouvillian."""
+    qs = qt.build_quantum_system(build_ring(4, 0.3 * LAMBDA), EY,
+                                 PlaneWave(amplitude=0.7))
+    theta, phi = np.pi / 3, np.pi / 5
+    tau = np.linspace(0, 3, 7)
+    got = qt.g2_regression(qs, tau, theta, phi)
+    E = qt.detection_operator(qs, theta, phi)
+    rho_ss = dense_steady_state(qs)
+    cond = E @ rho_ss @ E.conj().T
+    generator = qs.generator
+    assert len(qs.sectors.sizes) == 4
+    assert len(generator.occupied(generator.to_sectors(cond))) > 1
+    L, EdE = dense_liouvillian(qs), E.conj().T @ E
+    rate = np.trace(EdE @ rho_ss).real
+    want = [np.trace(EdE @ (scipy.linalg.expm(L * t) @ cond.ravel()).reshape(
+        qs.dim, qs.dim)).real / rate**2 for t in tau]
+    assert np.max(np.abs(got - want)) < 1e-8
+
+
 def test_g2_analytic_limits():
     tau = np.linspace(0, 10, 101)
     # kappa = 0 limit: I/I_s = 1/8
@@ -884,25 +986,65 @@ def test_build_memory_is_a_few_dense_matrices():
 
 
 def test_evolve_qme_holds_its_output_once():
-    """On the 8-atom ring (D = 256) the traced peak of evolve_qme, generator
-    build included, stays within its cap estimate: the generator's bytes
-    (J's 2^20 entries at 20 B and its row pointers, 20.25 MiB, plus Hnh and
-    Hnh^dag, 2 MiB) and 38 + nt complex D x D arrays, 81.25 MiB at nt = 21
-    (measured 80.3 MiB); holding the output twice, as solve_ivp's per-step
-    list and stacked copy do, needs nt arrays more."""
+    """On the 8-atom ring (D = 256, charge 0 of 16960 entries) the traced
+    peak of evolve_qme, its jump term built before, stays within the
+    integration's part of its cap estimate: 38 + nt state vectors (DOP853
+    and its output) and nt + 6 complex D x D arrays (the expanded output
+    and the expansion's temporaries), 42.3 MiB at nt = 21 (measured 37.4
+    MiB); holding the expanded output twice needs nt D x D arrays (21 MiB)
+    more."""
     import scipy.integrate  # noqa: F401  (its import is not the evolution's)
     qs = qt.build_quantum_system(build_ring(8, 0.4 * LAMBDA), EY,
                                  PlaneWave(amplitude=0.8))
     psi = qs.ground_state()
     t = np.linspace(0.0, 0.1, 21)
+    qs.generator.block_rhs([0])
+    n = qs.generator.layout([0])[-1][3]
     tracemalloc.start()
     try:
         rhos = qt.evolve_qme(np.outer(psi, psi), qs, t)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rhos.shape == (21, 256, 256)
-    assert peak < qs.generator_bytes + (38 + len(t)) * qs.dim**2 * 16
+    assert rhos.shape == (21, 256, 256) and n == 16960
+    assert peak < 16 * ((38 + len(t)) * n + (len(t) + 6) * qs.dim**2)
+
+
+@pytest.mark.parametrize("natoms", [6, 7])
+def test_memory_estimates_bound_the_traced_peaks(natoms, monkeypatch):
+    """Each cap estimate, from the sector sizes and the bound on the sector
+    jump term's entries, against the tracemalloc peak of the call it
+    guards on a fresh ring, the build of the generator and of its jump
+    term (with the transient full J) included."""
+    import scipy.integrate  # noqa: F401  (its import is not the evolution's)
+    needs, check = {}, qt._check_memory
+
+    def record(what, dim, need):
+        needs[what] = need
+        check(what, dim, need)
+    monkeypatch.setattr(qt, "_check_memory", record)
+    psi = np.zeros(2**natoms)
+    psi[0] = 1.0
+    calls = {
+        "evolve_qme": lambda qs: qt.evolve_qme(np.outer(psi, psi), qs,
+                                               np.linspace(0, 20, 41)),
+        "steady_state_qme": qt.steady_state_qme,
+        "QME generator": lambda qs: qs.generator,
+    }
+    for name, call in calls.items():
+        qs = qt.build_quantum_system(build_ring(natoms, 0.4 * LAMBDA), EY,
+                                     PlaneWave(amplitude=0.8))
+        tracemalloc.start()
+        try:
+            call(qs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= needs[name], name
+    generator = qs.generator
+    for q in generator.charges:
+        assert generator.block_rhs([q]) and generator.jumps[q].nnz <= (
+            qs.jump_entries(q))
 
 
 def test_trajectory_rejects_nonzero_start():
