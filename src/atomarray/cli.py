@@ -158,8 +158,13 @@ def run_eigen(cfg, out, seed, diagnostics):
     path = out / "eigenmodes.csv"
     write_csv(path, ["mode[1]", "shift[gamma]", "linewidth[gamma]",
                      "occupation[1]"], table)
-    counts, edges = np.histogram([r[2] for r in table],
-                                 bins=np.geomspace(1e-4, 1e2, 61))
+    # 10 bins per decade from 1e-4 to 1e2 gamma, wider to hold every mode; a
+    # linewidth <= 0 (a dark mode's rounding) counts in the lowest bin
+    lw = np.array([r[2] for r in table])
+    lo = min(-4, np.floor(np.log10(lw[lw > 0].min(initial=1.0))))
+    hi = max(2, np.ceil(np.log10(lw.max())))
+    edges = np.geomspace(10.0**lo, 10.0**hi, int(10 * (hi - lo)) + 1)
+    counts, edges = np.histogram(np.maximum(lw, edges[0]), bins=edges)
     hist = out / "linewidth_histogram.csv"
     write_csv(hist, ["linewidth_lo[gamma]", "linewidth_hi[gamma]", "count[1]"],
               [(edges[i], edges[i + 1], int(c)) for i, c in enumerate(counts)])

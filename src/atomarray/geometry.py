@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -190,7 +191,9 @@ class OrbitBasis:
     the identity's, so rows[0, a] is the orbit's smallest index.  Columns
     offsets[s]:offsets[s+1] form sector s, on which group element g acts
     as (-1)^popcount(labels[s] & g), g's bits naming the kept generators
-    it is the product of."""
+    it is the product of.  Q is applied one way, as the sparse `q` and
+    `qt` built on first use: `to_sectors`, `from_sectors`, and qt[lo:hi].T
+    for the vectors of one sector."""
     kept: tuple                  # indices of the actions that generate G
     rows: np.ndarray             # (|G|, n) indices
     coefs: np.ndarray            # (|G|, n) their coefficients
@@ -201,10 +204,28 @@ class OrbitBasis:
     def sizes(self) -> list:
         return np.diff(self.offsets).tolist()
 
-    def sector(self, s) -> tuple:
-        """(rows, coefs) of the columns of sector s."""
-        lo, hi = self.offsets[s], self.offsets[s + 1]
-        return self.rows[:, lo:hi], self.coefs[:, lo:hi]
+    @cached_property
+    def q(self):
+        """Q as a CSR matrix; a stabilizer's repeated entries are summed."""
+        import scipy.sparse
+        n_group, n = self.rows.shape
+        return scipy.sparse.csr_array((self.coefs.ravel(), (
+            self.rows.ravel(), np.tile(np.arange(n), n_group))), shape=(n, n))
+
+    @cached_property
+    def qt(self):
+        """Q^T as a CSR matrix, whose row slices are the sectors."""
+        return self.q.T.tocsr()
+
+    def to_sectors(self, X) -> np.ndarray:
+        """Q^T X Q, the sectors one after the other.  The sparse product
+        reads its dense operand in C order, so the half product is copied
+        to it here, where it is freed before the second product."""
+        return (self.qt @ np.ascontiguousarray((self.qt @ X).T)).T
+
+    def from_sectors(self, Y) -> np.ndarray:
+        """Q Y Q^T, by the same two products."""
+        return (self.q @ np.ascontiguousarray((self.q @ Y).T)).T
 
 
 def orbit_basis(actions, size: int) -> OrbitBasis:

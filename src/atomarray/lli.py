@@ -15,11 +15,11 @@ i*gamma, off-diagonal XI * e.G(r_j - r_l).e' between dipole components;
 
 `eigenmodes` diagonalises H in blocks: the coordinate mirrors of a
 symmetric array that act on every atom's dipole components as +-1 and
-leave H invariant are diagonal in a real orthogonal orbit-sum basis
-(`mirror_basis`), which splits a centred square J=0 -> J'=1 lattice into
-eight blocks.  An array without such a mirror is one block.  The group and
-its basis come from `geometry.orbit_basis`, which also gives the
-mirror-parity sectors of the quantum master equation.
+leave H invariant (`invariant_mirrors`, the one mirror search, which the
+master equation's parity sectors use too) are diagonal in a real
+orthogonal orbit-sum basis Q (`mirror_basis`).  Q splits a centred square
+J=0 -> J'=1 lattice into eight blocks; an array without such a mirror is
+one block.  `geometry.OrbitBasis` builds and applies Q for both layers.
 """
 from __future__ import annotations
 
@@ -173,30 +173,6 @@ MIRROR_TOL = 1e-12
 DEGENERATE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class MirrorBasis(OrbitBasis):
-    """The orbit-sum basis of the coordinate mirrors that leave H
-    invariant; Q^T H Q is block diagonal with blocks of `sizes`."""
-    mirrors: tuple = ()          # kept mirror axes (0, 1, 2 = x, y, z)
-
-
-def _project(X: np.ndarray, rows, coefs) -> np.ndarray:
-    """Q^T X for the columns (rows, coefs) of Q."""
-    out = coefs[0][:, None] * X[rows[0]]
-    for r, c in zip(rows[1:], coefs[1:]):
-        out += c[:, None] * X[r]
-    return out
-
-
-def _expand(v: np.ndarray, rows, coefs, size: int) -> np.ndarray:
-    """Q v for the columns (rows, coefs) of Q; one group element's rows
-    are distinct, so each += touches a site once."""
-    out = np.zeros((size, v.shape[1]), dtype=complex)
-    for r, c in zip(rows, coefs):
-        out[r] += c[:, None] * v
-    return out
-
-
 def mirror_action(transition: TransitionSpec, axis: int, perm):
     """(idx, sign) of the mirror on the amplitudes, U e_i = sign_i e_idx_i,
     or None where its per-atom action basis^H R basis is not diagonal +-1
@@ -228,19 +204,25 @@ def invariant(H: np.ndarray, idx, sign) -> bool:
     return True
 
 
-def mirror_basis(system: CouplingSystem) -> MirrorBasis:
-    """Orbit-sum basis of the mirrors that `geometry.coordinate_mirrors`
-    proposes and that leave H invariant.  With none kept, Q = 1 and the
+def invariant_mirrors(geometry: Geometry, transition: TransitionSpec,
+                      *matrices) -> dict:
+    """{axis: (perm, (idx, sign))} of the coordinate mirrors that
+    `geometry.coordinate_mirrors` proposes, whose action on the amplitudes
+    (`mirror_action`) exists and leaves each of `matrices` invariant."""
+    found = {}
+    for axis, perm in coordinate_mirrors(geometry.positions).items():
+        op = mirror_action(transition, axis, perm)
+        if op is not None and all(invariant(X, *op) for X in matrices):
+            found[axis] = perm, op
+    return found
+
+
+def mirror_basis(system: CouplingSystem) -> OrbitBasis:
+    """Orbit-sum basis of the mirrors that leave H invariant; Q^T H Q is
+    block diagonal with blocks of `sizes`.  With none kept, Q = 1 and the
     whole of H is one block."""
-    axes, actions = [], []
-    for axis, perm in coordinate_mirrors(system.geometry.positions).items():
-        op = mirror_action(system.transition, axis, perm)
-        if op is not None and invariant(system.H, *op):
-            axes.append(axis)
-            actions.append(op)
-    orbits = orbit_basis(actions, system.size)
-    return MirrorBasis(**vars(orbits),
-                       mirrors=tuple(axes[k] for k in orbits.kept))
+    found = invariant_mirrors(system.geometry, system.transition, system.H)
+    return orbit_basis([op for _, op in found.values()], system.size)
 
 
 def _runs(idx: np.ndarray, key: np.ndarray, tol: float) -> list:
@@ -274,12 +256,12 @@ def eigenmodes(system: CouplingSystem) -> EigenSystem:
     components as +-1 (basis^H R basis diagonal +-1, which a tilted
     two-level dipole fails) and leaves H invariant to MIRROR_TOL (which
     disorder, or a Zeeman term added to H, fails).  The kept mirrors split
-    H into blocks Q_s^T H Q_s (`mirror_basis`), complex symmetric like H;
-    each is solved by `scipy.linalg.eig` and its vectors are mapped back
-    by Q_s.  Q is applied through its index and coefficient tables, never
-    as a dense matrix.  With no mirror kept, H is one block.  Q is real
-    orthogonal, so v^T v = 1 and the `anomalous` rule mean what they mean
-    for a full eigensolve.
+    H into blocks Q_s^T H Q_s (`mirror_basis`), complex symmetric like H,
+    sliced from Q^T H Q (`OrbitBasis.to_sectors`); each is solved by
+    `scipy.linalg.eig` and its vectors are mapped back by the sparse Q_s.
+    With no mirror kept, H is one block.  Q is real orthogonal, so
+    v^T v = 1 and the `anomalous` rule mean what they mean for a full
+    eigensolve.
 
     Modes are sorted by linewidth.  Linewidths within DEGENERATE_TOL
     (relative) of each other count as tied and keep block order and
@@ -297,10 +279,12 @@ def eigenmodes(system: CouplingSystem) -> EigenSystem:
     modes.
     """
     basis = mirror_basis(system)
+    off = basis.offsets
+    blocks = basis.to_sectors(system.H)
+    solved = [scipy.linalg.eig(blocks[lo:hi, lo:hi], overwrite_a=True)
+              for lo, hi in zip(off[:-1], off[1:])]
+    del blocks                  # M x M, not held while the vectors expand
     vecs = np.empty((system.size, system.size), dtype=complex)
-    sectors = [basis.sector(s) for s in range(len(basis.labels))]
-    solved = [scipy.linalg.eig(_project(_project(system.H, *q).T, *q).T,
-                               overwrite_a=True) for q in sectors]
     for w, v in solved:
         _orthonormalise_clusters(w, v)
     evals = np.concatenate([w for w, _ in solved])
@@ -312,8 +296,8 @@ def eigenmodes(system: CouplingSystem) -> EigenSystem:
     # each block's vectors go straight to their columns in `order`
     column = np.empty_like(order)
     column[order] = np.arange(len(order))
-    for lo, q, (_, v) in zip(basis.offsets, sectors, solved):
-        vecs[:, column[lo:lo + v.shape[1]]] = _expand(v, *q, system.size)
+    for lo, hi, (_, v) in zip(off[:-1], off[1:], solved):
+        vecs[:, column[lo:hi]] = basis.qt[lo:hi].T @ v
     norms = np.einsum("ij,ij->j", vecs, vecs)
     anomalous = np.abs(norms) < 1e-12
     scale = np.sqrt(norms + 0j)

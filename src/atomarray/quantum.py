@@ -37,13 +37,14 @@ matrix whose entries come from the row moves by index arithmetic
 (`parity_sectors`): a coordinate mirror that leaves the couplings, B and
 the drive invariant is a signed permutation U of the product space that
 commutes with the generator, so Hnh is block diagonal in the orbit-sum
-basis P of the group of such mirrors (`geometry.orbit_basis`, shared with
-`lli.mirror_basis`), and J maps the block (s, t) of P^T rho P only to
-blocks of its charge, the character product of s and t.  The generator
-holds the blocks of Hnh and the jump term of each charge it is asked for
-(`QmeGenerator`), two small dense products per block and one sparse one
-per charge.  |G><G| occupies charge 0, and so does the steady state.  An
-array without a kept mirror is one sector, on the same path.
+basis P of the group of such mirrors, and J maps the block (s, t) of
+P^T rho P only to blocks of its charge, the character product of s and t.
+The mirror search (`lli.invariant_mirrors`) and P, which applies itself
+(`geometry.OrbitBasis`), are those of the coupled-dipole eigenmodes.  The
+generator holds the blocks of Hnh and the jump term of each charge it is
+asked for (`QmeGenerator`), two small dense products per block and one
+sparse one per charge.  |G><G| occupies charge 0, and so does the steady
+state.  An array without a kept mirror is one sector, on the same path.
 
 Trajectory jumps J_k = sum_i a_{ki} s-_i are the rows of a (K, M) amplitude
 matrix A (`JumpBasis`).  The collective decay channels a_m = sqrt(beta_m)
@@ -82,12 +83,11 @@ from scipy.linalg.lapack import ztrsyl
 
 from .errors import (DimensionCapError, NonConvergenceError, PropagatorError,
                      UndefinedG2Error)
-from .geometry import Geometry, OrbitBasis, coordinate_mirrors, orbit_basis
+from .geometry import Geometry, OrbitBasis, orbit_basis
 from .integrate import integrate_complex
 from .kernel import (GAMMA, coupling_matrix, direction, direction_angles,
                      farfield_phase, transverse)
-from .lli import (MIRROR_TOL, TransitionSpec, block_diagonal, invariant,
-                  mirror_action)
+from .lli import MIRROR_TOL, TransitionSpec, block_diagonal, invariant_mirrors
 from .observables import sphere_grid
 
 TRAJ_CHUNK = 4096           # trajectories per RNG stream
@@ -227,14 +227,14 @@ class QuantumSystem:
 def parity_sectors(geometry: Geometry, transition: TransitionSpec, omega,
                    bmatrix, rabi) -> OrbitBasis:
     """Sectors of the product space under the coordinate mirrors that leave
-    the master equation invariant.  A mirror that permutes the atoms
-    (`geometry.coordinate_mirrors`) with a +-1 action s_c on the dipole
-    components (`lli.mirror_action`) is kept if it leaves the coherent
-    couplings plus level blocks `omega` and B invariant, and the Rabi
-    vector too with the component signs s or, failing that, -s; the two
-    differ by the global sign e^{i pi N_e}, so both are unitaries.  On the
-    product space it moves digit j of a basis state to digit perm[j], with
-    the product of the component signs of the excited atoms as its sign.
+    the master equation invariant.  A mirror that leaves the coherent
+    couplings plus level blocks `omega` and B invariant
+    (`lli.invariant_mirrors`), with a +-1 action s_c on the dipole
+    components, is kept if it leaves the Rabi vector invariant too with the
+    component signs s or, failing that, -s; the two differ by the global
+    sign e^{i pi N_e}, so both are unitaries.  On the product space it
+    moves digit j of a basis state to digit perm[j], with the product of
+    the component signs of the excited atoms as its sign.
     The kept mirrors and their products are a group of signed
     permutations (`geometry.orbit_basis`), a weak symmetry of the Lindblad
     generator (Buca & Prosen, New J. Phys. 14, 073007 (2012)): the block
@@ -245,12 +245,8 @@ def parity_sectors(geometry: Geometry, transition: TransitionSpec, omega,
     digits = np.arange(L**n) // place[:, None] % L              # (n, D)
     tol = MIRROR_TOL * np.abs(rabi).max(initial=0.0)
     actions = []
-    for axis, perm in coordinate_mirrors(geometry.positions).items():
-        op = mirror_action(transition, axis, perm)
-        if op is None or not (invariant(omega, *op)
-                              and invariant(bmatrix, *op)):
-            continue
-        idx, sign = op
+    mirrors = invariant_mirrors(geometry, transition, omega, bmatrix)
+    for perm, (idx, sign) in mirrors.values():
         for flip in (1.0, -1.0):
             if np.abs(flip * sign * rabi[idx] - rabi).max() <= tol:
                 ext = np.concatenate([[1.0], flip * sign[:L - 1]])
@@ -301,26 +297,22 @@ def jump_superoperator(coefficients, moves, dim):
 class QmeGenerator:
     """drho/dt = -i (Hnh rho - rho Hnh^dag) + J vec rho, block by block in
     the mirror-parity sectors: rho = P Y P^T with P the orbit-sum basis of
-    the sectors (`to_sectors`, `from_sectors`).  Hnh is block diagonal, held
-    as its blocks P_s^T Hnh P_s; the jump term of a charge q is
-    J_q = S_q J S_q^T on the row-major blocks (s, t) of q, one after the
-    other (S_q stacks P_s^T (x) P_t^T).  It is built, once, when a charge is
-    first asked for: from the full J of `jump_superoperator`, which is then
-    dropped, as S_q J T_q^T, where T_q stacks sqrt|orbit| e_rep^T (x) P_t^T
-    and has up to |G| times fewer entries than S_q; since J commutes with
-    every U (x) U, the two agree.  A state is the concatenated blocks of the
-    charges it occupies (`split`, `merge`), and a D x D call maps its
-    argument in and out."""
+    the sectors, which applies itself (`OrbitBasis.to_sectors`,
+    `from_sectors`; the build reads the rows of its sparse P^T, `qt`).
+    Hnh is block diagonal, held as its blocks P_s^T Hnh P_s; the jump term
+    of a charge q is J_q = S_q J S_q^T on the row-major blocks (s, t) of q,
+    one after the other (S_q stacks P_s^T (x) P_t^T).  It is built, once,
+    when a charge is first asked for: from the full J of
+    `jump_superoperator`, which is then dropped, as S_q J T_q^T, where T_q
+    stacks sqrt|orbit| e_rep^T (x) P_t^T and has up to |G| times fewer
+    entries than S_q; since J commutes with every U (x) U, the two agree.
+    A state is the concatenated blocks of the charges it occupies (`split`,
+    `merge`), and a D x D call maps its argument in and out."""
 
     def __init__(self, basis: OrbitBasis, hnh, coefficients, moves):
         self.basis = basis
-        self.dim = D = len(hnh)
-        n_group = len(basis.rows)
-        # P as a sparse matrix; a stabilizer's repeated entries are summed
-        self._p = scipy.sparse.csr_array((basis.coefs.ravel(), (
-            basis.rows.ravel(), np.tile(np.arange(D), n_group))), shape=(D, D))
-        self._pt = scipy.sparse.csr_array(self._p.T)
-        blocks = self.to_sectors(hnh)
+        self.dim = len(hnh)
+        blocks = basis.to_sectors(hnh)
         self.hnh = [blocks[lo:hi, lo:hi].copy()
                     for lo, hi in zip(basis.offsets[:-1], basis.offsets[1:])]
         self._left = [-1j * h for h in self.hnh]
@@ -330,14 +322,6 @@ class QmeGenerator:
         labels = np.array(basis.labels)
         self._charge = labels[:, None] ^ labels        # of block (s, t)
         self.charges = np.unique(self._charge).tolist()
-
-    def to_sectors(self, X) -> np.ndarray:
-        """P^T X P, the sectors one after the other."""
-        return (self._pt @ (self._pt @ X).T).T
-
-    def from_sectors(self, Y) -> np.ndarray:
-        """P Y P^T."""
-        return (self._p @ (self._p @ Y).T).T
 
     def layout(self, charges) -> list:
         """(s, t, lo, hi) of every block of `charges` in a state vector."""
@@ -376,7 +360,7 @@ class QmeGenerator:
         basis, D = self.basis, self.dim
         J = jump_superoperator(self._coefficients, self._moves, D)
         n_group, off = len(basis.rows), basis.offsets
-        P = [self._pt[lo:hi] for lo, hi in zip(off[:-1], off[1:])]
+        P = [basis.qt[lo:hi] for lo, hi in zip(off[:-1], off[1:])]
         rep = [scipy.sparse.csr_array((n_group * basis.coefs[0, lo:hi], (
             np.arange(hi - lo), basis.rows[0, lo:hi])), shape=(hi - lo, D))
             for lo, hi in zip(off[:-1], off[1:])]
@@ -419,10 +403,10 @@ class QmeGenerator:
         return rhs
 
     def __call__(self, rho) -> np.ndarray:
-        Y = self.to_sectors(rho)
+        Y = self.basis.to_sectors(rho)
         charges = self.occupied(Y)
         y = self.block_rhs(charges)(self.split(Y, charges))
-        return self.from_sectors(self.merge(y, charges))
+        return self.basis.from_sectors(self.merge(y, charges))
 
 
 def build_quantum_system(geometry: Geometry, transition: TransitionSpec,
@@ -454,8 +438,8 @@ def evolve_qme(rho0, system: QuantumSystem, t_grid, rtol=1e-9, atol=1e-11):
     """Integrate the master equation on the blocks of the charges that rho0
     occupies; returns (nt, D, D)."""
     D, nt = system.dim, len(t_grid)
-    generator = system.generator
-    Y0 = generator.to_sectors(np.asarray(rho0, dtype=complex))
+    generator, basis = system.generator, system.sectors
+    Y0 = basis.to_sectors(np.asarray(rho0, dtype=complex))
     charges = generator.occupied(Y0)
     n = sum(hi - lo for _, _, lo, hi in generator.layout(charges))
     # the generator; DOP853's 16 stages, 7 interpolant rows and step
@@ -468,7 +452,7 @@ def evolve_qme(rho0, system: QuantumSystem, t_grid, rtol=1e-9, atol=1e-11):
                             t_grid, rtol=rtol, atol=atol)
     rhos = np.empty((nt, D, D), dtype=complex)
     for k, y in enumerate(out):
-        rhos[k] = generator.from_sectors(generator.merge(y, charges))
+        rhos[k] = basis.from_sectors(generator.merge(y, charges))
     return rhos
 
 
@@ -484,7 +468,7 @@ def steady_state_qme(system: QuantumSystem, residual_tol=1e-9, rho0=None):
     NonConvergenceError unless the result has ||L rho||_1 < residual_tol,
     L applied to the D x D rho (every charge)."""
     D = system.dim
-    generator = system.generator
+    generator, basis = system.generator, system.sectors
     layout = generator.layout([0])
     n = layout[-1][3]
     # the generator with every charge (the residual); the 51 GMRES vectors,
@@ -495,8 +479,7 @@ def steady_state_qme(system: QuantumSystem, residual_tol=1e-9, rho0=None):
     rhs = generator.block_rhs([0])
     schur = [scipy.linalg.schur(h - 0.5e-3j * GAMMA * np.eye(len(h)),
                                 output="complex") for h in generator.hnh]
-    w = generator.split(generator.to_sectors(np.diag(system.ground_state())),
-                        [0])
+    w = generator.split(basis.to_sectors(np.diag(system.ground_state())), [0])
 
     def precondition(y):
         out = np.empty_like(y)
@@ -513,12 +496,12 @@ def steady_state_qme(system: QuantumSystem, residual_tol=1e-9, rho0=None):
         return rhs(x) + trace * w
 
     x = w if rho0 is None else generator.split(
-        generator.to_sectors(np.asarray(rho0, dtype=complex)), [0])
+        basis.to_sectors(np.asarray(rho0, dtype=complex)), [0])
     A = scipy.sparse.linalg.LinearOperator(
         (n, n), dtype=complex, matvec=lambda y: augmented(precondition(y)))
     y, _ = scipy.sparse.linalg.gmres(A, w - augmented(x), rtol=0.0,
                                      atol=1e-13, restart=50, maxiter=10)
-    rho = generator.from_sectors(generator.merge(x + precondition(y), [0]))
+    rho = basis.from_sectors(generator.merge(x + precondition(y), [0]))
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
     resid = float(np.abs(qme_rhs(rho, system)).sum())

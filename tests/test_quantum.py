@@ -899,7 +899,7 @@ def test_g2_off_charge_equals_dense_liouvillian():
     cond = E @ rho_ss @ E.conj().T
     generator = qs.generator
     assert len(qs.sectors.sizes) == 4
-    assert len(generator.occupied(generator.to_sectors(cond))) > 1
+    assert len(generator.occupied(qs.sectors.to_sectors(cond))) > 1
     L, EdE = dense_liouvillian(qs), E.conj().T @ E
     rate = np.trace(EdE @ rho_ss).real
     want = [np.trace(EdE @ (scipy.linalg.expm(L * t) @ cond.ravel()).reshape(

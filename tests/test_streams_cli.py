@@ -214,6 +214,24 @@ def test_cli_eigen_scenario(tmp_path):
     assert manifest["diagnostics"]["eigen_blocks"] == [4, 4, 4, 4]
 
 
+@pytest.mark.parametrize("natoms", [10, 20])
+def test_cli_eigen_histogram_keeps_every_mode(tmp_path, natoms):
+    # a dense ring of x dipoles has modes far below 1e-4 gamma (at 10 atoms
+    # 6.5e-9 and a pair at 8.8e-7; at 20 some round to about +-1e-16): the
+    # grid widens, decade-aligned, and a linewidth <= 0 lands in its first bin
+    cfg = {"scenario": "eigen",
+           "geometry": {"kind": "ring", "natoms": natoms, "radius_wl": 0.1},
+           "transition": {"levels": 2, "orientation": [1, 0, 0]}}
+    run(cfg, out_dir=tmp_path)
+    rows = np.loadtxt(tmp_path / "linewidth_histogram.csv", delimiter=",",
+                      skiprows=1)
+    assert rows[:, 2].sum() == natoms
+    assert rows[0, 0] <= 1e-9 and rows[-1, 1] == 1e2
+    decades = 10 * np.log10(rows[:, :2])
+    assert np.allclose(decades, np.round(decades))
+    assert np.allclose(np.diff(decades, axis=1), 1.0)
+
+
 def test_cli_ring_trap_needs_its_spacing(tmp_path, capsys):
     ring = {"kind": "ring", "natoms": 3, "radius_wl": 0.4,
             "lattice_depth": 50.0}
