@@ -7,15 +7,19 @@ Usage (from the repository root):
 Each case calls one library function on one input and is named
 `<module>.<function>@<input>`.  The inputs are the "full" workload configs
 of `perfbench/workloads.py`, resized where the name says so: the square
-arrays of transmit (10x10), disorder (sampled, seed 0) and eigen (16x16
-J=0->1, and its sample with 0.05 lambda Gaussian displacements, seed 0,
-which keeps no mirror), the qme ring at N = 6-8 and the traj workload; the
-pair of acceptance criterion 8(a) runs 2e4 trajectories to t = 6.  The
-QME generator layer has four cases: the build, one call on the ground
-state (a D x D call, which maps its argument into the mirror-parity
-sectors and back), `evolve_qme` from the ground state on the qme
-workload's time grid (N = 6 and 7 only), and `steady_state_qme`; the call
-also runs on the qme ring of four J=0->1 atoms (D = 256).  `--layers` keeps the cases whose name
+arrays of transmit (10x10, and a bilayer of two at 0.5 lambda, whose
+lattice has two layer separations), disorder (sampled, seed 0) and eigen
+(16x16 J=0->1, and its sample with 0.05 lambda Gaussian displacements,
+seed 0, which keeps no mirror and no lattice), the qme ring at N = 6-8 and
+the traj workload; the pair of acceptance criterion 8(a) runs 2e4
+trajectories to t = 6.  Each steady-state and eigenmode call takes a
+freshly built `lli.CouplingSystem`, so that the mirror search and
+projection a system keeps are timed with every call.  The QME generator
+layer has four cases: the build, one call on the ground state (a D x D
+call, which maps its argument into the mirror-parity sectors and back),
+`evolve_qme` from the ground state on the qme workload's time grid (N = 6
+and 7 only), and `steady_state_qme`; the call also runs on the qme ring of
+four J=0->1 atoms (D = 256).  `--layers` keeps the cases whose name
 starts with one of its values.
 
 For each BLAS thread count, each tree runs in its own worker process, with
@@ -86,26 +90,40 @@ def obe_rhs():
     return lambda: sc.obe_rhs(state, system), lambda d: d.flatten()
 
 
-def assemble(workload):
+def _sampled(geo, disorder):
+    """geo displaced by Gaussians of half-width `disorder` wavelengths."""
+    from atomarray import geometry
+    if not disorder:
+        return geo
+    return geometry.sample_positions(geo, np.random.default_rng(0),
+                                     disorder * geometry.LAMBDA)
+
+
+def assemble(workload, disorder=0.0, geometry=()):
     from atomarray import lli
-    array = _array(workload)
+    geo, tr, beam = _array(workload, **dict(geometry))
+    array = _sampled(geo, disorder), tr, beam
     return lambda: lli.assemble(*array), lambda system: system.H
+
+
+def _fresh(s):
+    """A new `lli.CouplingSystem` of the arrays of s, which has kept
+    nothing from an earlier call (its mirror search and sectors)."""
+    from atomarray import lli
+    return lli.CouplingSystem(s.H, s.dH, s.f, s.geometry, s.transition)
 
 
 def steady_state(workload, delta):
     from atomarray import lli
     system = lli.assemble(*_array(workload))
-    return lambda: lli.steady_state(system, delta), np.asarray
+    return lambda: lli.steady_state(_fresh(system), delta), np.asarray
 
 
 def eigenmodes(n, disorder=0.0):
-    from atomarray import geometry, lli
+    from atomarray import lli
     geo, tr, beam = _array("eigen", nx=n, ny=n)
-    if disorder:
-        geo = geometry.sample_positions(geo, np.random.default_rng(0),
-                                        disorder * geometry.LAMBDA)
-    system = lli.assemble(geo, tr, beam)
-    return (lambda: lli.eigenmodes(system),
+    system = lli.assemble(_sampled(geo, disorder), tr, beam)
+    return (lambda: lli.eigenmodes(_fresh(system)),
             lambda es: np.sort(es.eigenvalues))
 
 
@@ -158,7 +176,10 @@ def evolve_qme(natoms):
 def steady_state_qme(natoms):
     from atomarray import quantum
     system = _ring(natoms)
-    return lambda: quantum.steady_state_qme(system), np.asarray
+    # the solver returns (rho, residual); a tree before that returns rho
+    return (lambda: quantum.steady_state_qme(system),
+            lambda result: np.asarray(
+                result[0] if isinstance(result, tuple) else result))
 
 
 def run_trajectories(basis):
@@ -191,6 +212,9 @@ CASES = {
     "semiclassical.obe_rhs@10x10": (obe_rhs,),
     "lli.assemble@10x10": (assemble, "transmit"),
     "lli.assemble@16x16-J01": (assemble, "eigen"),
+    "lli.assemble@16x16-J01-disordered": (assemble, "eigen", 0.05),
+    "lli.assemble@bilayer-10x10": (assemble, "transmit", 0.0, {
+        "kind": "bilayer", "separation_wl": 0.5}),
     "lli.steady_state@M100": (steady_state, "transmit", 0.35),
     "lli.steady_state@M768": (steady_state, "eigen", None),
     "lli.eigenmodes@16x16-J01": (eigenmodes, 16),

@@ -6,9 +6,9 @@ and gamma = 1 (rates in units of the single-atom HWHM linewidth).
 
 __version__ = "0.1.0"
 
-from .geometry import (LAMBDA, Geometry, LatticeTrapSpec, build_bilayer,
-                       build_ring, build_square_lattice, build_stack,
-                       sample_positions, wannier_width)
+from .geometry import (LAMBDA, Geometry, Lattice, LatticeTrapSpec,
+                       build_bilayer, build_ring, build_square_lattice,
+                       build_stack, sample_positions, wannier_width)
 from .kernel import (GAMMA, K, XI, PairCoupling, coupling_matrix,
                      far_field_kernel, green_1d, green_tensor,
                      momentum_kernel_2d, momentum_kernel_3d, pair_coupling)
@@ -18,7 +18,7 @@ from .streams import generator_for, seed_streams
 
 __all__ = [
     "LAMBDA", "GAMMA", "K", "XI", "__version__",
-    "Geometry", "LatticeTrapSpec", "build_square_lattice", "build_bilayer",
+    "Geometry", "Lattice", "LatticeTrapSpec", "build_square_lattice", "build_bilayer",
     "build_stack", "build_ring", "sample_positions",
     "wannier_width",
     "PairCoupling", "green_tensor", "pair_coupling", "coupling_matrix",

@@ -1,6 +1,12 @@
 """Atom position sets: lattices, bilayers, stacks, rings, and stochastic
 position sampling for zero-point motion in an optical lattice.
 
+The lattice builders record their lattice (`Lattice`: site counts, spacing
+and the x offset of each layer) on the `Geometry`, so that couplings,
+which on a lattice depend only on the offset of two sites' indices, can be
+evaluated once per offset (`kernel.coupling_matrix`).  Displaced positions
+(`sample_positions`) carry no lattice.
+
 Internal units: lengths in 1/k (k = transition wavenumber), so one
 wavelength is LAMBDA = 2*pi.  Helper constructors accept lattice constants
 given as fractions of the wavelength.
@@ -20,6 +26,42 @@ LAMBDA = 2.0 * np.pi
 # sampled configurations with two atoms closer than this are rejected
 MIN_SEPARATION = 1e-6
 
+# positions may differ from their lattice's sites by this much, relative to
+# the array's extent (a JSON round trip moves them in the last bits)
+LATTICE_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class Lattice:
+    """An nx-by-ny square lattice of spacing a in the yz plane, centred on
+    y = z = 0, repeated in layers at the x offsets `layers`.  Site (layer,
+    m, n) sits at (layers[layer], (m - (nx-1)/2) a, (n - (ny-1)/2) a) and
+    has index (layer nx + m) ny + n."""
+    nx: int
+    ny: int
+    spacing: float
+    layers: tuple = (0.0,)
+
+    def __post_init__(self):
+        if self.nx < 1 or self.ny < 1:
+            raise ValueError("lattice site counts must be >= 1")
+        if self.spacing <= 0:
+            raise ValueError("lattice spacing must be positive")
+        object.__setattr__(self, "layers", tuple(map(float, self.layers)))
+        if len(set(self.layers)) < len(self.layers):
+            raise ValueError("coincident lattice layers")
+
+    def sites(self) -> np.ndarray:
+        """(N, 3) positions of the sites in index order."""
+        m = np.arange(self.nx) - (self.nx - 1) / 2.0
+        n = np.arange(self.ny) - (self.ny - 1) / 2.0
+        Y, Z = np.meshgrid(m * self.spacing, n * self.spacing, indexing="ij")
+        layer = np.column_stack([np.zeros(self.nx * self.ny), Y.ravel(),
+                                 Z.ravel()])
+        pos = np.tile(layer, (len(self.layers), 1))
+        pos[:, 0] = np.repeat(self.layers, len(layer))
+        return pos
+
 
 @dataclass(frozen=True)
 class Geometry:
@@ -27,11 +69,14 @@ class Geometry:
 
     `fluctuation` holds 1/e half-widths (ell_x, ell_y, ell_z) of the on-site
     density distribution; the in-plane width is isotropic for a square
-    lattice but the two in-plane axes are kept independent.
+    lattice but the two in-plane axes are kept independent.  `lattice`,
+    where set, is the lattice whose sites the positions are; positions
+    that contradict it are rejected.
     """
     positions: np.ndarray                  # (N, 3)
     site_labels: np.ndarray = None         # (N,) integer layer/site index
     fluctuation: tuple = (0.0, 0.0, 0.0)   # (ell_x, ell_y, ell_z)
+    lattice: Lattice = None
 
     def __post_init__(self):
         pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
@@ -42,25 +87,37 @@ class Geometry:
         if labels is None:
             labels = np.zeros(len(pos), dtype=int)
         object.__setattr__(self, "site_labels", np.asarray(labels, dtype=int))
-        if len(pos) > 1:
-            if min_pair_distance(pos) <= 0.0:
-                raise ValueError("coincident nominal sites")
+        if self.lattice is not None:
+            # distinct lattice sites: O(N), and no pair search
+            sites = self.lattice.sites()
+            if (sites.shape != pos.shape or np.abs(pos - sites).max()
+                    > LATTICE_TOL * max(1.0, np.abs(sites).max())):
+                raise ValueError("positions contradict their lattice")
+        elif len(pos) > 1 and min_pair_distance(pos) <= 0.0:
+            raise ValueError("coincident nominal sites")
 
     @property
     def natoms(self) -> int:
         return len(self.positions)
 
     def with_fluctuation(self, ell, ell_x) -> "Geometry":
-        return Geometry(self.positions, self.site_labels, (ell_x, ell, ell))
+        return Geometry(self.positions, self.site_labels, (ell_x, ell, ell),
+                        self.lattice)
 
     def to_json(self) -> str:
         """Serialize with lengths in units of the wavelength."""
-        return json.dumps({
+        doc = {
             "positions": (self.positions / LAMBDA).tolist(),
             "labels": self.site_labels.tolist(),
             "fluctuation": [w / LAMBDA for w in self.fluctuation],
             "units": "wavelengths",
-        })
+        }
+        if self.lattice is not None:
+            lat = self.lattice
+            doc["lattice"] = {"nx": lat.nx, "ny": lat.ny,
+                              "spacing": lat.spacing / LAMBDA,
+                              "layers": [x / LAMBDA for x in lat.layers]}
+        return json.dumps(doc)
 
     @staticmethod
     def from_json(text: str) -> "Geometry":
@@ -68,8 +125,12 @@ class Geometry:
         if doc.get("units", "wavelengths") != "wavelengths":
             raise ValueError("unknown length unit in geometry document")
         fluct = tuple(w * LAMBDA for w in doc.get("fluctuation", (0, 0, 0)))
+        lat = doc.get("lattice")
+        if lat is not None:
+            lat = Lattice(lat["nx"], lat["ny"], lat["spacing"] * LAMBDA,
+                          tuple(x * LAMBDA for x in lat["layers"]))
         return Geometry(np.asarray(doc["positions"]) * LAMBDA,
-                        doc.get("labels"), fluct)
+                        doc.get("labels"), fluct, lat)
 
 
 @dataclass(frozen=True)
@@ -88,41 +149,42 @@ class LatticeTrapSpec:
 
 
 def min_pair_distance(positions: np.ndarray) -> float:
+    """The smallest distance between two of the positions, one slab of
+    rows at a time (a (128, N, 3) temporary, not (N, N, 3)); the square
+    root, being monotonic, is taken of the smallest square only."""
     pos = np.asarray(positions)
     if len(pos) < 2:
         return np.inf
-    diff = pos[:, None, :] - pos[None, :, :]
-    d = np.sqrt(np.sum(diff * diff, axis=-1))
-    d[np.diag_indices(len(pos))] = np.inf
-    return float(d.min())
+    rows = 128
+    best = np.inf
+    for lo in range(0, len(pos), rows):
+        diff = pos[lo:lo + rows, None, :] - pos[None, :, :]
+        d2 = np.sum(diff * diff, axis=-1)
+        d2[np.arange(len(d2)), lo + np.arange(len(d2))] = np.inf
+        best = min(best, d2.min())
+    return float(np.sqrt(best))
 
 
 def build_square_lattice(nx: int, ny: int, a: float) -> Geometry:
     """nx-by-ny square lattice in the yz plane, spacing a, centered at the
     origin.  Site order is row-major in (m, n): site (m, n) sits at
     (0, m*a, n*a) up to the centering offset."""
-    if nx < 1 or ny < 1:
-        raise ValueError("lattice site counts must be >= 1")
-    if a <= 0:
-        raise ValueError("lattice spacing must be positive")
-    m = np.arange(nx) - (nx - 1) / 2.0
-    n = np.arange(ny) - (ny - 1) / 2.0
-    Y, Z = np.meshgrid(m * a, n * a, indexing="ij")
-    pos = np.column_stack([np.zeros(nx * ny), Y.ravel(), Z.ravel()])
-    return Geometry(pos, np.arange(nx * ny))
+    lattice = Lattice(nx, ny, a)
+    return Geometry(lattice.sites(), np.arange(nx * ny), lattice=lattice)
+
+
+def _layers(nx: int, ny: int, a: float, x) -> Geometry:
+    """Layers of an nx-by-ny lattice at the x offsets x, labelled by layer."""
+    lattice = Lattice(nx, ny, a, tuple(x))
+    return Geometry(lattice.sites(), np.repeat(np.arange(len(x)), nx * ny),
+                    lattice=lattice)
 
 
 def build_bilayer(nx: int, ny: int, a: float, d: float) -> Geometry:
     """Two identical nx-by-ny layers offset to x = -d/2 and x = +d/2."""
     if d <= 0:
         raise ValueError("layer separation must be positive")
-    layer = build_square_lattice(nx, ny, a).positions
-    lo = layer.copy()
-    hi = layer.copy()
-    lo[:, 0] = -d / 2.0
-    hi[:, 0] = +d / 2.0
-    labels = np.concatenate([np.zeros(len(layer), int), np.ones(len(layer), int)])
-    return Geometry(np.vstack([lo, hi]), labels)
+    return _layers(nx, ny, a, [-d / 2.0, +d / 2.0])
 
 
 def build_stack(nx: int, ny: int, a: float, separations) -> Geometry:
@@ -133,14 +195,7 @@ def build_stack(nx: int, ny: int, a: float, separations) -> Geometry:
         raise ValueError("layer separations must be positive")
     x = np.concatenate([[0.0], np.cumsum(seps)])
     x -= x.mean()
-    layer = build_square_lattice(nx, ny, a).positions
-    blocks, labels = [], []
-    for i, xi in enumerate(x):
-        blk = layer.copy()
-        blk[:, 0] = xi
-        blocks.append(blk)
-        labels.append(np.full(len(layer), i, dtype=int))
-    return Geometry(np.vstack(blocks), np.concatenate(labels))
+    return _layers(nx, ny, a, x)
 
 
 def build_ring(n: int, radius: float) -> Geometry:
@@ -282,7 +337,8 @@ def sample_positions(geometry: Geometry, rng: np.random.Generator,
     half-widths are `widths` (default: the geometry's own fluctuation);
     a half-width ell means std = ell/sqrt(2).  Configurations with a pair
     closer than `min_separation` are redrawn; after 100 failures a
-    DegenerateConfigurationError is raised.
+    DegenerateConfigurationError is raised.  The displaced positions carry
+    no lattice; with all widths zero the geometry itself is returned.
     """
     if widths is None:
         widths = geometry.fluctuation

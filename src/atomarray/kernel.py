@@ -11,9 +11,15 @@ coincide).  For a unit dipole e at the origin and rho = k*r,
     G(r) e = (k^3/4pi) e^{i rho} [ (1 - rr)/rho + (3rr - 1)(1/rho^3 - i/rho^2) ] e.
 
 Pairwise couplings: Omega + i*gamma_pair = XI * e_nu^* . G(r_j - r_l) . e_mu.
-`coupling_matrix` assembles them for a whole array; every model (coupled
-dipoles, optical Bloch equations, master equation) takes its couplings
-from there.
+`coupling_matrix` assembles them for a whole array `Geometry`; every model
+(coupled dipoles, optical Bloch equations, master equation) takes its
+couplings from there.  The geometry picks the path: on a lattice
+(`geometry.Lattice`) a coupling depends only on the offset of the two
+sites' indices and the pair of layers, so the kernel is evaluated once per
+offset, (2 nx - 1)(2 ny - 1) times per distinct layer separation, and the
+matrix is gathered from that table (the block-Toeplitz structure of the
+discrete-dipole FFT method, Goodman, Draine & Flatau, Opt. Lett. 16, 1198
+(1991)); any other set of positions is evaluated pair by pair.
 
 Far-field geometry: a direction n is `direction(theta, phi)`, theta the
 polar angle from the array normal (+x) and phi the azimuth of its in-plane
@@ -125,14 +131,18 @@ def pair_coupling(r_j, r_l, e_nu, e_mu) -> PairCoupling:
     return PairCoupling(float(g.real), float(g.imag))
 
 
-def coupling_matrix(positions, basis) -> np.ndarray:
-    """(M, M) complex coupling matrix of N atoms whose dipole components are
-    the columns of `basis` (3, m); M = N m and row j*m + c is component c of
-    atom j.  Off-diagonal atom blocks are XI * basis^H G(r_j - r_l) basis,
-    the diagonal is i*gamma.  Complex symmetric for a real basis; the real
-    part holds the coherent shifts Omega, the imaginary part the
-    dissipative rates (gamma on the diagonal)."""
-    pos = np.asarray(positions, dtype=float)
+def coupling_matrix(geometry, basis) -> np.ndarray:
+    """(M, M) complex coupling matrix of the N atoms of `geometry` whose
+    dipole components are the columns of `basis` (3, m); M = N m and row
+    j*m + c is component c of atom j.  Off-diagonal atom blocks are
+    XI * basis^H G(r_j - r_l) basis, the diagonal is i*gamma.  Complex
+    symmetric for a real basis; the real part holds the coherent shifts
+    Omega, the imaginary part the dissipative rates (gamma on the
+    diagonal).  A geometry with a lattice is assembled from its offset
+    table (`_lattice_couplings`), any other pair by pair."""
+    if geometry.lattice is not None:
+        return _lattice_couplings(geometry.lattice, basis)
+    pos = geometry.positions
     n, m = len(pos), basis.shape[1]
     C = np.zeros((n, m, n, m), dtype=complex)
     if n > 1:
@@ -144,6 +154,43 @@ def coupling_matrix(positions, basis) -> np.ndarray:
     C = C.reshape(n * m, n * m)
     C[np.diag_indices(n * m)] = 1j * GAMMA
     return C
+
+
+def _lattice_couplings(lattice, basis) -> np.ndarray:
+    """`coupling_matrix` on a lattice.  The blocks between a site of layer
+    p and one of layer q depend on x_p - x_q and the index offsets (dm, dn)
+    alone; G(r) = G(-r) makes the table of -(x_p - x_q) the table of
+    x_p - x_q read backwards, so there is one table per distinct |x_p - x_q|.
+    Its zero offset (a site with itself) holds the diagonal block i*gamma."""
+    nx, ny, a, m = lattice.nx, lattice.ny, lattice.spacing, basis.shape[1]
+    x = np.asarray(lattice.layers)
+    sep = x[:, None] - x[None, :]
+    dist, which = np.unique(np.abs(sep), return_inverse=True)
+    grid = np.zeros((len(dist), 2 * nx - 1, 2 * ny - 1, 3))
+    grid[..., 0] = dist[:, None, None]
+    grid[..., 1] = (np.arange(2 * nx - 1) - (nx - 1))[:, None] * a
+    grid[..., 2] = (np.arange(2 * ny - 1) - (ny - 1)) * a
+    grid = grid.reshape(len(dist), -1, 3)
+    self_term = ~grid.any(axis=-1)
+    table = np.empty(grid.shape[:2] + (m, m), dtype=complex)
+    G = XI * green_tensor(grid[~self_term])
+    table[~self_term] = np.einsum("in,pij,jm->pnm", basis.conj(), G, basis)
+    table[self_term] = 1j * GAMMA * np.eye(m)
+    # index of the offset of site j from site l in the flattened table
+    im, jn = np.divmod(np.arange(nx * ny), ny)
+    offset = ((im[:, None] - im + nx - 1) * (2 * ny - 1)
+              + jn[:, None] - jn + ny - 1)
+    n_layers, n_sites = len(x), nx * ny
+    C = np.empty((n_layers, n_sites, m, n_layers, n_sites, m), dtype=complex)
+    for p in range(n_layers):
+        for q in range(n_layers):
+            tab = table[which.reshape(sep.shape)[p, q]]
+            if sep[p, q] < 0:
+                tab = tab[::-1]
+            for c in range(m):
+                for c2 in range(m):
+                    C[p, :, c, q, :, c2] = tab[:, c, c2][offset]
+    return C.reshape(n_layers * n_sites * m, -1)
 
 
 def kernel_matrix_element(rvec, e_nu, e_mu) -> complex:

@@ -13,17 +13,26 @@ i*gamma, off-diagonal XI * e.G(r_j - r_l).e' between dipole components;
   Delta - nu*delta_nu, make the per-atom level block of dH
   (`TransitionSpec.level_block`) a 3x3 Hermitian matrix in this basis.
 
-`eigenmodes` diagonalises H in blocks: the coordinate mirrors of a
-symmetric array that act on every atom's dipole components as +-1 and
+`assemble` takes H from `kernel.coupling_matrix`, which gathers it from a
+table of offsets on a lattice geometry and evaluates every pair otherwise.
+
+`eigenmodes` and `steady_state` work in blocks: the coordinate mirrors of
+a symmetric array that act on every atom's dipole components as +-1 and
 leave H invariant (`invariant_mirrors`, the one mirror search, which the
 master equation's parity sectors use too) are diagonal in a real
 orthogonal orbit-sum basis Q (`mirror_basis`).  Q splits a centred square
 J=0 -> J'=1 lattice into eight blocks; an array without such a mirror is
-one block.  `geometry.OrbitBasis` builds and applies Q for both layers.
+one block, solved as it is.  `geometry.OrbitBasis` builds and applies Q
+for both layers.  A system searches its mirrors and projects H + dH once
+(`CouplingSystem.sectors`); its eigenmodes, and its steady state at every
+detuning, which only shifts the diagonal of each block, reuse both.  The
+steady state keeps a mirror of H only where dH (a Zeeman term) keeps it
+too, and solves the blocks that Q^T f reaches; the others are zero.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -88,7 +97,9 @@ class TransitionSpec:
 @dataclass
 class CouplingSystem:
     """H (complex symmetric), diagonal-in-atom detuning matrix dH, drive
-    vector f, plus the geometry/transition they came from."""
+    vector f, plus the geometry/transition they came from.  The mirror
+    search and the projection onto its sectors are made on first use and
+    kept, so H and dH are not to be changed in place after that."""
     H: np.ndarray
     dH: np.ndarray
     f: np.ndarray
@@ -98,6 +109,35 @@ class CouplingSystem:
     @property
     def size(self) -> int:
         return self.H.shape[0]
+
+    @cached_property
+    def mirrors(self) -> dict:
+        """The mirrors that leave H invariant (`invariant_mirrors`)."""
+        return invariant_mirrors(self.geometry, self.transition, self.H)
+
+    @cached_property
+    def level_free(self) -> bool:
+        """Whether dH is the laser detuning alone (no Zeeman term), so that
+        H and H + dH have the same blocks up to a shift of their
+        diagonals."""
+        d = np.diagonal(self.dH)
+        return (np.count_nonzero(self.dH) == np.count_nonzero(d)
+                and bool(np.all(d == self.transition.detuning)))
+
+    @cached_property
+    def sectors(self) -> tuple:
+        """(Q, blocks): the orbit basis of the mirrors of H that dH keeps
+        too, and the diagonal blocks Q_s^T (H + dH - detuning) Q_s; blocks
+        is None where Q has a single sector, whose matrix is solved as it
+        is."""
+        ops = [op for _, op in self.mirrors.values()]
+        A = self.H
+        if not self.level_free:
+            A = self.dH - self.transition.detuning * np.eye(self.size)
+            ops = [op for op in ops if invariant(A, *op)]
+            A += self.H
+        basis = orbit_basis(ops, self.size)
+        return basis, _project(A, basis)
 
 
 def zeeman_block(zeeman) -> np.ndarray:
@@ -122,7 +162,7 @@ def assemble(geometry: Geometry, transition: TransitionSpec,
              drive=None) -> CouplingSystem:
     """Build H, dH and f for the given geometry, transition and drive."""
     pos = geometry.positions
-    H = coupling_matrix(pos, transition.basis)
+    H = coupling_matrix(geometry, transition.basis)
     dH = block_diagonal(len(pos), transition.level_block)
     f = np.zeros(len(H), dtype=complex)
     if drive is not None:
@@ -137,11 +177,37 @@ def with_detuning(system: CouplingSystem, delta: float) -> np.ndarray:
     return system.H + base + delta * np.eye(system.size)
 
 
+def _project(A: np.ndarray, basis: OrbitBasis):
+    """The diagonal blocks of Q^T A Q, or None where Q has one sector."""
+    if len(basis.sizes) == 1:
+        return None
+    Y = basis.to_sectors(A)
+    off = basis.offsets
+    return [Y[lo:hi, lo:hi].copy() for lo, hi in zip(off[:-1], off[1:])]
+
+
 def steady_state(system: CouplingSystem, delta: float = None) -> np.ndarray:
-    """Solve 0 = i(H + dH) b + f, i.e. b = i (H + dH)^{-1} f; raises
-    ResonantSingularityError at a collective resonance."""
-    A = system.H + system.dH if delta is None else with_detuning(system, delta)
-    return solve_checked(A, 1j * system.f)
+    """Solve 0 = i(H + dH) b + f, i.e. b = i (H + dH)^{-1} f, with the laser
+    detuning set to `delta` if given; raises ResonantSingularityError at a
+    collective resonance.  In the sectors of the system's mirrors
+    (`CouplingSystem.sectors`) each block that Q^T f reaches is solved on
+    its own, its diagonal shifted by the detuning, and the others are
+    zero; a singular block raises with its own nearest eigenvalue.
+    Without a sector split the whole matrix is solved."""
+    basis, blocks = system.sectors
+    if blocks is None:
+        A = (system.H + system.dH if delta is None
+             else with_detuning(system, delta))
+        return solve_checked(A, 1j * system.f)
+    shift = system.transition.detuning if delta is None else delta
+    g = basis.qt @ (1j * system.f)
+    y = np.zeros(system.size, dtype=complex)
+    off = basis.offsets
+    for lo, hi, block in zip(off[:-1], off[1:], blocks):
+        if g[lo:hi].any():
+            y[lo:hi] = solve_checked(block + shift * np.eye(hi - lo),
+                                     g[lo:hi])
+    return basis.q @ y
 
 
 def evolve(system: CouplingSystem, b0, t_grid, delta: float = None) -> np.ndarray:
@@ -221,8 +287,9 @@ def mirror_basis(system: CouplingSystem) -> OrbitBasis:
     """Orbit-sum basis of the mirrors that leave H invariant; Q^T H Q is
     block diagonal with blocks of `sizes`.  With none kept, Q = 1 and the
     whole of H is one block."""
-    found = invariant_mirrors(system.geometry, system.transition, system.H)
-    return orbit_basis([op for _, op in found.values()], system.size)
+    if system.level_free:
+        return system.sectors[0]
+    return orbit_basis([op for _, op in system.mirrors.values()], system.size)
 
 
 def _runs(idx: np.ndarray, key: np.ndarray, tol: float) -> list:
@@ -259,6 +326,8 @@ def eigenmodes(system: CouplingSystem) -> EigenSystem:
     H into blocks Q_s^T H Q_s (`mirror_basis`), complex symmetric like H,
     sliced from Q^T H Q (`OrbitBasis.to_sectors`); each is solved by
     `scipy.linalg.eig` and its vectors are mapped back by the sparse Q_s.
+    Where dH is the laser detuning alone these are the blocks of the
+    steady state (`CouplingSystem.sectors`), projected once for both.
     With no mirror kept, H is one block.  Q is real orthogonal, so
     v^T v = 1 and the `anomalous` rule mean what they mean for a full
     eigensolve.
@@ -280,10 +349,9 @@ def eigenmodes(system: CouplingSystem) -> EigenSystem:
     """
     basis = mirror_basis(system)
     off = basis.offsets
-    blocks = basis.to_sectors(system.H)
-    solved = [scipy.linalg.eig(blocks[lo:hi, lo:hi], overwrite_a=True)
-              for lo, hi in zip(off[:-1], off[1:])]
-    del blocks                  # M x M, not held while the vectors expand
+    blocks = (system.sectors[1] if system.level_free
+              else _project(system.H, basis))
+    solved = [scipy.linalg.eig(block) for block in blocks or [system.H]]
     vecs = np.empty((system.size, system.size), dtype=complex)
     for w, v in solved:
         _orthonormalise_clusters(w, v)
@@ -297,7 +365,7 @@ def eigenmodes(system: CouplingSystem) -> EigenSystem:
     column = np.empty_like(order)
     column[order] = np.arange(len(order))
     for lo, hi, (_, v) in zip(off[:-1], off[1:], solved):
-        vecs[:, column[lo:hi]] = basis.qt[lo:hi].T @ v
+        vecs[:, column[lo:hi]] = v if blocks is None else basis.qt[lo:hi].T @ v
     norms = np.einsum("ij,ij->j", vecs, vecs)
     anomalous = np.abs(norms) < 1e-12
     scale = np.sqrt(norms + 0j)

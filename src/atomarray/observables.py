@@ -186,7 +186,7 @@ def total_scattering_rate(corr, geometry, transition) -> float:
     """Rate formula n_s = 2 gamma sum_{j,c} C_{(jc),(jc)} +
     2 sum_{j != l} gamma^{(jl)}_{cc'} C_{(jc),(lc')} for a Hermitian table
     C = <s+ s->."""
-    B = coupling_matrix(geometry.positions, transition.basis).imag
+    B = coupling_matrix(geometry, transition.basis).imag
     C = np.asarray(corr, dtype=complex)
     return float(2.0 * np.real(np.sum(B * C)))
 

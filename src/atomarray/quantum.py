@@ -415,7 +415,7 @@ def build_quantum_system(geometry: Geometry, transition: TransitionSpec,
     _check_memory("build_quantum_system", D, 64 * D**2)  # H, pair_sum's rows
     moves = lowering_moves(n, transition.levels)
 
-    C = coupling_matrix(geometry.positions, transition.basis)
+    C = coupling_matrix(geometry, transition.basis)
     B = C.imag
     # coherent couplings (zero diagonal) plus the per-atom level blocks
     omega = C.real + block_diagonal(n, transition.level_block)
@@ -464,9 +464,10 @@ def steady_state_qme(system: QuantumSystem, residual_tol=1e-9, rho0=None):
     by block: with one Schur form per sector, Hnh_s = Q T Q^dag, the block
     (s, s) of S^-1 Y is Q Z Q^dag where T Z - Z T^dag = i Q^dag Y_ss Q
     (`triangular_sylvester`).  sigma = 1e-3 gamma keeps S invertible where
-    Hnh has a real eigenvalue (undriven, |G> never decays).  Raises
-    NonConvergenceError unless the result has ||L rho||_1 < residual_tol,
-    L applied to the D x D rho (every charge)."""
+    Hnh has a real eigenvalue (undriven, |G> never decays).  Returns
+    (rho, ||L rho||_1), the residual that was checked, L applied to the
+    D x D rho (every charge); raises NonConvergenceError unless it is below
+    residual_tol."""
     D = system.dim
     generator, basis = system.generator, system.sectors
     layout = generator.layout([0])
@@ -509,7 +510,7 @@ def steady_state_qme(system: QuantumSystem, residual_tol=1e-9, rho0=None):
         raise NonConvergenceError(
             f"QME steady state residual {resid:.2e} after GMRES",
             residual=resid)
-    return rho
+    return rho, resid
 
 
 def triangular_sylvester(A, B, C) -> tuple:
@@ -816,7 +817,7 @@ def g2_regression(system: QuantumSystem, tau_grid, theta=0.0, phi=0.0,
     """g2(tau) by quantum regression: evolve the conditional state
     E rho_ss E^dag under the QME generator and read out <E^dag E>."""
     if rho_ss is None:
-        rho_ss = steady_state_qme(system)
+        rho_ss, _ = steady_state_qme(system)
     E = detection_operator(system, theta, phi)
     EdE = E.conj().T @ E
     rate_ss = float(np.real(np.trace(EdE @ rho_ss)))

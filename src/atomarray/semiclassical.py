@@ -96,7 +96,7 @@ def build_obe_system(geometry: Geometry, transition: TransitionSpec,
                      drive=None) -> ObeSystem:
     pos = geometry.positions
     basis = transition.basis
-    C = coupling_matrix(pos, basis)
+    C = coupling_matrix(geometry, basis)
     C[np.diag_indices(len(C))] -= 1j * GAMMA
     if drive is None:
         R = np.zeros((len(pos), basis.shape[1]), dtype=complex)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atomarray.errors import DegenerateConfigurationError
-from atomarray.geometry import (LAMBDA, Geometry, LatticeTrapSpec,
+from atomarray.geometry import (LAMBDA, Geometry, Lattice, LatticeTrapSpec,
                                 build_bilayer, build_ring,
                                 build_square_lattice, build_stack,
                                 coordinate_mirrors, min_pair_distance,
@@ -224,3 +224,69 @@ def test_coordinate_mirrors_permute_the_positions(geo, axes):
         image = geo.positions.copy()
         image[:, axis] = 2 * centroid[axis] - image[:, axis]
         assert np.allclose(geo.positions[perm], image, rtol=0, atol=1e-12)
+
+
+def brute_min_pair_distance(pos):
+    """The (N, N, 3) reference that the slab loop replaced."""
+    diff = pos[:, None, :] - pos[None, :, :]
+    d = np.sqrt(np.sum(diff * diff, axis=-1))
+    d[np.diag_indices(len(pos))] = np.inf
+    return float(d.min())
+
+
+@pytest.mark.parametrize("n", [2, 5, 127, 128, 129, 300])
+def test_min_pair_distance_equals_brute_force(n):
+    pos = np.random.default_rng(n).normal(size=(n, 3))
+    assert min_pair_distance(pos) == brute_min_pair_distance(pos)
+
+
+def test_min_pair_distance_memory_is_a_slab():
+    import tracemalloc
+    pos = np.random.default_rng(0).uniform(0, 100, size=(3000, 3))
+    tracemalloc.start()
+    try:
+        min_pair_distance(pos)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+
+
+def test_builders_record_their_lattice():
+    sq = build_square_lattice(3, 4, 1.5)
+    assert sq.lattice == Lattice(3, 4, 1.5)
+    bi = build_bilayer(2, 3, 1.1, 0.9)
+    assert bi.lattice == Lattice(2, 3, 1.1, (-0.45, 0.45))
+    st_ = build_stack(2, 2, 1.0, [0.4, 0.7])
+    assert st_.lattice.layers == tuple(np.array([0.0, 0.4, 1.1]) - 0.5)
+    for geo in (sq, bi, st_):
+        assert np.array_equal(geo.positions, geo.lattice.sites())
+    assert build_ring(5, 1.0).lattice is None
+    assert Geometry(sq.positions).lattice is None
+
+
+def test_lattice_survives_json_and_fluctuation_not_sampling():
+    geo = build_stack(2, 3, 1.1, [0.9, 0.4]).with_fluctuation(0.1, 0.02)
+    assert geo.lattice == build_stack(2, 3, 1.1, [0.9, 0.4]).lattice
+    back = Geometry.from_json(geo.to_json())
+    assert back.lattice.nx == 2 and back.lattice.ny == 3
+    assert np.allclose(back.lattice.spacing, 1.1, rtol=1e-15)
+    assert np.allclose(back.lattice.layers, geo.lattice.layers, rtol=1e-15)
+    rng = np.random.default_rng(0)
+    assert sample_positions(geo, rng, 0.0) is geo
+    assert sample_positions(geo, rng).lattice is None
+
+
+@pytest.mark.parametrize("positions", [
+    build_square_lattice(3, 4, 1.0).positions + [0.0, 1e-6, 0.0],
+    build_square_lattice(4, 3, 1.0).positions,
+    build_square_lattice(3, 4, 1.0).positions[:-1],
+])
+def test_positions_contradicting_their_lattice_are_rejected(positions):
+    with pytest.raises(ValueError, match="contradict"):
+        Geometry(positions, lattice=Lattice(3, 4, 1.0))
+
+
+def test_lattice_rejects_coincident_layers():
+    with pytest.raises(ValueError, match="coincident"):
+        Lattice(2, 2, 1.0, (0.3, 0.3))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from atomarray.errors import (NearFieldRequestError, OnLightConeError,
                               SingularSeparationError)
-from atomarray.geometry import LAMBDA, min_pair_distance
+from atomarray.geometry import LAMBDA, Geometry, min_pair_distance
 from atomarray.kernel import (GAMMA, K, XI, circular_basis, coupling_matrix,
                               direction_angles, far_field_kernel,
                               green_1d, green_tensor, kernel_matrix_element,
@@ -214,7 +214,7 @@ def test_coupling_matrix_matches_pair_coupling(points, kind_basis):
     pos = np.asarray(points)
     assume(min_pair_distance(pos) > 0.05)
     n, m = len(pos), basis.shape[1]
-    C = coupling_matrix(pos, basis)
+    C = coupling_matrix(Geometry(pos), basis)
     assert C.shape == (n * m, n * m)
     blocks = C.reshape(n, m, n, m)
     for j in range(n):
@@ -241,7 +241,7 @@ def test_dissipation_matrix_positive_semidefinite(points, e, cartesian):
     assume(min_pair_distance(pos) > 0.05)
     e = np.asarray(e) / np.linalg.norm(e)
     basis = np.eye(3) if cartesian else e[:, None]
-    B = coupling_matrix(pos, basis).imag
+    B = coupling_matrix(Geometry(pos), basis).imag
     assert np.linalg.eigvalsh(B).min() > -1e-9 * GAMMA
 
 
@@ -395,3 +395,48 @@ def test_kernel_symmetry_property(r, theta, phi):
     G = green_tensor(rvec)
     assert np.allclose(G, G.T, atol=1e-14)
     assert np.allclose(G, green_tensor(-rvec), atol=1e-14)
+
+
+@st.composite
+def lattices(draw):
+    """Squares with nx != ny allowed, bilayers and stacks of unequal
+    separations."""
+    from atomarray.geometry import (build_bilayer, build_square_lattice,
+                                    build_stack)
+    nx, ny = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    a = draw(st.floats(0.1, 1.5)) * LAMBDA
+    kind = draw(st.sampled_from(["square", "bilayer", "stack"]))
+    if kind == "square":
+        return build_square_lattice(nx, ny, a)
+    if kind == "bilayer":
+        return build_bilayer(nx, ny, a, draw(st.floats(0.05, 1.0)) * LAMBDA)
+    seps = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4))
+    return build_stack(nx, ny, a, [s * LAMBDA for s in seps])
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattices(), st.sampled_from(["y", "tilted", "j01"]))
+def test_lattice_table_equals_pair_couplings(geo, kind):
+    basis = {"y": np.array([[0.0], [1.0], [0.0]]),
+             "tilted": np.array([[1.0], [0.1], [0.3]]) / np.sqrt(1.1),
+             "j01": np.eye(3)}[kind].astype(complex)
+    table = coupling_matrix(geo, basis)
+    pairs = coupling_matrix(Geometry(geo.positions, geo.site_labels), basis)
+    assert np.abs(table - pairs).max() <= 1e-14 * np.abs(pairs).max()
+    assert np.array_equal(np.diagonal(table), np.diagonal(pairs))
+
+
+def test_lattice_table_evaluates_the_kernel_once_per_offset(monkeypatch):
+    # a bilayer has two distinct layer separations, 0 and d: (2 nx - 1)
+    # (2 ny - 1) offsets each, less the zero offset of a site with itself
+    from atomarray import kernel
+    from atomarray.geometry import build_bilayer
+    shapes = []
+
+    def counted(rvec):
+        shapes.append(np.shape(rvec)[:-1])
+        return green_tensor(rvec)
+    monkeypatch.setattr(kernel, "green_tensor", counted)
+    coupling_matrix(build_bilayer(4, 3, 0.6 * LAMBDA, 0.4 * LAMBDA),
+                    np.eye(3, dtype=complex))
+    assert shapes == [(2 * 7 * 5 - 1,)]

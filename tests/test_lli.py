@@ -8,6 +8,7 @@ from scipy.optimize import linear_sum_assignment
 from atomarray import lli
 from atomarray.drives import GaussianBeam, PlaneWave, no_drive
 from atomarray.errors import ResonantSingularityError
+from atomarray.integrate import solve_checked
 from atomarray.geometry import (LAMBDA, Geometry, build_bilayer, build_ring,
                                 build_square_lattice, build_stack,
                                 sample_positions)
@@ -488,3 +489,114 @@ def test_shifted_square_keeps_its_mirror_blocks(tr):
         centred.eigenvalues[:, None] - moved.eigenvalues[None, :]))
     assert np.max(np.abs(centred.eigenvalues[rows]
                          - moved.eigenvalues[cols])) < 1e-12
+
+
+# --- block steady state against the full solve ------------------------------
+
+def full_steady_state(system, delta):
+    return solve_checked(lli.with_detuning(system, delta), 1j * system.f)
+
+
+@st.composite
+def driven_systems(draw):
+    """Driven arrays whose drive reaches one sector (a centred beam) or
+    several (an off-centre beam, an oblique plane wave), with a Zeeman
+    term that breaks mirrors of H, or with no mirror at all."""
+    kind = draw(st.sampled_from(["square", "bilayer", "off_centre",
+                                 "oblique", "zeeman", "random"]))
+    a = draw(st.floats(0.2, 0.8)) * LAMBDA
+    nx, ny = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    tr = draw(st.sampled_from([EY, J01, EX]))
+    beam = GaussianBeam(waist=draw(st.floats(0.5, 3.0)) * LAMBDA)
+    geo = build_square_lattice(nx, ny, a)
+    if kind == "bilayer":
+        geo = build_bilayer(nx, ny, a, draw(st.floats(0.1, 0.7)) * LAMBDA)
+    elif kind == "off_centre":
+        geo = Geometry(geo.positions + [0.0, draw(st.floats(0.1, 1.0)) * a,
+                                        draw(st.floats(-1.0, 1.0)) * a])
+    elif kind == "oblique":
+        t = draw(st.floats(0.1, 1.2))
+        beam = PlaneWave(direction=(np.cos(t), 0.0, np.sin(t)))
+    elif kind == "zeeman":
+        tr = ZEEMAN
+    elif kind == "random":
+        # two or more atoms: a single one is kept by every mirror
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        geo = Geometry(rng.uniform(-LAMBDA, LAMBDA, size=(nx * ny + 1, 3)))
+    delta = draw(st.floats(-3.0, 3.0))
+    return kind, assemble(geo, tr, beam), delta
+
+
+@settings(max_examples=60, deadline=None)
+@given(driven_systems())
+def test_block_steady_state_matches_full_solve(case):
+    kind, system, delta = case
+    try:
+        want = full_steady_state(system, delta)
+    except ResonantSingularityError:
+        return
+    got = steady_state(system, delta)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    if kind == "random":
+        assert system.sectors[1] is None
+        assert np.array_equal(got, want)
+    # the laser detuning of the transition is the default
+    assert np.array_equal(steady_state(system),
+                          steady_state(system, system.transition.detuning))
+
+
+def test_block_steady_state_solves_only_reached_sectors(monkeypatch):
+    # a plane wave at normal incidence on a centred square drives the
+    # sector of even y and z parity only: one block of nine is solved, and
+    # the others are exactly zero, so b has its parity exactly
+    system = assemble(build_square_lattice(6, 6, 0.6 * LAMBDA), J01,
+                      PlaneWave(polarization=(0.0, 1.0, 0.0)))
+    solved = []
+
+    def record(A, rhs):
+        solved.append(len(A))
+        return solve_checked(A, rhs)
+    monkeypatch.setattr(lli, "solve_checked", record)
+    b = steady_state(system, 0.3)
+    assert solved == [18]
+    assert len(system.sectors[1]) == 8
+    for _, (idx, sign) in system.mirrors.values():
+        image = np.empty_like(b)
+        image[idx] = sign * b
+        assert np.array_equal(image, b) or np.array_equal(image, -b)
+    assert np.abs(b - full_steady_state(system, 0.3)).max() <= (
+        1e-13 * np.abs(b).max())
+
+
+def test_zeeman_term_drops_the_mirrors_it_breaks():
+    # H keeps all three coordinate mirrors, H + dH only z -> -z
+    system = assemble(build_square_lattice(3, 4, 0.6 * LAMBDA), ZEEMAN,
+                      GaussianBeam(waist=LAMBDA))
+    assert sorted(system.mirrors) == [0, 1, 2]
+    basis, blocks = system.sectors
+    assert len(lli.mirror_basis(system).sizes) == 8
+    assert len(basis.sizes) == len(blocks) == 2
+    assert np.abs(steady_state(system, 0.2)
+                  - full_steady_state(system, 0.2)).max() < 1e-13
+
+
+def test_singular_block_raises_with_its_own_eigenvalue():
+    # four atoms on a line: the z mirror splits the y dipoles into two
+    # blocks of two.  Both are near-singular; the drive reaches only the
+    # odd one, whose nearest eigenvalue the error carries, not the even
+    # block's smaller one that a full solve would report
+    geo = Geometry([[0.0, 0.0, z * LAMBDA] for z in range(4)])
+    probe = CouplingSystem(assemble(geo, EY).H, np.zeros((4, 4)),
+                           np.zeros(4), geo, EY)
+    basis = probe.sectors[0]
+    assert basis.sizes == [2, 2]
+    Q = dense_q(basis, 4)
+    H = Q @ np.diag([1j, 1e-15j, 1j, 1e-13j]) @ Q.T
+    f = Q[:, 2:] @ [1.0, 1.0]
+    system = CouplingSystem(H, np.zeros((4, 4)), f, geo, EY)
+    with pytest.raises(ResonantSingularityError) as err:
+        steady_state(system)
+    assert abs(err.value.nearest_eigenvalue - 1e-13j) < 1e-15
+    with pytest.raises(ResonantSingularityError) as err:
+        full_steady_state(system, 0.0)
+    assert abs(err.value.nearest_eigenvalue) < 1e-14

@@ -232,7 +232,7 @@ def test_intensity_decomposition_single_atom_quantum():
     geo = Geometry(np.zeros((1, 3)))
     drive = PlaneWave(amplitude=0.7)
     qs = build_quantum_system(geo, EY, drive)
-    rho = steady_state_qme(qs)
+    rho, _ = steady_state_qme(qs)
     C = correlation_table(rho, qs)
     means = mean_lowering(rho, qs)
     point = np.array([25.0, 3.0, -1.0])
@@ -422,7 +422,7 @@ def test_many_body_signature_diagnostic():
     geo = Geometry([[0, 0, 0], [0, 0, 0.25 * LAMBDA]])
     drive = PlaneWave(amplitude=1.2)
     qs = build_quantum_system(geo, EY, drive)
-    rho = steady_state_qme(qs)
+    rho, _ = steady_state_qme(qs)
     C = correlation_table(rho, qs)
     means_q = mean_lowering(rho, qs)
     system = sc.build_obe_system(geo, EY, drive)
@@ -434,7 +434,7 @@ def test_many_body_signature_diagnostic():
     # a single atom has no many-body part: quantum and SAQ coincide
     geo1 = Geometry(np.zeros((1, 3)))
     qs1 = build_quantum_system(geo1, EY, drive)
-    rho1 = steady_state_qme(qs1)
+    rho1, _ = steady_state_qme(qs1)
     rep1 = obs.many_body_signature(
         correlation_table(rho1, qs1), mean_lowering(rho1, qs1),
         [rho1[1, 1].real], [rho1[0, 1]], geo1, EY)

@@ -113,7 +113,7 @@ def test_observables_equal_per_operator_loops(geo, tr):
     assert np.max(np.abs(qt.mean_lowering(rho, qs) - mean)) < 1e-14
     assert np.max(np.abs(qt.single_excitation_block(rho, qs) - block)) < 1e-14
     assert np.max(np.abs(qs.single_excitation(b) - psi)) < 1e-14
-    omega = (coupling_matrix(geo.positions, tr.basis).real
+    omega = (coupling_matrix(geo, tr.basis).real
              + lli.block_diagonal(geo.natoms, tr.level_block))
     R = tr.rabi(drive.field(geo.positions)).reshape(-1)
     H = -sum(omega[i, l] * S[i].conj().T @ S[l]
@@ -388,7 +388,7 @@ def test_undriven_steady_state_is_ground():
     A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho0 = A @ A.conj().T
     rho0 /= np.trace(rho0).real
-    rho = qt.steady_state_qme(qs, rho0=rho0)
+    rho, _ = qt.steady_state_qme(qs, rho0=rho0)
     want = np.zeros((4, 4))
     want[0, 0] = 1.0
     assert np.max(np.abs(rho - want)) < 1e-7
@@ -397,7 +397,7 @@ def test_undriven_steady_state_is_ground():
 def test_driven_single_atom_matches_obe_saturation():
     R = 0.9
     qs = qt.build_quantum_system(single_atom(), EY, PlaneWave(amplitude=R))
-    rho = qt.steady_state_qme(qs)
+    rho, _ = qt.steady_state_qme(qs)
     want = R**2 / (GAMMA**2 + 2 * R**2)
     assert abs(rho[1, 1].real - want) < 1e-9
 
@@ -434,7 +434,7 @@ def driven_small_systems(draw):
 @settings(max_examples=40, deadline=None)
 @given(driven_small_systems())
 def test_steady_state_equals_long_time_evolution(qs):
-    rho = qt.steady_state_qme(qs)
+    rho, _ = qt.steady_state_qme(qs)
     g = qs.ground_state()
     late = qt.evolve_qme(np.outer(g, g.conj()), qs, [0.0, 200.0],
                          rtol=1e-11, atol=1e-13)[-1]
@@ -458,7 +458,7 @@ def test_close_pair_steady_state_equals_dense_solve(sep, axis):
     qs = qt.build_quantum_system(
         pair(sep * LAMBDA), TransitionSpec(levels=2, orientation=axis),
         PlaneWave(amplitude=2.0))
-    assert np.max(np.abs(qt.steady_state_qme(qs) - dense_steady_state(qs))
+    assert np.max(np.abs(qt.steady_state_qme(qs)[0] - dense_steady_state(qs))
                   ) < 1e-10
 
 
@@ -487,7 +487,7 @@ def dense_steady_state(qs):
 def test_steady_state_of_seven_atom_ring():
     qs = qt.build_quantum_system(build_ring(7, 0.4 * LAMBDA), EY,
                                  PlaneWave(amplitude=0.8))
-    rho = qt.steady_state_qme(qs)
+    rho, _ = qt.steady_state_qme(qs)
     assert qs.dim == 128
     assert np.abs(qt.qme_rhs(rho, qs)).sum() < 1e-9
     assert abs(np.trace(rho) - 1.0) < 1e-12
@@ -542,7 +542,7 @@ def test_many_body_deviation_peaks_at_intermediate_intensity():
         R = np.sqrt(I / 2)
         drive = PlaneWave(amplitude=R)
         qs = qt.build_quantum_system(geo, EY, drive)
-        rho = qt.steady_state_qme(qs)
+        rho, _ = qt.steady_state_qme(qs)
         means_q = qt.mean_lowering(rho, qs)
         system = sc.build_obe_system(geo, EY, drive)
         st, _ = sc.steady_state_obe(system, horizon=300.0)
@@ -668,7 +668,7 @@ def test_directional_click_rate_matches_rate_formula():
     geo = pair(0.5 * LAMBDA)
     drive = PlaneWave(amplitude=0.6)
     qs = qt.build_quantum_system(geo, EY, drive)
-    rho_ss = qt.steady_state_qme(qs)
+    rho_ss, _ = qt.steady_state_qme(qs)
     C = qt.correlation_table(rho_ss, qs)
     n_s = total_scattering_rate(C, geo, EY)
 
@@ -687,7 +687,7 @@ def test_directional_channel_draw_matches_channel_rates():
     """Clicks of a driven atom fall into each polar ring of directions with
     the ring's share of the steady-state rates sum_m Tr(J_m^dag J_m rho)."""
     qs = qt.build_quantum_system(single_atom(), EY, PlaneWave(amplitude=0.6))
-    rho_ss = qt.steady_state_qme(qs)
+    rho_ss, _ = qt.steady_state_qme(qs)
     basis = qt.directional_basis(qs, n_theta=6, n_phi=12)
     ops = dense_jumps(basis, table(qs))
     rates = np.einsum("mji,mjk,ki->m", ops.conj(), ops, rho_ss).real
