@@ -152,9 +152,8 @@ def run_spectrum(cfg, out, seed, diagnostics):
 def run_eigen(cfg, out, seed, diagnostics):
     from . import lli
     system = lli.assemble(*_array(cfg))
-    es = lli.eigenmodes(system)
+    es, table = lli.eigen_table(system)
     diagnostics["eigen_blocks"] = list(es.blocks)
-    table = lli.eigen_table(system, es)
     path = out / "eigenmodes.csv"
     write_csv(path, ["mode[1]", "shift[gamma]", "linewidth[gamma]",
                      "occupation[1]"], table)

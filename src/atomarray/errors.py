@@ -41,6 +41,11 @@ class ResonantSingularityError(AtomarrayError, RuntimeError):
         super().__init__(message)
 
 
+class UnsolvedEigenvectorsError(AtomarrayError, LookupError):
+    """Eigenvectors read in a mirror sector that was solved for its
+    eigenvalues alone."""
+
+
 class StiffnessError(AtomarrayError, RuntimeError):
     """Adaptive integrator step size underflowed."""
 

@@ -71,7 +71,9 @@ class Geometry:
     density distribution; the in-plane width is isotropic for a square
     lattice but the two in-plane axes are kept independent.  `lattice`,
     where set, is the lattice whose sites the positions are; positions
-    that contradict it are rejected.
+    that contradict it are rejected.  Without a lattice, coincident
+    positions are rejected by their smallest pair distance, which is kept
+    (`min_distance`).
     """
     positions: np.ndarray                  # (N, 3)
     site_labels: np.ndarray = None         # (N,) integer layer/site index
@@ -93,8 +95,13 @@ class Geometry:
             if (sites.shape != pos.shape or np.abs(pos - sites).max()
                     > LATTICE_TOL * max(1.0, np.abs(sites).max())):
                 raise ValueError("positions contradict their lattice")
-        elif len(pos) > 1 and min_pair_distance(pos) <= 0.0:
+        elif self.min_distance <= 0.0:
             raise ValueError("coincident nominal sites")
+
+    @cached_property
+    def min_distance(self) -> float:
+        """The smallest distance between two atoms (`min_pair_distance`)."""
+        return min_pair_distance(self.positions)
 
     @property
     def natoms(self) -> int:
@@ -336,9 +343,11 @@ def sample_positions(geometry: Geometry, rng: np.random.Generator,
     Each site is displaced by independent Gaussians whose per-axis 1/e
     half-widths are `widths` (default: the geometry's own fluctuation);
     a half-width ell means std = ell/sqrt(2).  Configurations with a pair
-    closer than `min_separation` are redrawn; after 100 failures a
-    DegenerateConfigurationError is raised.  The displaced positions carry
-    no lattice; with all widths zero the geometry itself is returned.
+    closer than `min_separation`, or coincident, are redrawn; each draw's
+    pair distance is computed once, by its `Geometry`.  After 100
+    failures a DegenerateConfigurationError is raised.  The displaced
+    positions carry no lattice; with all widths zero the geometry itself
+    is returned.
     """
     if widths is None:
         widths = geometry.fluctuation
@@ -352,9 +361,13 @@ def sample_positions(geometry: Geometry, rng: np.random.Generator,
     sigma = widths / np.sqrt(2.0)
     for _ in range(100):
         jitter = rng.normal(0.0, 1.0, size=geometry.positions.shape) * sigma
-        pos = geometry.positions + jitter
-        if min_pair_distance(pos) >= min_separation:
-            return Geometry(pos, geometry.site_labels, tuple(widths))
+        try:
+            sample = Geometry(geometry.positions + jitter,
+                              geometry.site_labels, tuple(widths))
+        except ValueError:      # coincident sites
+            continue
+        if sample.min_distance >= min_separation:
+            return sample
     raise DegenerateConfigurationError(
         "no valid configuration in 100 attempts "
         f"(min separation {min_separation}/k)")

@@ -28,6 +28,10 @@ for both layers.  A system searches its mirrors and projects H + dH once
 detuning, which only shifts the diagonal of each block, reuse both.  The
 steady state keeps a mirror of H only where dH (a Zeeman term) keeps it
 too, and solves the blocks that Q^T f reaches; the others are zero.
+`eigen_table` passes that steady state b to `eigenmodes`, which solves a
+block with vectors only where Q_s^T b is not exactly zero, and keeps the
+vectors in sector coordinates (`EigenSystem`); `mode_occupation` works
+sector by sector, so an unreached sector's occupations are exactly 0.
 """
 from __future__ import annotations
 
@@ -37,6 +41,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
+from .errors import UnsolvedEigenvectorsError
 from .geometry import Geometry, OrbitBasis, coordinate_mirrors, orbit_basis
 from .integrate import affine_evolve, solve_checked
 from .kernel import circular_basis, coupling_matrix
@@ -134,7 +139,8 @@ class CouplingSystem:
         A = self.H
         if not self.level_free:
             A = self.dH - self.transition.detuning * np.eye(self.size)
-            ops = [op for op in ops if invariant(A, *op)]
+            tol = mirror_tol(A)
+            ops = [op for op in ops if invariant(A, *op, tol)]
             A += self.H
         basis = orbit_basis(ops, self.size)
         return basis, _project(A, basis)
@@ -218,13 +224,27 @@ def evolve(system: CouplingSystem, b0, t_grid, delta: float = None) -> np.ndarra
 
 @dataclass
 class EigenSystem:
-    """Eigenvalues lambda_j = delta_j + i*ups_j of H and right eigenvectors
-    normalized to v^T v = 1 where possible (complex symmetric H makes the
-    left eigenvectors the plain transposes)."""
+    """Eigenvalues lambda_j = delta_j + i*ups_j of H, sorted by linewidth,
+    and right eigenvectors normalized to v^T v = 1 where possible (complex
+    symmetric H makes the left eigenvectors the plain transposes).
+
+    The vectors are kept in the coordinates of the sectors of the orbit
+    basis Q that H was solved in: sector s (columns offsets[s]:offsets[s+1]
+    of `basis`) holds `sector_vectors[s]`, or None where it was solved
+    without vectors, and its modes are those numbered `columns[lo:hi]`.
+    The site-basis `vectors` and `anomalous` are built on first read; a
+    sector without vectors makes that read raise
+    UnsolvedEigenvectorsError."""
     eigenvalues: np.ndarray
-    vectors: np.ndarray          # columns v_j
-    anomalous: np.ndarray        # modes where v^T v ~ 0 (renormalized by max)
-    blocks: tuple                # sizes of the blocks H was solved in
+    basis: OrbitBasis
+    columns: np.ndarray          # mode index of each sector coordinate
+    sector_vectors: list         # (size, size) per sector, or None
+    sector_anomalous: list       # modes where v^T v ~ 0 (renormalized by max)
+
+    @property
+    def blocks(self) -> tuple:
+        """Sizes of the blocks H was solved in."""
+        return tuple(self.basis.sizes)
 
     @property
     def shifts(self) -> np.ndarray:
@@ -233,6 +253,45 @@ class EigenSystem:
     @property
     def linewidths(self) -> np.ndarray:
         return self.eigenvalues.imag
+
+    def sectors(self):
+        """(lo, hi, vectors) of each sector."""
+        off = self.basis.offsets
+        return zip(off[:-1], off[1:], self.sector_vectors)
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        """(M, M) columns v_j in the site basis."""
+        _solved(self.sector_vectors)
+        out = np.empty((len(self.columns),) * 2, dtype=complex)
+        for lo, hi, v in self.sectors():
+            out[:, self.columns[lo:hi]] = _to_sites(self.basis, lo, hi, v)
+        return out
+
+    @cached_property
+    def anomalous(self) -> np.ndarray:
+        out = np.empty(len(self.columns), dtype=bool)
+        out[self.columns] = np.concatenate(_solved(self.sector_anomalous))
+        return out
+
+
+def _solved(parts: list) -> list:
+    """parts, where every sector has them."""
+    if any(p is None for p in parts):
+        raise UnsolvedEigenvectorsError(
+            "eigenvectors were solved only in the sectors that the state "
+            "given to eigenmodes reaches")
+    return parts
+
+
+def _to_sites(basis: OrbitBasis, lo: int, hi: int, v) -> np.ndarray:
+    """Q_s v: vectors of the sector lo:hi in the site basis."""
+    return v if len(basis.sizes) == 1 else basis.qt[lo:hi].T @ v
+
+
+def _to_sectors(basis: OrbitBasis, b) -> np.ndarray:
+    """Q^T b: a site-basis state in the coordinates of the sectors."""
+    return b if len(basis.sizes) == 1 else basis.qt @ b
 
 
 MIRROR_TOL = 1e-12
@@ -255,9 +314,14 @@ def mirror_action(transition: TransitionSpec, axis: int, perm):
             np.tile(sign, len(perm)))
 
 
-def invariant(H: np.ndarray, idx, sign) -> bool:
-    """U H U^T == H to MIRROR_TOL relative, one slab of rows at a time."""
-    tol = MIRROR_TOL * np.abs(H).max()
+def mirror_tol(H: np.ndarray) -> float:
+    """The tolerance of `invariant` for H: MIRROR_TOL relative to max |H|."""
+    return MIRROR_TOL * np.abs(H).max()
+
+
+def invariant(H: np.ndarray, idx, sign, tol: float) -> bool:
+    """U H U^T == H to `tol` (`mirror_tol(H)`), one slab of rows at a
+    time."""
     rows = 128
     for lo in range(0, len(H), rows):
         sl = slice(lo, lo + rows)
@@ -275,12 +339,12 @@ def invariant_mirrors(geometry: Geometry, transition: TransitionSpec,
     """{axis: (perm, (idx, sign))} of the coordinate mirrors that
     `geometry.coordinate_mirrors` proposes, whose action on the amplitudes
     (`mirror_action`) exists and leaves each of `matrices` invariant."""
-    found = {}
-    for axis, perm in coordinate_mirrors(geometry.positions).items():
-        op = mirror_action(transition, axis, perm)
-        if op is not None and all(invariant(X, *op) for X in matrices):
-            found[axis] = perm, op
-    return found
+    ops = {axis: (perm, op) for axis, perm in
+           coordinate_mirrors(geometry.positions).items()
+           if (op := mirror_action(transition, axis, perm)) is not None}
+    tols = [mirror_tol(X) for X in matrices] if ops else []
+    return {axis: (perm, op) for axis, (perm, op) in ops.items()
+            if all(invariant(X, *op, tol) for X, tol in zip(matrices, tols))}
 
 
 def mirror_basis(system: CouplingSystem) -> OrbitBasis:
@@ -315,7 +379,7 @@ def _orthonormalise_clusters(w: np.ndarray, v: np.ndarray) -> None:
                 v[:, c] = v[:, c] @ np.linalg.inv(scipy.linalg.sqrtm(gram))
 
 
-def eigenmodes(system: CouplingSystem) -> EigenSystem:
+def eigenmodes(system: CouplingSystem, state=None) -> EigenSystem:
     """Eigendecomposition of the coupling matrix H, block by block.
 
     A coordinate mirror x -> -x, y -> -y or z -> -z is used if it permutes
@@ -324,13 +388,18 @@ def eigenmodes(system: CouplingSystem) -> EigenSystem:
     two-level dipole fails) and leaves H invariant to MIRROR_TOL (which
     disorder, or a Zeeman term added to H, fails).  The kept mirrors split
     H into blocks Q_s^T H Q_s (`mirror_basis`), complex symmetric like H,
-    sliced from Q^T H Q (`OrbitBasis.to_sectors`); each is solved by
-    `scipy.linalg.eig` and its vectors are mapped back by the sparse Q_s.
-    Where dH is the laser detuning alone these are the blocks of the
-    steady state (`CouplingSystem.sectors`), projected once for both.
-    With no mirror kept, H is one block.  Q is real orthogonal, so
-    v^T v = 1 and the `anomalous` rule mean what they mean for a full
-    eigensolve.
+    sliced from Q^T H Q (`OrbitBasis.to_sectors`); each is solved by one
+    `scipy.linalg.eig` call.  Where dH is the laser detuning alone these
+    are the blocks of the steady state (`CouplingSystem.sectors`),
+    projected once for both.  With no mirror kept, H is one block.  Q is
+    real orthogonal, so v^T v = 1 and the `anomalous` rule mean what they
+    mean for a full eigensolve.
+
+    Given the `state` whose occupations are wanted, a block is solved with
+    vectors only where Q_s^T state is not exactly zero, and for its
+    eigenvalues alone elsewhere; each block's eigenvalues come from the
+    same call as its vectors.  Without a state every block has vectors.
+    The vectors stay in sector coordinates (`EigenSystem`).
 
     Modes are sorted by linewidth.  Linewidths within DEGENERATE_TOL
     (relative) of each other count as tied and keep block order and
@@ -350,33 +419,49 @@ def eigenmodes(system: CouplingSystem) -> EigenSystem:
     basis = mirror_basis(system)
     off = basis.offsets
     blocks = (system.sectors[1] if system.level_free
-              else _project(system.H, basis))
-    solved = [scipy.linalg.eig(block) for block in blocks or [system.H]]
-    vecs = np.empty((system.size, system.size), dtype=complex)
-    for w, v in solved:
-        _orthonormalise_clusters(w, v)
-    evals = np.concatenate([w for w, _ in solved])
+              else _project(system.H, basis)) or [system.H]
+    if state is not None:
+        g = _to_sectors(basis, np.asarray(state))
+    evals, vecs, anomalous = [], [], []
+    for lo, hi, block in zip(off[:-1], off[1:], blocks):
+        want = state is None or bool(g[lo:hi].any())
+        out = scipy.linalg.eig(block, right=want)
+        w, v = out if want else (out, None)
+        anom = None
+        if want:
+            _orthonormalise_clusters(w, v)
+            norms = np.einsum("ij,ij->j", v, v)
+            anom = np.abs(norms) < 1e-12
+            scale = np.sqrt(norms + 0j)
+            scale[anom] = np.abs(_to_sites(basis, lo, hi, v[:, anom])).max(
+                axis=0)
+            v /= scale
+        evals.append(w)
+        vecs.append(v)
+        anomalous.append(anom)
+    evals = np.concatenate(evals)
     order = np.argsort(evals.imag)
     rank = np.argsort(order)
     tol = DEGENERATE_TOL * max(np.abs(evals).max(), 1.0)
     for run in _runs(np.arange(len(evals)), evals.imag, tol):
         order[np.sort(rank[run])] = np.sort(run)
-    # each block's vectors go straight to their columns in `order`
-    column = np.empty_like(order)
-    column[order] = np.arange(len(order))
-    for lo, hi, (_, v) in zip(off[:-1], off[1:], solved):
-        vecs[:, column[lo:hi]] = v if blocks is None else basis.qt[lo:hi].T @ v
-    norms = np.einsum("ij,ij->j", vecs, vecs)
-    anomalous = np.abs(norms) < 1e-12
-    scale = np.sqrt(norms + 0j)
-    scale[anomalous] = np.abs(vecs[:, anomalous]).max(axis=0)
-    vecs /= scale
-    return EigenSystem(evals[order], vecs, anomalous, tuple(basis.sizes))
+    columns = np.empty_like(order)
+    columns[order] = np.arange(len(order))
+    return EigenSystem(evals[order], basis, columns, vecs, anomalous)
 
 
 def mode_occupation(b, eigensystem: EigenSystem) -> np.ndarray:
-    """Occupation measure L_j = |v_j^T b|^2 / sum_l |v_l^T b|^2."""
-    overlaps = np.abs(eigensystem.vectors.T @ np.asarray(b)) ** 2
+    """Occupation measure L_j = |v_j^T b|^2 / sum_l |v_l^T b|^2, taken
+    sector by sector as |v^T (Q^T b)_s|^2: exactly 0 for the modes of a
+    sector that Q^T b does not reach.  Raises UnsolvedEigenvectorsError
+    where b reaches a sector solved without vectors."""
+    es = eigensystem
+    g = _to_sectors(es.basis, np.asarray(b))
+    overlaps = np.zeros(len(g))
+    for lo, hi, v in es.sectors():
+        if g[lo:hi].any():
+            _solved([v])
+            overlaps[es.columns[lo:hi]] = np.abs(v.T @ g[lo:hi]) ** 2
     total = overlaps.sum()
     if total <= 0:
         raise ValueError("zero state has no mode occupation")
@@ -398,10 +483,13 @@ def uniform_target(n_atoms: int, component: int) -> np.ndarray:
     return t
 
 
-def eigen_table(system: CouplingSystem, es: EigenSystem):
-    """Rows (index, shift, linewidth, occupation) of the eigenmodes `es`
-    of `system` for CSV export; the occupation column refers to the
-    steady state."""
+def eigen_table(system: CouplingSystem):
+    """(es, rows): the eigenmodes of `system`, solved with vectors in the
+    sectors its steady state reaches, and their rows (index, shift,
+    linewidth, occupation) for CSV export; the occupation column refers
+    to the steady state."""
     b = steady_state(system)
-    occ = mode_occupation(b, es) if np.linalg.norm(b) > 0 else np.zeros(system.size)
-    return [(j, es.shifts[j], es.linewidths[j], occ[j]) for j in range(system.size)]
+    es = eigenmodes(system, b)
+    occ = mode_occupation(b, es) if b.any() else np.zeros(system.size)
+    return es, [(j, es.shifts[j], es.linewidths[j], occ[j])
+                for j in range(system.size)]

@@ -177,6 +177,51 @@ def test_resampling_guard_keeps_minimum_distance():
         assert min_pair_distance(out.positions) >= 0.3
 
 
+class CountedDraws:
+    """A generator that counts its draws."""
+
+    def __init__(self, normal):
+        self.draw, self.n = normal, 0
+
+    def normal(self, *args, **kwargs):
+        self.n += 1
+        return self.draw(*args, **kwargs)
+
+
+def test_sampling_computes_one_pair_distance_per_draw(monkeypatch):
+    # a draw's pair distance is computed once, where its Geometry checks
+    # for coincident sites, and read again against min_separation
+    import atomarray.geometry as geometry
+    disorder = build_square_lattice(10, 10, 0.3 * LAMBDA).with_fluctuation(
+        0.1, 0.1)
+    guarded = build_square_lattice(2, 1, 0.5).with_fluctuation(0.45, 0.0)
+    calls = []
+
+    def counted(pos):
+        calls.append(len(pos))
+        return min_pair_distance(pos)
+    monkeypatch.setattr(geometry, "min_pair_distance", counted)
+    draws = CountedDraws(np.random.default_rng(0).normal)
+    sample_positions(disorder, draws)
+    assert calls == [100] and draws.n == 1
+    for _ in range(50):
+        sample_positions(guarded, draws, min_separation=0.3)
+    assert draws.n > 51
+    assert len(calls) == draws.n
+
+
+def test_sampling_redraws_coincident_sites():
+    # the first draw moves atom 0 exactly onto atom 1 (sigma = 1): the
+    # sample's Geometry rejects it and the second draw is taken
+    geo = Geometry([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    jitter = iter([np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]),
+                   np.zeros((2, 3))])
+    draws = CountedDraws(lambda *args, **kwargs: next(jitter))
+    out = sample_positions(geo, draws, np.sqrt(2.0))
+    assert draws.n == 2
+    assert np.array_equal(out.positions, geo.positions)
+
+
 def test_geometry_rejects_coincident_sites():
     with pytest.raises(ValueError):
         Geometry(np.zeros((2, 3)))

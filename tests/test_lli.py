@@ -1,21 +1,21 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from atomarray import lli
 from atomarray.drives import GaussianBeam, PlaneWave, no_drive
-from atomarray.errors import ResonantSingularityError
+from atomarray.errors import ResonantSingularityError, UnsolvedEigenvectorsError
 from atomarray.integrate import solve_checked
 from atomarray.geometry import (LAMBDA, Geometry, build_bilayer, build_ring,
                                 build_square_lattice, build_stack,
                                 sample_positions)
 from atomarray.kernel import GAMMA, XI, green_tensor
 from atomarray.lli import (CouplingSystem, TransitionSpec, assemble,
-                           eigenmodes, evolve, match_mode, mode_occupation,
-                           steady_state, uniform_target)
+                           eigen_table, eigenmodes, evolve, match_mode,
+                           mode_occupation, steady_state, uniform_target)
 
 EY = TransitionSpec(levels=2, orientation=(0.0, 1.0, 0.0))
 J01 = TransitionSpec(levels=4)
@@ -580,6 +580,23 @@ def test_zeeman_term_drops_the_mirrors_it_breaks():
                   - full_steady_state(system, 0.2)).max() < 1e-13
 
 
+def test_mirror_search_takes_one_tolerance_per_matrix(monkeypatch):
+    # three mirrors of H are checked against one tolerance, and the two
+    # that the Zeeman term breaks against one more, that of dH
+    system = assemble(build_square_lattice(3, 4, 0.6 * LAMBDA), ZEEMAN,
+                      GaussianBeam(waist=LAMBDA))
+    mirror_tol, seen = lli.mirror_tol, []
+
+    def record(X):
+        seen.append(X)
+        return mirror_tol(X)
+    monkeypatch.setattr(lli, "mirror_tol", record)
+    assert sorted(system.mirrors) == [0, 1, 2]
+    assert len(seen) == 1 and seen[0] is system.H
+    assert len(system.sectors[0].sizes) == 2
+    assert len(seen) == 2
+
+
 def test_singular_block_raises_with_its_own_eigenvalue():
     # four atoms on a line: the z mirror splits the y dipoles into two
     # blocks of two.  Both are near-singular; the drive reaches only the
@@ -600,3 +617,78 @@ def test_singular_block_raises_with_its_own_eigenvalue():
     with pytest.raises(ResonantSingularityError) as err:
         full_steady_state(system, 0.0)
     assert abs(err.value.nearest_eigenvalue) < 1e-14
+
+
+# --- eigenvectors only in the sectors the state reaches ---------------------
+
+def sector_reach(basis, state):
+    """Whether Q_s^T state is not exactly zero, for each sector s."""
+    g = basis.qt @ state
+    off = basis.offsets
+    return [bool(g[lo:hi].any()) for lo, hi in zip(off[:-1], off[1:])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(driven_systems())
+def test_reached_sector_eigenmodes_match_full_eigenmodes(case):
+    kind, system, delta = case
+    try:
+        b = steady_state(system, delta)
+    except ResonantSingularityError:
+        return
+    assume(b.any())
+    es = eigenmodes(system, b)
+    full = eigenmodes(system)
+    assert (np.abs(es.eigenvalues - full.eigenvalues).max()
+            <= 1e-12 * np.abs(full.eigenvalues).max())
+    # the occupations equal the site-basis |v^T b|^2 of every vector
+    occ = mode_occupation(b, es)
+    want = np.abs(full.vectors.T @ b) ** 2
+    assert np.abs(occ - want / want.sum()).max() <= 1e-12
+    # a sector has vectors exactly where Q^T b is not zero, and the
+    # occupations of the others are exactly zero
+    solved = [v is not None for _, _, v in es.sectors()]
+    assert solved == sector_reach(es.basis, b)
+    for lo, hi, v in es.sectors():
+        if v is None:
+            assert not occ[es.columns[lo:hi]].any()
+    if system.level_free:
+        # every block the steady state solves has vectors; where it solves
+        # one, b = Q y has no rounding in the others, which have none
+        steady = sector_reach(system.sectors[0], system.f)
+        assert all(v for v, s in zip(solved, steady) if s)
+        if sum(steady) == 1:
+            assert solved == steady
+    if all(solved):
+        assert np.array_equal(es.vectors, full.vectors)
+        assert np.array_equal(es.anomalous, full.anomalous)
+    else:
+        with pytest.raises(UnsolvedEigenvectorsError):
+            es.vectors
+        with pytest.raises(UnsolvedEigenvectorsError):
+            es.anomalous
+
+
+def test_eigen_table_solves_vectors_in_the_driven_sector_only(monkeypatch):
+    # a centred Gaussian beam polarized along y reaches one of the eight
+    # J=0->1 sectors of a square: one block is solved with vectors, the
+    # other seven for their eigenvalues alone
+    system = assemble(build_square_lattice(6, 6, 0.6 * LAMBDA), J01,
+                      GaussianBeam(waist=1.5 * LAMBDA))
+    eig, calls = scipy.linalg.eig, []
+
+    def record(a, **kwargs):
+        calls.append(kwargs["right"])
+        return eig(a, **kwargs)
+    monkeypatch.setattr(scipy.linalg, "eig", record)
+    es, rows = eigen_table(system)
+    assert len(calls) == len(es.blocks) == 8
+    assert sum(calls) == 1
+    occ = np.array([row[3] for row in rows])
+    assert np.count_nonzero(occ) == es.blocks[calls.index(True)]
+    assert np.isclose(occ.sum(), 1.0, atol=1e-12)
+    # the out-of-plane uniform state lies in a sector without vectors
+    with pytest.raises(UnsolvedEigenvectorsError):
+        mode_occupation(uniform_target(36, 0), es)
+    with pytest.raises(UnsolvedEigenvectorsError):
+        match_mode(es, uniform_target(36, 0))
