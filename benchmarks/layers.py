@@ -13,15 +13,18 @@ lattice has two layer separations), disorder (sampled, seed 0) and eigen
 seed 0, which keeps no mirror and no lattice; the eigenmode table of
 the steady state also at 12x20, which keeps the three mirrors but has
 no degenerate C4v pairs), the qme ring at N = 6-8 and the traj workload; the pair of acceptance criterion 8(a) runs 2e4
-trajectories to t = 6.  Each steady-state and eigenmode call takes a
-freshly built `lli.CouplingSystem`, so that the mirror search and
-projection a system keeps are timed with every call.  The QME generator
-layer has four cases: the build, one call on the ground state (a D x D
-call, which maps its argument into the mirror-parity sectors and back),
-`evolve_qme` from the ground state on the qme workload's time grid (N = 6
-and 7 only), and `steady_state_qme`; the call also runs on the qme ring of
-four J=0->1 atoms (D = 256).  `--layers` keeps the cases whose name
-starts with one of its values.
+trajectories to t = 6.  The far-field map is that of `cli.run_transmit`
+(`sphere_grid(24, 48)`) on the transmit array at 10x10 to 40x40.  Each
+steady-state and eigenmode call takes a freshly built
+`lli.CouplingSystem`, so that the mirror search and projection a system
+keeps are timed with every call.  The QME generator layer has four
+cases: the build, one call on the ground state (a D x D call, which maps
+its argument into the mirror-parity sectors and back), `evolve_qme` from
+the ground state on the qme workload's time grid (N = 6 and 7 only), and
+`steady_state_qme`, also on a copy of the system that has built no
+generator yet (`-fresh`, as a CLI run solves it); the call also runs on
+the qme ring of four J=0->1 atoms (D = 256).  `--layers` keeps the cases
+whose name starts with one of its values.
 
 For each BLAS thread count, each tree runs in its own worker process, with
 the BLAS variables set before numpy is imported and, where the tree has
@@ -150,6 +153,21 @@ def farfield_detector(n):
             lambda d: np.stack([d.forward, d.backward]))
 
 
+def farfield_map(n):
+    from atomarray import lli, observables
+    geo, tr, beam = _array("transmit", nx=n, ny=n)
+    system = lli.assemble(geo, tr, beam)
+    dip = observables.dipole_table(system, lli.steady_state(system, 0.35))
+    # the map of `cli.run_transmit`; a tree before `farfield_map` projected
+    # the sphere grid's directions one by one
+    if hasattr(observables, "farfield_map"):
+        return (lambda: observables.farfield_map(dip, geo, 24, 48),
+                np.asarray)
+    nhat = observables.sphere_grid(24, 48)[0]
+    return (lambda: observables.farfield_amplitude(dip, geo, nhat),
+            np.asarray)
+
+
 def _ring(natoms, levels=2):
     from atomarray import quantum
     return quantum.build_quantum_system(
@@ -188,11 +206,15 @@ def evolve_qme(natoms):
     return lambda: quantum.evolve_qme(rho, system, t_grid), np.asarray
 
 
-def steady_state_qme(natoms):
+def steady_state_qme(natoms, fresh=False):
+    import dataclasses
     from atomarray import quantum
     system = _ring(natoms)
+    # fresh: a copy of the system that has built no generator, so that the
+    # generator and the jump terms the solve asks for are timed with it
+    copy = dataclasses.replace if fresh else (lambda s: s)
     # the solver returns (rho, residual); a tree before that returns rho
-    return (lambda: quantum.steady_state_qme(system),
+    return (lambda: quantum.steady_state_qme(copy(system)),
             lambda result: np.asarray(
                 result[0] if isinstance(result, tuple) else result))
 
@@ -237,10 +259,12 @@ CASES = {
     "lli.eigenmodes@16x16-J01-disordered": (eigenmodes, 16, 0.05),
     "lli.eigen_table@16x16-J01": (eigen_table, 16, 16),
     "lli.eigen_table@12x20-J01": (eigen_table, 12, 20),
-    **{f"observables.farfield_detector@{n}x{n}": (farfield_detector, n)
-       for n in (10, 20, 40)},
+    **{f"observables.{f.__name__}@{n}x{n}": (f, n)
+       for f in (farfield_detector, farfield_map) for n in (10, 20, 40)},
     **{f"quantum.{f.__name__}@N{n}": (f, n) for f in (
         build_quantum_system, generator, steady_state_qme) for n in (6, 7, 8)},
+    **{f"quantum.steady_state_qme@N{n}-fresh": (steady_state_qme, n, True)
+       for n in (6, 7, 8)},
     "quantum.generator@J01-N4": (generator, 4, 4),
     **{f"quantum.evolve_qme@N{n}": (evolve_qme, n) for n in (6, 7)},
     **{f"quantum.run_trajectories@{b}": (run_trajectories, b)

@@ -189,11 +189,11 @@ def run_transmit(cfg, out, seed, diagnostics):
                                 "peak_reflectance": A + c}, indent=2))
     # far-field intensity map at the fitted resonance
     from .kernel import direction_angles
-    from .observables import farfield_amplitude, sphere_grid
+    from .observables import farfield_map, sphere_grid
     b = lli.steady_state(system, float(d0))
     nhat, _ = sphere_grid(24, 48)
-    I = np.sum(np.abs(farfield_amplitude(dipole_table(system, b),
-                                         geo, nhat)) ** 2, axis=1)
+    I = np.sum(np.abs(farfield_map(dipole_table(system, b),
+                                   geo, 24, 48)) ** 2, axis=1)
     theta, phi = direction_angles(nhat)
     fmap = out / "farfield_map.csv"
     write_csv(fmap, ["theta[rad]", "phi[rad]", "intensity[arb]"],

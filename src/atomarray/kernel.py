@@ -26,7 +26,9 @@ polar angle from the array normal (+x) and phi the azimuth of its in-plane
 (y, z) part from the y axis (`direction_angles` inverts it).  Light leaving
 along n carries the transverse part `transverse(n, v)` = v - n (n.v) of a
 dipole and the phase `farfield_phase(n, r_j)` = e^{-i k n.r_j} of its
-position; every far-field observable is built from these three.
+position; every far-field observable is built from these three (on the
+product quadrature grid from the phase factors of
+`observables.grid_phases`).
 """
 from __future__ import annotations
 
@@ -75,7 +77,11 @@ def transverse(nhat, v):
 def farfield_phase(nhat, positions):
     """Far-field phases e^{-i k n.r_j}: (M, N) for directions (M, 3) and
     positions (N, 3).  The argument is real (a complex one costs a complex
-    product and a complex exp)."""
+    product and a complex exp).  For direction sets that are not a product
+    grid: `observables.farfield_amplitude`, the directional jump operators
+    and the g2 detection operator (`quantum.farfield_coefficients`) and
+    `far_field_kernel`; a product grid factors its phases
+    (`observables.grid_phases`)."""
     return np.exp(-1j * (K * nhat @ np.asarray(positions, dtype=float).T))
 
 

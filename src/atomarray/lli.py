@@ -28,10 +28,12 @@ for both layers.  A system searches its mirrors and projects H + dH once
 detuning, which only shifts the diagonal of each block, reuse both.  The
 steady state keeps a mirror of H only where dH (a Zeeman term) keeps it
 too, and solves the blocks that Q^T f reaches; the others are zero.
-`eigen_table` passes that steady state b to `eigenmodes`, which solves a
-block with vectors only where Q_s^T b is not exactly zero, and keeps the
-vectors in sector coordinates (`EigenSystem`); `mode_occupation` works
-sector by sector, so an unreached sector's occupations are exactly 0.
+`eigen_table` passes that steady state to `eigenmodes` in the sector
+coordinates it was solved in (`sector_steady_state`, a `SectorState`),
+and `eigenmodes` solves a block with vectors only where it is not
+exactly zero, and keeps the vectors in sector coordinates
+(`EigenSystem`); `mode_occupation` works sector by sector, so an
+unreached sector's occupations are exactly 0.
 """
 from __future__ import annotations
 
@@ -192,19 +194,38 @@ def _project(A: np.ndarray, basis: OrbitBasis):
     return [Y[lo:hi, lo:hi].copy() for lo, hi in zip(off[:-1], off[1:])]
 
 
+@dataclass(frozen=True)
+class SectorState:
+    """A state y = Q^T b in the coordinates of the sectors of the orbit
+    basis Q (`basis`); with a single sector, y is b."""
+    basis: OrbitBasis
+    y: np.ndarray
+
+    def sites(self) -> np.ndarray:
+        """b = Q y."""
+        return self.y if len(self.basis.sizes) == 1 else self.basis.q @ self.y
+
+
 def steady_state(system: CouplingSystem, delta: float = None) -> np.ndarray:
     """Solve 0 = i(H + dH) b + f, i.e. b = i (H + dH)^{-1} f, with the laser
-    detuning set to `delta` if given; raises ResonantSingularityError at a
-    collective resonance.  In the sectors of the system's mirrors
-    (`CouplingSystem.sectors`) each block that Q^T f reaches is solved on
-    its own, its diagonal shifted by the detuning, and the others are
-    zero; a singular block raises with its own nearest eigenvalue.
-    Without a sector split the whole matrix is solved."""
+    detuning set to `delta` if given (`sector_steady_state`, mapped to the
+    sites)."""
+    return sector_steady_state(system, delta).sites()
+
+
+def sector_steady_state(system: CouplingSystem,
+                        delta: float = None) -> SectorState:
+    """The steady state of `steady_state` in the sectors of the system's
+    mirrors (`CouplingSystem.sectors`): each block that Q^T f reaches is
+    solved on its own, its diagonal shifted by the detuning, and the others
+    are exactly zero; a singular block raises ResonantSingularityError
+    with its own nearest eigenvalue.  Without a sector split the whole
+    matrix is solved."""
     basis, blocks = system.sectors
     if blocks is None:
         A = (system.H + system.dH if delta is None
              else with_detuning(system, delta))
-        return solve_checked(A, 1j * system.f)
+        return SectorState(basis, solve_checked(A, 1j * system.f))
     shift = system.transition.detuning if delta is None else delta
     g = basis.qt @ (1j * system.f)
     y = np.zeros(system.size, dtype=complex)
@@ -213,7 +234,7 @@ def steady_state(system: CouplingSystem, delta: float = None) -> np.ndarray:
         if g[lo:hi].any():
             y[lo:hi] = solve_checked(block + shift * np.eye(hi - lo),
                                      g[lo:hi])
-    return basis.q @ y
+    return SectorState(basis, y)
 
 
 def evolve(system: CouplingSystem, b0, t_grid, delta: float = None) -> np.ndarray:
@@ -290,7 +311,14 @@ def _to_sites(basis: OrbitBasis, lo: int, hi: int, v) -> np.ndarray:
 
 
 def _to_sectors(basis: OrbitBasis, b) -> np.ndarray:
-    """Q^T b: a site-basis state in the coordinates of the sectors."""
+    """Q^T b: a site-basis state, or a `SectorState`, in the coordinates of
+    the sectors; a SectorState of the same basis is taken as it is, so that
+    its exact zeros stay zeros."""
+    if isinstance(b, SectorState):
+        if b.basis is basis:
+            return b.y
+        b = b.sites()
+    b = np.asarray(b)
     return b if len(basis.sizes) == 1 else basis.qt @ b
 
 
@@ -398,7 +426,11 @@ def eigenmodes(system: CouplingSystem, state=None) -> EigenSystem:
     Given the `state` whose occupations are wanted, a block is solved with
     vectors only where Q_s^T state is not exactly zero, and for its
     eigenvalues alone elsewhere; each block's eigenvalues come from the
-    same call as its vectors.  Without a state every block has vectors.
+    same call as its vectors.  A `SectorState` in the same basis (the
+    steady state where dH is the laser detuning alone) is read as it is,
+    so its exact zeros decide; a site-basis state is mapped in, which can
+    leave rounding in a block the state does not reach.  Without a state
+    every block has vectors.
     The vectors stay in sector coordinates (`EigenSystem`).
 
     Modes are sorted by linewidth.  Linewidths within DEGENERATE_TOL
@@ -421,7 +453,7 @@ def eigenmodes(system: CouplingSystem, state=None) -> EigenSystem:
     blocks = (system.sectors[1] if system.level_free
               else _project(system.H, basis)) or [system.H]
     if state is not None:
-        g = _to_sectors(basis, np.asarray(state))
+        g = _to_sectors(basis, state)
     evals, vecs, anomalous = [], [], []
     for lo, hi, block in zip(off[:-1], off[1:], blocks):
         want = state is None or bool(g[lo:hi].any())
@@ -453,10 +485,12 @@ def eigenmodes(system: CouplingSystem, state=None) -> EigenSystem:
 def mode_occupation(b, eigensystem: EigenSystem) -> np.ndarray:
     """Occupation measure L_j = |v_j^T b|^2 / sum_l |v_l^T b|^2, taken
     sector by sector as |v^T (Q^T b)_s|^2: exactly 0 for the modes of a
-    sector that Q^T b does not reach.  Raises UnsolvedEigenvectorsError
-    where b reaches a sector solved without vectors."""
+    sector that Q^T b does not reach.  b is a site-basis state or a
+    `SectorState`, read as `eigenmodes` reads it.  Raises
+    UnsolvedEigenvectorsError where b reaches a sector solved without
+    vectors."""
     es = eigensystem
-    g = _to_sectors(es.basis, np.asarray(b))
+    g = _to_sectors(es.basis, b)
     overlaps = np.zeros(len(g))
     for lo, hi, v in es.sectors():
         if g[lo:hi].any():
@@ -487,9 +521,10 @@ def eigen_table(system: CouplingSystem):
     """(es, rows): the eigenmodes of `system`, solved with vectors in the
     sectors its steady state reaches, and their rows (index, shift,
     linewidth, occupation) for CSV export; the occupation column refers
-    to the steady state."""
-    b = steady_state(system)
-    es = eigenmodes(system, b)
-    occ = mode_occupation(b, es) if b.any() else np.zeros(system.size)
+    to the steady state, handed over in its sector coordinates."""
+    state = sector_steady_state(system)
+    es = eigenmodes(system, state)
+    occ = (mode_occupation(state, es) if state.y.any()
+           else np.zeros(system.size))
     return es, [(j, es.shifts[j], es.linewidths[j], occ[j])
                 for j in range(system.size)]

@@ -9,6 +9,14 @@ Amplitude and correlation tables use the dipole basis of the transition
 (`TransitionSpec.basis`): a single amplitude per atom for two-level atoms
 (dipole along the fixed orientation), or the three Cartesian components
 for the J=0 -> J'=1 transition.
+
+Far-field observables on the product quadrature grid (Gauss-Legendre
+theta x uniform phi, `hemisphere_grid`, `sphere_grid`) read its phases
+from one helper, `grid_phases`, whose factors cover the grid with a
+quarter of the exponentials of the full table: the transmission and
+reflection detector (`farfield_detector`), the far-field map
+(`farfield_map`) and the rate quadrature (`farfield_rate_quadrature`).
+`farfield_amplitude` projects on any set of directions, one phase each.
 """
 from __future__ import annotations
 
@@ -87,11 +95,58 @@ def sphere_grid(n_theta=N_THETA, n_phi=N_PHI):
 
 def farfield_amplitude(dipoles, geometry: Geometry, nhat) -> np.ndarray:
     """(M, 3) far-zone amplitude F with E_s(r n) ~ (e^{ikr}/r) F(n):
-    F = XI (k^2/4pi) sum_j e^{-i k n.r_j} (n x p_j) x n."""
+    F = XI (k^2/4pi) sum_j e^{-i k n.r_j} (n x p_j) x n, in any directions
+    nhat (M, 3)."""
     nhat = np.atleast_2d(nhat)
     p = np.asarray(dipoles, dtype=complex)
     vec = farfield_phase(nhat, geometry.positions) @ p         # (M, 3)
     return XI * K**2 / (4 * np.pi) * transverse(nhat, vec)
+
+
+def grid_phases(positions, n_theta, n_phi):
+    """Factors (X, E) of the phases e^{-i k n.r_j} on the product grid of
+    `hemisphere_grid`: X = e^{-i k cos(theta_a) x_j}, shape (n_theta, N),
+    and E = e^{-i k sin(theta_a) (cos(phi_b) y_j + sin(phi_b) z_j)} on the
+    first half of the phi grid only, shape (n_theta, N, n_phi/2).  The
+    phase of forward direction a * n_phi + b is X[a, j] E[a, j, b]; the
+    backward hemisphere (n_x = -cos theta) takes conj(X), and
+    phi_b + pi = phi_{b + n_phi/2} takes conj(E).  So n_phi must be even
+    (ValueError otherwise), and the grid costs a quarter of the
+    exponentials of its full table."""
+    if n_phi % 2:
+        raise ValueError(f"n_phi must be even, got {n_phi}")
+    half = n_phi // 2
+    # the forward directions of the first phi half, as `hemisphere_grid`
+    ct = 0.5 * (_gauss_legendre(n_theta)[0] + 1.0)
+    CT, PH = np.meshgrid(ct, (np.arange(half) + 0.5) * 2 * np.pi / n_phi,
+                         indexing="ij")
+    st = np.sqrt(1.0 - CT**2)
+    kn = K * np.stack([CT, st * np.cos(PH), st * np.sin(PH)], axis=2)
+    pos = np.asarray(positions, dtype=float)
+    X = np.exp(-1j * np.outer(kn[:, 0, 0], pos[:, 0]))
+    E = -1j * (pos[:, 1:] @ kn[..., 1:].transpose(0, 2, 1))
+    np.exp(E, out=E)
+    return X, E
+
+
+def farfield_map(dipoles, geometry: Geometry, n_theta, n_phi) -> np.ndarray:
+    """`farfield_amplitude` on the directions of `sphere_grid(n_theta,
+    n_phi)`, in its row order, from the `grid_phases` factors: per theta
+    row, one product of E^T (n_phi/2, N) with the (N, 12) dipoles weighted
+    by X and conj(X) and conjugated, which gives both hemispheres and both
+    halves of the phi grid."""
+    p = np.asarray(dipoles, dtype=complex)
+    X, E = grid_phases(geometry.positions, n_theta, n_phi)
+    fwd = X[:, :, None] * p                             # (n_theta, N, 3)
+    bwd = X.conj()[:, :, None] * p
+    R = E.transpose(0, 2, 1) @ np.concatenate(
+        [fwd, fwd.conj(), bwd, bwd.conj()], axis=2)     # (n_theta, half, 12)
+    vec = np.concatenate([R[..., 0:3], R[..., 3:6].conj(),
+                          R[..., 6:9], R[..., 9:12].conj()], axis=1)
+    nhat, _ = sphere_grid(n_theta, n_phi)
+    # (n_theta, [fwd phi, bwd phi], 3) -> (hemisphere, n_theta, n_phi, 3)
+    vec = vec.reshape(n_theta, 2, n_phi, 3).transpose(1, 0, 2, 3)
+    return XI * K**2 / (4 * np.pi) * transverse(nhat, vec.reshape(-1, 3))
 
 
 @dataclass(frozen=True)
@@ -121,21 +176,15 @@ def farfield_detector(geometry: Geometry, beam, n_theta=N_THETA, n_phi=N_PHI,
     The overlap normalization always covers the full forward hemisphere,
     so a finite collection cone reports only the collected fraction: the
     directions outside it get weight 0.
-    The quadrature over directions is summed before the dipoles are known.
-
-    The phases of the product grid factor as e^{-i k n.r_j} =
-    X[a, j] E[a, b, j], with X = e^{-i k cos(theta_a) x_j} and
-    E = e^{-i k sin(theta_a) (cos(phi_b) y_j + sin(phi_b) z_j)} evaluated
-    on the first half of the phi grid only: the backward hemisphere
-    (n_x = -cos theta) takes conj(X), and phi_b + pi = phi_{b + n_phi/2}
-    takes conj(E).  So n_phi must be even (ValueError otherwise).  Both
-    hemispheres' mode overlaps are one batched product against E, followed
-    by an X-weighted sum over theta for each.
+    The quadrature over directions is summed before the dipoles are known,
+    against the `grid_phases` factors (so n_phi must be even): both
+    hemispheres' mode overlaps are one batched product against E, the
+    second phi half's modes entering conjugated, followed by an X-weighted
+    sum over theta for each.
     """
-    if n_phi % 2:
-        raise ValueError(f"n_phi must be even, got {n_phi}")
-    half = n_phi // 2
     nf, w = hemisphere_grid(n_theta, n_phi, forward=True)
+    X, E = grid_phases(geometry.positions, n_theta, n_phi)
+    half = n_phi // 2
     nb = nf * [-1.0, 1.0, 1.0]                   # the backward grid
     # the beam's (transverse) far-zone mode, once per hemisphere
     mf, mb = beam.farfield_mode(nf), beam.farfield_mode(nb)
@@ -152,11 +201,6 @@ def farfield_detector(geometry: Geometry, beam, n_theta=N_THETA, n_phi=N_PHI,
     qb = (w[:, None] * mb.conj()).reshape(n_theta, n_phi, 3)
     q = np.concatenate([qf[:, :half], qb[:, :half],
                         qf[:, half:].conj(), qb[:, half:].conj()], axis=2)
-    pos = np.asarray(geometry.positions, dtype=float)
-    kn = K * nf.reshape(n_theta, n_phi, 3)
-    X = np.exp(-1j * np.outer(kn[:, 0, 0], pos[:, 0]))     # (n_theta, N)
-    E = -1j * (pos[:, 1:] @ kn[:, :half, 1:].transpose(0, 2, 1))
-    np.exp(E, out=E)                                    # (n_theta, N, half)
     R = E @ q                                           # (n_theta, N, 12)
     fwd = R[..., 0:3] + R[..., 6:9].conj()
     bwd = R[..., 3:6] + R[..., 9:12].conj()
@@ -220,7 +264,10 @@ def farfield_rate_quadrature(corr, geometry: Geometry, transition: TransitionSpe
     far-field intensity per photon energy,
 
       dn/dOmega = (3 gamma/4 pi) sum [e_c^*.P(n).e_c'] e^{i k n.(r_l - r_j)}
-                  C_{(jc),(lc')},   P(n) = 1 - n n^T.
+                  C_{(jc),(lc')},   P(n) = 1 - n n^T,
+
+    on `sphere_grid(n_theta, n_phi)`, whose phases are the products of the
+    `grid_phases` factors (n_phi even).
     """
     nhat, w = sphere_grid(n_theta, n_phi)
     pos = geometry.positions
@@ -228,7 +275,12 @@ def farfield_rate_quadrature(corr, geometry: Geometry, transition: TransitionSpe
     m = basis.shape[1]
     n = len(pos)
     C = np.asarray(corr, dtype=complex).reshape(n, m, n, m)
-    phase = farfield_phase(nhat, pos)                   # (M, N)
+    X, E = grid_phases(pos, n_theta, n_phi)
+    E = E.transpose(0, 2, 1)                            # (n_theta, half, N)
+    fwd, bwd = X[:, None, :] * E, X.conj()[:, None, :] * E
+    phase = np.concatenate([np.concatenate([fwd, bwd.conj()], axis=1),
+                            np.concatenate([bwd, fwd.conj()], axis=1)]
+                           ).reshape(-1, n)             # (M, N)
     ne = nhat.astype(complex) @ basis                   # (M, m)
     pol = (basis.conj().T @ basis)[None, :, :] - ne[:, :, None].conj() * ne[:, None, :]
     val = np.einsum("Mj,Ml,Mnm,jnlm->M", phase, phase.conj(), pol, C,

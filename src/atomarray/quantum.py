@@ -465,17 +465,18 @@ def steady_state_qme(system: QuantumSystem, residual_tol=1e-9, rho0=None):
     (s, s) of S^-1 Y is Q Z Q^dag where T Z - Z T^dag = i Q^dag Y_ss Q
     (`triangular_sylvester`).  sigma = 1e-3 gamma keeps S invertible where
     Hnh has a real eigenvalue (undriven, |G> never decays).  Returns
-    (rho, ||L rho||_1), the residual that was checked, L applied to the
-    D x D rho (every charge); raises NonConvergenceError unless it is below
-    residual_tol."""
+    (rho, ||L rho||_1), the residual that was checked: the entrywise 1-norm
+    of the D x D L rho, with L applied to the charge-0 blocks of rho (L
+    keeps the charge, and the others hold only the rounding of mapping rho
+    out and in); raises NonConvergenceError unless it is below
+    residual_tol.  Only the jump term of charge 0 is built."""
     D = system.dim
     generator, basis = system.generator, system.sectors
     layout = generator.layout([0])
     n = layout[-1][3]
-    # the generator with every charge (the residual); the 51 GMRES vectors,
-    # the Schur forms and iterates; rho and the residual's temporaries
-    _check_memory("steady_state_qme", D,
-                  system.generator_bytes(generator.charges)
+    # the generator of charge 0; the 51 GMRES vectors, the Schur forms and
+    # iterates; rho and the residual's temporaries
+    _check_memory("steady_state_qme", D, system.generator_bytes([0])
                   + 16 * 63 * n + 16 * 8 * D**2)
     rhs = generator.block_rhs([0])
     schur = [scipy.linalg.schur(h - 0.5e-3j * GAMMA * np.eye(len(h)),
@@ -505,7 +506,9 @@ def steady_state_qme(system: QuantumSystem, residual_tol=1e-9, rho0=None):
     rho = basis.from_sectors(generator.merge(x + precondition(y), [0]))
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
-    resid = float(np.abs(qme_rhs(rho, system)).sum())
+    l_rho = rhs(generator.split(basis.to_sectors(rho), [0]))
+    resid = float(np.abs(basis.from_sectors(generator.merge(l_rho, [0])))
+                  .sum())
     if resid >= residual_tol:
         raise NonConvergenceError(
             f"QME steady state residual {resid:.2e} after GMRES",

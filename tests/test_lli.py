@@ -669,6 +669,48 @@ def test_reached_sector_eigenmodes_match_full_eigenmodes(case):
             es.anomalous
 
 
+@st.composite
+def oblique_systems(draw):
+    """Square arrays and bilayers under an oblique plane wave, which
+    reaches two or more of their mirror blocks."""
+    a = draw(st.floats(0.2, 0.8)) * LAMBDA
+    nx, ny = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    geo = build_square_lattice(nx, ny, a)
+    if draw(st.booleans()):
+        geo = build_bilayer(nx, ny, a, draw(st.floats(0.1, 0.7)) * LAMBDA)
+    t = draw(st.floats(0.1, 1.4))
+    tr = draw(st.sampled_from([EY, J01, EX]))
+    # tilted towards z with y polarization, or towards y with z
+    beam = draw(st.sampled_from([
+        PlaneWave(direction=(np.cos(t), 0.0, np.sin(t))),
+        PlaneWave(direction=(np.cos(t), np.sin(t), 0.0),
+                  polarization=(0.0, 0.0, 1.0))]))
+    return assemble(geo, tr, beam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(oblique_systems())
+def test_eigen_table_solves_vectors_exactly_where_the_state_was_solved(
+        system):
+    # the steady state is handed over in its sector coordinates: a block
+    # has vectors exactly where the steady state solved it, and every
+    # other occupation is exactly 0, with no rounding of b = Q y mapped back
+    steady = sector_reach(system.sectors[0], system.f)
+    assume(sum(steady) >= 2)
+    try:
+        es, rows = eigen_table(system)
+    except ResonantSingularityError:
+        return
+    assert [v is not None for _, _, v in es.sectors()] == steady
+    occ = np.array([row[3] for row in rows])
+    for (lo, hi, v), reached in zip(es.sectors(), steady):
+        if not reached:
+            assert not occ[es.columns[lo:hi]].any()
+    b = steady_state(system)
+    want = np.abs(eigenmodes(system).vectors.T @ b) ** 2
+    assert np.abs(occ - want / want.sum()).max() <= 1e-12
+
+
 def test_eigen_table_solves_vectors_in_the_driven_sector_only(monkeypatch):
     # a centred Gaussian beam polarized along y reaches one of the eight
     # J=0->1 sectors of a square: one block is solved with vectors, the

@@ -9,7 +9,8 @@ from atomarray.errors import (DegenerateConfigurationError,
                               ResonantSingularityError)
 from atomarray.geometry import (LAMBDA, Geometry, build_square_lattice,
                                 sample_positions)
-from atomarray.kernel import GAMMA, K, XI, far_field_kernel, green_tensor
+from atomarray.kernel import (GAMMA, K, XI, far_field_kernel, farfield_phase,
+                              green_tensor)
 from atomarray.lli import TransitionSpec
 from atomarray.streams import seed_streams
 
@@ -148,6 +149,53 @@ def test_detector_rejects_odd_n_phi(n_phi):
     geo = build_square_lattice(2, 2, 0.6 * LAMBDA)
     with pytest.raises(ValueError, match="even"):
         obs.farfield_detector(geo, GaussianBeam(waist=LAMBDA), 8, n_phi)
+    with pytest.raises(ValueError, match="even"):
+        obs.grid_phases(geo.positions, 8, n_phi)
+    with pytest.raises(ValueError, match="even"):
+        obs.farfield_map(np.ones((4, 3)), geo, 8, n_phi)
+
+
+# distinct uniform positions within two wavelengths of the origin
+positions = st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 12)).map(
+    lambda s: np.random.default_rng(s[0]).uniform(-2 * LAMBDA, 2 * LAMBDA,
+                                                  size=(s[1], 3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(positions, st.integers(1, 12).map(lambda h: 2 * h),
+       st.integers(1, 24).map(lambda h: 2 * h))
+def test_grid_phases_reproduce_the_sphere_grid_phases(pos, n_theta, n_phi):
+    # phase(a, b) = X E forward; conj(X) backward; conj(E) at phi + pi
+    X, E = obs.grid_phases(pos, n_theta, n_phi)
+    half = n_phi // 2
+    assert X.shape == (n_theta, len(pos))
+    assert E.shape == (n_theta, len(pos), half)
+    E = E.transpose(0, 2, 1)
+    fwd = np.concatenate([X[:, None] * E, X[:, None] * E.conj()], axis=1)
+    bwd = np.concatenate([X.conj()[:, None] * E, (X[:, None] * E).conj()],
+                         axis=1)
+    table = np.concatenate([fwd, bwd]).reshape(-1, len(pos))
+    want = farfield_phase(obs.sphere_grid(n_theta, n_phi)[0], pos)
+    assert np.abs(table - want).max() <= 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(positions, st.sampled_from([2, 4]), st.integers(0, 2**32 - 1),
+       st.integers(1, 12).map(lambda h: 2 * h),
+       st.integers(1, 24).map(lambda h: 2 * h))
+def test_farfield_map_equals_direct_projection(pos, levels, seed, n_theta,
+                                               n_phi):
+    geo = Geometry(pos)
+    tr = TransitionSpec(levels=levels)
+    rng = np.random.default_rng(seed)
+    b = rng.normal(size=len(pos) * tr.components) \
+        + 1j * rng.normal(size=len(pos) * tr.components)
+    dip = obs.dipole_table(tr, b)
+    want = obs.farfield_amplitude(dip, geo,
+                                  obs.sphere_grid(n_theta, n_phi)[0])
+    got = obs.farfield_map(dip, geo, n_theta, n_phi)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_hemisphere_grid_returns_fresh_arrays():

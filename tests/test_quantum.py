@@ -442,6 +442,30 @@ def test_steady_state_equals_long_time_evolution(qs):
     assert np.abs(qt.qme_rhs(rho, qs)).sum() < 1e-9
 
 
+def check_residual_in_charge_zero(qs):
+    """steady_state_qme builds the jump term of charge 0 alone, and the
+    residual it reports equals the D x D one, which builds every charge
+    that rho's off-charge rounding occupies, to rounding."""
+    rho, resid = qt.steady_state_qme(qs)
+    assert list(qs.generator.jumps) == [0]
+    full = np.abs(qt.qme_rhs(rho, qs)).sum()
+    scale = np.abs(qs.hamiltonian).max() + np.abs(qs.bmatrix).max()
+    assert abs(resid - full) <= 1e-16 * qs.dim * scale
+
+
+@pytest.mark.parametrize("natoms", [6, 7, 8])
+def test_ring_steady_state_residual_in_charge_zero(natoms):
+    check_residual_in_charge_zero(qt.build_quantum_system(
+        build_ring(natoms, 0.4 * LAMBDA), EY, PlaneWave(amplitude=0.8)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(symmetric_systems().map(lambda case: case[0]),
+                 driven_small_systems()))
+def test_steady_state_residual_in_charge_zero(qs):
+    check_residual_in_charge_zero(qs)
+
+
 def test_steady_state_reports_unreachable_residual():
     qs = qt.build_quantum_system(pair(0.5 * LAMBDA), EY, PlaneWave(0.8))
     with pytest.raises(NonConvergenceError) as err:
