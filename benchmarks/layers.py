@@ -13,8 +13,11 @@ lattice has two layer separations), disorder (sampled, seed 0) and eigen
 seed 0, which keeps no mirror and no lattice; the eigenmode table of
 the steady state also at 12x20, which keeps the three mirrors but has
 no degenerate C4v pairs), the qme ring at N = 6-8 and the traj workload; the pair of acceptance criterion 8(a) runs 2e4
-trajectories to t = 6.  The far-field map is that of `cli.run_transmit`
-(`sphere_grid(24, 48)`) on the transmit array at 10x10 to 40x40.  Each
+trajectories to t = 6.  The far-field detector is built on the sampled
+disorder array (waist 2 lambda) at 10x10 to 40x40 and at 100x100; the
+far-field map is that of `cli.run_transmit` (`sphere_grid(24, 48)`) on the
+transmit array at 10x10 to 40x40; the rate quadrature is that of
+`cli.run_checks` on five atoms, two-level and J=0->1.  Each
 steady-state and eigenmode call takes a freshly built
 `lli.CouplingSystem`, so that the mirror search and projection a system
 keeps are timed with every call.  The QME generator layer has four
@@ -168,6 +171,23 @@ def farfield_map(n):
             np.asarray)
 
 
+def farfield_rate_quadrature(levels):
+    """The rate quadrature of `cli.run_checks` (`sphere_grid(72, 144)`) on
+    5 atoms at random positions within 1.5 lambda, with a random
+    correlation table, seed 11."""
+    from atomarray import observables
+    from atomarray.geometry import LAMBDA, Geometry
+    from atomarray.lli import TransitionSpec
+    rng = np.random.default_rng(11)
+    tr = TransitionSpec(levels=levels)
+    geo = Geometry(rng.uniform(-1.5 * LAMBDA, 1.5 * LAMBDA, size=(5, 3)))
+    m = 5 * tr.components
+    A = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    C = A @ A.conj().T / np.trace(A @ A.conj().T).real
+    return (lambda: observables.farfield_rate_quadrature(C, geo, tr, 72, 144),
+            np.asarray)
+
+
 def _ring(natoms, levels=2):
     from atomarray import quantum
     return quantum.build_quantum_system(
@@ -261,6 +281,10 @@ CASES = {
     "lli.eigen_table@12x20-J01": (eigen_table, 12, 20),
     **{f"observables.{f.__name__}@{n}x{n}": (f, n)
        for f in (farfield_detector, farfield_map) for n in (10, 20, 40)},
+    "observables.farfield_detector@100x100": (farfield_detector, 100),
+    "observables.farfield_rate_quadrature@N5": (farfield_rate_quadrature, 2),
+    "observables.farfield_rate_quadrature@J01-N5": (
+        farfield_rate_quadrature, 4),
     **{f"quantum.{f.__name__}@N{n}": (f, n) for f in (
         build_quantum_system, generator, steady_state_qme) for n in (6, 7, 8)},
     **{f"quantum.steady_state_qme@N{n}-fresh": (steady_state_qme, n, True)

@@ -177,7 +177,9 @@ def run_transmit(cfg, out, seed, diagnostics):
     geo, tr, beam = _array(cfg)
     deltas = detuning_grid(cfg)
     system = lli.assemble(geo, tr, beam)
-    t, r = spectrum(system, farfield_detector(geo, beam), deltas)
+    detector = farfield_detector(geo, beam)
+    diagnostics["detector_quadrature_error"] = detector.error
+    t, r = spectrum(system, detector, deltas)
     R = np.abs(r) ** 2
     path = out / "transmission.csv"
     write_csv(path, ["delta[gamma]", "T[1]", "R[1]", "Re_t[1]", "Im_t[1]"],
@@ -367,6 +369,8 @@ def run_disorder(cfg, out, seed, diagnostics):
                      "stderr_r[1]"], rows)
     # dropped (realization, detuning) pairs
     diagnostics["disorder_failures"] = sum(rep.failures for rep in reps)
+    diagnostics["detector_quadrature_error"] = max(
+        rep.detector_error for rep in reps)
     return [path]
 
 

@@ -52,12 +52,16 @@ class GaussianBeam:
         pol = np.asarray(self.polarization, dtype=complex)
         return self.amplitude * u[:, None] * pol[None, :]
 
+    def angular_profile(self, sin_theta):
+        """Gaussian far-zone profile e^{-k_t^2 w0^2 / 4}, k_t = k sin(theta),
+        at the angle theta to the beam axis (either hemisphere)."""
+        return np.exp(-(K * self.waist * sin_theta) ** 2 / 4.0)
+
     def farfield_mode(self, nhat) -> np.ndarray:
         """Angular amplitude of the beam in the far zone (unnormalized):
         FT of the waist profile, transverse-projected.  nhat is (M, 3)."""
         nhat = np.atleast_2d(nhat)
-        kt2 = (nhat[:, 1] ** 2 + nhat[:, 2] ** 2) * K**2
-        f = np.exp(-kt2 * self.waist**2 / 4.0)
+        f = self.angular_profile(np.hypot(nhat[:, 1], nhat[:, 2]))
         pol = np.asarray(self.polarization, dtype=complex)
         return f[:, None] * transverse(nhat, pol)
 

@@ -13,9 +13,12 @@ for the J=0 -> J'=1 transition.
 Far-field observables on the product quadrature grid (Gauss-Legendre
 theta x uniform phi, `hemisphere_grid`, `sphere_grid`) read its phases
 from one helper, `grid_phases`, whose factors cover the grid with a
-quarter of the exponentials of the full table: the transmission and
-reflection detector (`farfield_detector`), the far-field map
-(`farfield_map`) and the rate quadrature (`farfield_rate_quadrature`).
+quarter of the exponentials of the full table: the far-field map
+(`farfield_map`) and the rate quadrature (`farfield_rate_quadrature`),
+which share the map's batched product.  The transmission and reflection
+detector (`farfield_detector`) needs no direction grid: it integrates
+over phi in closed form (Bessel functions J0, J1, J2) and over theta by a
+Gauss-Legendre rule fitted to the beam and the array.
 `farfield_amplitude` projects on any set of directions, one phase each.
 """
 from __future__ import annotations
@@ -129,20 +132,32 @@ def grid_phases(positions, n_theta, n_phi):
     return X, E
 
 
-def farfield_map(dipoles, geometry: Geometry, n_theta, n_phi) -> np.ndarray:
-    """`farfield_amplitude` on the directions of `sphere_grid(n_theta,
-    n_phi)`, in its row order, from the `grid_phases` factors: per theta
-    row, one product of E^T (n_phi/2, N) with the (N, 12) dipoles weighted
-    by X and conj(X) and conjugated, which gives both hemispheres and both
-    halves of the phi grid."""
-    p = np.asarray(dipoles, dtype=complex)
-    X, E = grid_phases(geometry.positions, n_theta, n_phi)
-    fwd = X[:, :, None] * p                             # (n_theta, N, 3)
+def _grid_sums(tables, positions, n_theta, n_phi) -> np.ndarray:
+    """sum_j e^{-i k n.r_j} p_j on the directions of `sphere_grid(n_theta,
+    n_phi)` for a stack of tables p (K, N, c), from the `grid_phases`
+    factors: per theta row, one product of E^T (n_phi/2, N) with the
+    (N, 4 K c) tables weighted by X and conj(X) and conjugated, which gives
+    both hemispheres and both halves of the phi grid.  Shape
+    (n_theta, 2 n_phi, K, c): row a holds the forward, then the backward
+    phi grid of theta_a."""
+    n, c = tables.shape[1:]
+    p = np.moveaxis(tables, 0, 1).reshape(n, -1)       # (N, K c)
+    q = p.shape[1]
+    X, E = grid_phases(positions, n_theta, n_phi)
+    fwd = X[:, :, None] * p                             # (n_theta, N, K c)
     bwd = X.conj()[:, :, None] * p
     R = E.transpose(0, 2, 1) @ np.concatenate(
-        [fwd, fwd.conj(), bwd, bwd.conj()], axis=2)     # (n_theta, half, 12)
-    vec = np.concatenate([R[..., 0:3], R[..., 3:6].conj(),
-                          R[..., 6:9], R[..., 9:12].conj()], axis=1)
+        [fwd, fwd.conj(), bwd, bwd.conj()], axis=2)     # (n_theta, half, 4q)
+    vec = np.concatenate([R[..., :q], R[..., q:2 * q].conj(),
+                          R[..., 2 * q:3 * q], R[..., 3 * q:].conj()], axis=1)
+    return vec.reshape(n_theta, 2 * n_phi, -1, c)
+
+
+def farfield_map(dipoles, geometry: Geometry, n_theta, n_phi) -> np.ndarray:
+    """`farfield_amplitude` on the directions of `sphere_grid(n_theta,
+    n_phi)`, in its row order, from the batched product of `_grid_sums`."""
+    p = np.asarray(dipoles, dtype=complex)
+    vec = _grid_sums(p[None], geometry.positions, n_theta, n_phi)
     nhat, _ = sphere_grid(n_theta, n_phi)
     # (n_theta, [fwd phi, bwd phi], 3) -> (hemisphere, n_theta, n_phi, 3)
     vec = vec.reshape(n_theta, 2, n_phi, 3).transpose(1, 0, 2, 3)
@@ -152,9 +167,13 @@ def farfield_map(dipoles, geometry: Geometry, n_theta, n_phi) -> np.ndarray:
 @dataclass(frozen=True)
 class Detector:
     """(N, 3) weights of one geometry: t - 1 and r are linear in the
-    dipoles, t = 1 + sum(forward * p) and r = sum(backward * p)."""
+    dipoles, t = 1 + sum(forward * p) and r = sum(backward * p).  `error`
+    is the change of the weights between two quadrature orders, summed
+    over atoms and components: it bounds the change of t and of r for
+    dipole components of modulus at most 1."""
     forward: np.ndarray
     backward: np.ndarray
+    error: float
 
     def project(self, dipoles):
         p = np.asarray(dipoles, dtype=complex)
@@ -162,7 +181,94 @@ class Detector:
                 complex(np.sum(self.backward * p)))
 
 
-def farfield_detector(geometry: Geometry, beam, n_theta=N_THETA, n_phi=N_PHI,
+def _theta_rule(theta_max, order):
+    """Gauss-Legendre nodes on [0, theta_max], with weights times
+    sin(theta), the polar factor of the solid angle."""
+    x, w = _gauss_legendre(order)
+    theta = 0.5 * theta_max * (x + 1.0)
+    return theta, 0.5 * theta_max * w * np.sin(theta)
+
+
+def _detector_order(positions, theta_max):
+    """Order of the theta rule of `farfield_detector`: half the phase range
+    of its integrand over [0, theta_max], k rho_max sin(theta_max) of the
+    Bessel functions plus k |x|_max (1 - cos(theta_max)) of layers off
+    x = 0, and 36 nodes for the beam profile and the smooth factors.  A
+    rule of n nodes is exact to degree 2n - 1, and the mapped frequency of
+    either phase is at most a quarter of its range (theta <= 2 sin(theta)
+    on [0, pi/2])."""
+    pos = np.asarray(positions, dtype=float)
+    phase = K * (np.hypot(pos[:, 1], pos[:, 2]).max() * np.sin(theta_max)
+                 + np.abs(pos[:, 0]).max() * (1.0 - np.cos(theta_max)))
+    return int(np.ceil(phase / 2.0)) + 36
+
+
+def _beam_weights(positions, beam, theta_max, theta_edge, order):
+    """Forward and backward weights of `farfield_detector` from the theta
+    rule of one order: overlaps on [0, theta_max], norm on [0, theta_edge].
+
+    At polar angle theta (s = sin, c = cos) in the hemisphere n_x = +-c
+    (sigma = +-1), the phi integral of e^{-i k n.r_j} times the conjugate
+    mode g(theta) (e - n (n.e)), e = conj(polarization), is g(theta) pi
+    e^{-+i k c x_j} times
+
+        (2 e_x s^2 J0,
+         e_y (2 - s^2) J0 + s^2 J2 (e_y cos 2a + e_z sin 2a),
+         e_z (2 - s^2) J0 + s^2 J2 (e_y sin 2a - e_z cos 2a))
+        + 2i sigma s c J1 (e_y cos a + e_z sin a, e_x cos a, e_x sin a)
+
+    with J_m = J_m(k s rho_j) and a = alpha_j.  The theta sums are
+    real-weighted sums of e^{-i k c x_j} J_m, and the backward hemisphere
+    takes the conjugate phase, so its sums are the conjugates of the
+    forward ones."""
+    # imported here: `quantum` imports this module and needs no Bessel
+    # functions
+    from scipy.special import j0, j1
+    pos = np.asarray(positions, dtype=float)
+    theta, w = _theta_rule(theta_max, order)
+    s, c = np.sin(theta), np.cos(theta)
+    w = w * beam.angular_profile(s)
+    rho = np.hypot(pos[:, 1], pos[:, 2])
+    u = K * np.outer(s, rho)                            # (order, N)
+    X = np.exp(-1j * (K * np.outer(c, pos[:, 0])))
+    J = np.empty((3,) + u.shape)
+    J[0], J[1] = j0(u), j1(u)
+    # J2 = 2 J1 / u - J0, with J1(u) / u = 1/2 at u = 0
+    J[2] = 2.0 * np.divide(J[1], u, out=np.full_like(u, 0.5),
+                           where=u > 0) - J[0]
+    # one batched product with two weight rows per J_m: a vector-matrix
+    # product of complex arrays (zgemv) takes ~8 ms at 2 OpenBLAS threads
+    zero = np.zeros_like(w)
+    (S0, T0), (S1, _), (S2, _) = np.stack(
+        [[w * (2.0 - s**2), w * s**2], [w * s * c, zero], [w * s**2, zero]]
+    ) @ (X * J)
+    # the azimuth alpha_j of each atom; J1 and J2 vanish where rho = 0
+    safe = np.where(rho > 0, rho, 1.0)
+    ca, sa = np.where(rho > 0, pos[:, 1] / safe, 1.0), pos[:, 2] / safe
+    c2a, s2a = ca**2 - sa**2, 2.0 * sa * ca
+    ex, ey, ez = np.asarray(beam.polarization, dtype=complex).conj()
+
+    def weights(S0, T0, S1, S2):
+        return np.pi * np.stack(
+            [2.0 * ex * T0 + 2j * (ey * ca + ez * sa) * S1,
+             ey * S0 + (ey * c2a + ez * s2a) * S2 + 2j * ex * ca * S1,
+             ez * S0 + (ey * s2a - ez * c2a) * S2 + 2j * ex * sa * S1],
+            axis=1)
+    fwd = weights(S0, T0, S1, S2)
+    bwd = weights(S0.conj(), T0.conj(), -S1.conj(), S2.conj())
+
+    # <f_in|f_in>: the phi integral of |e|^2 - |n.e|^2
+    theta, w = _theta_rule(theta_edge, order)
+    s2 = np.sin(theta) ** 2
+    norm = np.pi * np.sum(w * beam.angular_profile(np.sin(theta)) ** 2 * (
+        2.0 * s2 * abs(ex) ** 2 + (2.0 - s2) * (abs(ey) ** 2 + abs(ez) ** 2)))
+    # Fraunhofer far-zone amplitude of the beam: (-i k w0^2 / 2 r) e^{ikr} f_in
+    a_in = -1j * K * beam.waist**2 / 2.0 * beam.amplitude
+    scale = XI * K**2 / (4 * np.pi) / (a_in * norm)
+    return scale * fwd, scale * bwd
+
+
+def farfield_detector(geometry: Geometry, beam,
                       collection_half_angle=np.pi / 2) -> Detector:
     """Detector for the amplitude transmission and reflection of a beam.
 
@@ -174,44 +280,40 @@ def farfield_detector(geometry: Geometry, beam, n_theta=N_THETA, n_phi=N_PHI,
 
     with the beam's own far-zone amplitude (-i k w0^2 / 2 r) e^{ikr} f_in.
     The overlap normalization always covers the full forward hemisphere,
-    so a finite collection cone reports only the collected fraction: the
-    directions outside it get weight 0.
-    The quadrature over directions is summed before the dipoles are known,
-    against the `grid_phases` factors (so n_phi must be even): both
-    hemispheres' mode overlaps are one batched product against E, the
-    second phi half's modes entering conjugated, followed by an X-weighted
-    sum over theta for each.
-    """
-    nf, w = hemisphere_grid(n_theta, n_phi, forward=True)
-    X, E = grid_phases(geometry.positions, n_theta, n_phi)
-    half = n_phi // 2
-    nb = nf * [-1.0, 1.0, 1.0]                   # the backward grid
-    # the beam's (transverse) far-zone mode, once per hemisphere
-    mf, mb = beam.farfield_mode(nf), beam.farfield_mode(nb)
-    norm = np.sum(w * np.einsum("mi,mi->m", mf.conj(), mf)).real
-    if collection_half_angle < np.pi / 2:       # the same cone both ways
-        w = w * (nf[:, 0] >= np.cos(collection_half_angle))
-    # Fraunhofer far-zone amplitude of the beam: (-i k w0^2 / 2 r) e^{ikr} f_in
-    a_in = -1j * K * beam.waist**2 / 2.0 * beam.amplitude
-    scale = XI * K**2 / (4 * np.pi) / (a_in * norm)
+    so a finite collection cone reports only the collected fraction.
 
-    # weighted conjugate modes (n_theta, n_phi, 3) of each hemisphere; the
-    # second phi half enters conjugated, so that all of it multiplies E
-    qf = (w[:, None] * mf.conj()).reshape(n_theta, n_phi, 3)
-    qb = (w[:, None] * mb.conj()).reshape(n_theta, n_phi, 3)
-    q = np.concatenate([qf[:, :half], qb[:, :half],
-                        qf[:, half:].conj(), qb[:, half:].conj()], axis=2)
-    R = E @ q                                           # (n_theta, N, 12)
-    fwd = R[..., 0:3] + R[..., 6:9].conj()
-    bwd = R[..., 3:6] + R[..., 9:12].conj()
-    return Detector(scale * np.einsum("aj,ajc->jc", X, fwd),
-                    scale * np.einsum("aj,ajc->jc", X.conj(), bwd))
+    The phi integrals are done in closed form (the integrals I00, I01 and
+    I02 of Richards & Wolf, Proc. R. Soc. A 253, 358 (1959); Novotny &
+    Hecht, Principles of Nano-Optics, ch. 3).  With (rho_j, alpha_j) the
+    polar coordinates of atom j in the y-z plane and u = k sin(theta)
+    rho_j, e^{-i u cos(phi - alpha)} integrates over phi to 2 pi J0(u),
+    against cos(phi) and sin(phi) to -2 pi i J1(u) (cos, sin)(alpha), and
+    against cos^2, sin^2 and sin cos to pi (J0 -+ J2 cos(2 alpha)) and
+    -pi J2 sin(2 alpha).  A Gauss-Legendre rule in theta does the rest,
+    over [0, theta_max]: theta_max is the collection half angle or the
+    angle where the beam profile e^{-(k w0 sin(theta))^2 / 4} falls below
+    rounding (k w0 sin(theta) = 12, capped at pi/2), whichever is smaller,
+    so the cone edge is an endpoint of the rule.  Its order follows from
+    the array and the beam (`_detector_order`); `Detector.error` is the
+    change of the weights from a rule 6 nodes smaller.
+    """
+    if not collection_half_angle > 0:
+        raise ValueError("collection_half_angle must be positive, got "
+                         f"{collection_half_angle}")
+    pos = geometry.positions
+    theta_edge = np.arcsin(min(1.0, 12.0 / (K * beam.waist)))
+    theta_max = min(collection_half_angle, theta_edge)
+    order = _detector_order(pos, theta_max)
+    fwd, bwd = _beam_weights(pos, beam, theta_max, theta_edge, order)
+    fwd2, bwd2 = _beam_weights(pos, beam, theta_max, theta_edge, order - 6)
+    error = max(np.abs(fwd - fwd2).sum(), np.abs(bwd - bwd2).sum())
+    return Detector(fwd, bwd, float(error))
 
 
 def transmission_reflection(dipoles, geometry: Geometry, beam,
                             collection_half_angle=np.pi / 2):
-    """Amplitude t and r of a beam through the array (`farfield_detector`
-    on its default direction grids)."""
+    """Amplitude t and r of a beam through the array (one
+    `farfield_detector` projection)."""
     return farfield_detector(
         geometry, beam,
         collection_half_angle=collection_half_angle).project(dipoles)
@@ -266,26 +368,25 @@ def farfield_rate_quadrature(corr, geometry: Geometry, transition: TransitionSpe
       dn/dOmega = (3 gamma/4 pi) sum [e_c^*.P(n).e_c'] e^{i k n.(r_l - r_j)}
                   C_{(jc),(lc')},   P(n) = 1 - n n^T,
 
-    on `sphere_grid(n_theta, n_phi)`, whose phases are the products of the
-    `grid_phases` factors (n_phi even).
+    on `sphere_grid(n_theta, n_phi)` (n_phi even).  The Hermitian C is
+    sum_k lambda_k a_k a_k^H (one `eigh`), and the basis columns e_c are
+    orthonormal, so dn/dOmega is sum_k lambda_k (|s_k|^2 - |s_k.conj(n.e)|^2)
+    with s_kc = sum_j e^{-i k n.r_j} a_k[jc]: the batched product of
+    `farfield_map` (`_grid_sums`) gives every s_k at once.
     """
-    nhat, w = sphere_grid(n_theta, n_phi)
-    pos = geometry.positions
     basis = transition.basis
     m = basis.shape[1]
-    n = len(pos)
-    C = np.asarray(corr, dtype=complex).reshape(n, m, n, m)
-    X, E = grid_phases(pos, n_theta, n_phi)
-    E = E.transpose(0, 2, 1)                            # (n_theta, half, N)
-    fwd, bwd = X[:, None, :] * E, X.conj()[:, None, :] * E
-    phase = np.concatenate([np.concatenate([fwd, bwd.conj()], axis=1),
-                            np.concatenate([bwd, fwd.conj()], axis=1)]
-                           ).reshape(-1, n)             # (M, N)
-    ne = nhat.astype(complex) @ basis                   # (M, m)
-    pol = (basis.conj().T @ basis)[None, :, :] - ne[:, :, None].conj() * ne[:, None, :]
-    val = np.einsum("Mj,Ml,Mnm,jnlm->M", phase, phase.conj(), pol, C,
-                    optimize=True)
-    return float(3.0 * GAMMA / (4.0 * np.pi) * np.sum(w * val.real))
+    lam, a = np.linalg.eigh(np.asarray(corr, dtype=complex))
+    s = _grid_sums(a.T.reshape(len(lam), -1, m), geometry.positions,
+                   n_theta, n_phi).reshape(n_theta, 2, n_phi, -1, m)
+    # the directions and weights in that order; the weights depend on theta
+    nhat, w = sphere_grid(n_theta, n_phi)
+    ne = nhat.reshape(2, n_theta, n_phi, 3).transpose(1, 0, 2, 3) @ basis
+    sn = np.einsum("abckm,abcm->abck", s, ne.conj())
+    intensity = (np.einsum("abckm,abckm->ak", s.conj(), s).real
+                 - np.einsum("abck,abck->ak", sn.conj(), sn).real)
+    return float(3.0 * GAMMA / (4.0 * np.pi)
+                 * (w[:n_theta * n_phi:n_phi] @ intensity @ lam))
 
 
 def intensity_decomposition(point, geometry, drive, amplitudes, transition,
@@ -394,6 +495,8 @@ class EnsembleObservables:
     mean_intensity: np.ndarray = None
     incoherent_intensity: np.ndarray = None
     failures: int = 0
+    # the largest `Detector.error` over the realizations' detectors
+    detector_error: float = 0.0
 
 
 def disorder_average(geometry: Geometry, transition: TransitionSpec, beam,
@@ -415,6 +518,7 @@ def disorder_average(geometry: Geometry, transition: TransitionSpec, beam,
     t_acc, r_acc, f_acc = ([[] for _ in deltas] for _ in range(3))
     failures = np.zeros(len(deltas), dtype=int)
     limit = max(1, max_failure_fraction * n_realizations)
+    detector_error = 0.0
     for i in range(n_realizations):
         rng = np.random.default_rng(rng_streams[i])
         try:
@@ -426,6 +530,7 @@ def disorder_average(geometry: Geometry, transition: TransitionSpec, beam,
             continue
         sys_i = lli.assemble(geo, transition, beam)
         detector = farfield_detector(geo, beam)
+        detector_error = max(detector_error, detector.error)
         for k, d in enumerate(deltas):
             try:
                 b = lli.steady_state(sys_i, d)
@@ -448,7 +553,8 @@ def disorder_average(geometry: Geometry, transition: TransitionSpec, beam,
         rep = EnsembleObservables(
             n, complex(t_arr.mean()), complex(r_arr.mean()),
             float(np.std(t_arr) / np.sqrt(n)),
-            float(np.std(r_arr) / np.sqrt(n)), failures=int(n_failed))
+            float(np.std(r_arr) / np.sqrt(n)), failures=int(n_failed),
+            detector_error=detector_error)
         if field_points is not None:
             F = np.array(f_k)
             rep.mean_field = F.mean(axis=0)

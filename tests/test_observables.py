@@ -102,53 +102,71 @@ def test_finite_collection_cone_reduces_r_plus_t():
     assert abs(r_cone - r_full) > 1e-4      # some power falls outside
 
 
-def _direct_rt(dip, geo, beam, n_theta, n_phi, half_angle):
+def _cone_grid(n_theta, n_phi, half_angle, forward=True):
+    """Product grid over the cone theta <= half_angle about +-x:
+    Gauss-Legendre in cos(theta) on [cos(half_angle), 1], whose edge is
+    then an endpoint, times the uniform phi grid."""
+    x, w = np.polynomial.legendre.leggauss(n_theta)
+    c0 = np.cos(half_angle)
+    ct = c0 + 0.5 * (1.0 - c0) * (x + 1.0)
+    CT, PH = np.meshgrid(ct, (np.arange(n_phi) + 0.5) * 2 * np.pi / n_phi,
+                         indexing="ij")
+    st = np.sqrt(1.0 - CT**2)
+    nhat = np.column_stack([(1.0 if forward else -1.0) * CT.ravel(),
+                            (st * np.cos(PH)).ravel(),
+                            (st * np.sin(PH)).ravel()])
+    return nhat, np.repeat(0.5 * (1.0 - c0) * w * 2 * np.pi / n_phi, n_phi)
+
+
+def _direct_rt(dip, geo, beam, half_angle, n_theta=96, n_phi=64):
     """Reference t and r: quadrature of the beam-mode overlaps of the
-    scattered far field, one direction at a time."""
-    nf, wf = obs.hemisphere_grid(n_theta, n_phi, forward=True)
-    nb, wb = obs.hemisphere_grid(n_theta, n_phi, forward=False)
+    scattered far field, one direction at a time, on product grids that
+    are converged for atoms within two wavelengths of the origin."""
+    nf, wf = _cone_grid(n_theta, n_phi, np.pi / 2)
     fin = beam.farfield_mode(nf)
     denom = (-1j * K * beam.waist**2 / 2.0 * beam.amplitude
              * np.sum(wf * np.einsum("mi,mi->m", fin.conj(), fin)).real)
 
-    def overlap(nhat, w):
+    def overlap(forward):
+        nhat, w = _cone_grid(n_theta, n_phi, half_angle, forward)
         F = obs.farfield_amplitude(dip, geo, nhat)
         return np.sum(w * np.einsum("mi,mi->m",
                                     beam.farfield_mode(nhat).conj(), F))
-    keepf = nf[:, 0] >= np.cos(half_angle)
-    keepb = nb[:, 0] <= -np.cos(half_angle)
-    return (1.0 + overlap(nf[keepf], wf[keepf]) / denom,
-            overlap(nb[keepb], wb[keepb]) / denom)
+    return 1.0 + overlap(True) / denom, overlap(False) / denom
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.sampled_from([2, 4]),
        st.floats(0.5, 3.0), st.sampled_from([np.pi / 2, 1.2, 0.3]),
-       st.integers(1, 20), st.integers(1, 20).map(lambda h: 2 * h))
-@example(0, 3, 2, 1.0, np.pi / 2, 16, 32)
+       st.sampled_from([(0, 1, 0), (0, 1, 1j), (0.3, 0.5, -0.2j)]))
+@example(0, 3, 2, 1.0, np.pi / 2, (0, 1, 0))
 def test_detector_equals_direct_projection(seed, n, levels, waist_wl,
-                                           half_angle, n_theta, n_phi):
+                                           half_angle, polarization):
     rng = np.random.default_rng(seed)
     geo = Geometry(rng.uniform(-LAMBDA, LAMBDA, size=(n, 3)))
     tr = TransitionSpec(levels=levels)
     b = rng.normal(size=n * tr.components) \
         + 1j * rng.normal(size=n * tr.components)
     dip = obs.dipole_table(tr, b)
-    beam = GaussianBeam(waist=waist_wl * LAMBDA)
-    t, r = obs.farfield_detector(geo, beam, n_theta, n_phi,
-                                 half_angle).project(dip)
-    t0, r0 = _direct_rt(dip, geo, beam, n_theta, n_phi, half_angle)
+    beam = GaussianBeam(waist=waist_wl * LAMBDA, polarization=polarization)
+    t, r = obs.farfield_detector(geo, beam, half_angle).project(dip)
+    t0, r0 = _direct_rt(dip, geo, beam, half_angle)
     scale = max(abs(t0 - 1.0), abs(r0))
     assert abs(t - t0) <= 1e-12 * scale
     assert abs(r - r0) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("half_angle", [0.0, -0.3])
+def test_detector_rejects_empty_cone(half_angle):
+    geo = build_square_lattice(2, 2, 0.6 * LAMBDA)
+    with pytest.raises(ValueError, match="positive"):
+        obs.farfield_detector(geo, GaussianBeam(waist=LAMBDA), half_angle)
 
 
 @pytest.mark.parametrize("n_phi", [1, 31, 95])
 def test_detector_rejects_odd_n_phi(n_phi):
     # the phi + pi pairing of the factored phases needs an even phi grid
     geo = build_square_lattice(2, 2, 0.6 * LAMBDA)
-    with pytest.raises(ValueError, match="even"):
-        obs.farfield_detector(geo, GaussianBeam(waist=LAMBDA), 8, n_phi)
     with pytest.raises(ValueError, match="even"):
         obs.grid_phases(geo.positions, 8, n_phi)
     with pytest.raises(ValueError, match="even"):
@@ -260,6 +278,22 @@ def test_rate_formula_equals_quadrature_random_configs():
         n_s = obs.total_scattering_rate(C, geo, EY)
         n_q = obs.farfield_rate_quadrature(C, geo, EY, n_theta=72, n_phi=144)
         assert abs(n_s - n_q) <= 1e-6 * abs(n_s)
+
+
+@pytest.mark.parametrize("levels", [2, 4])
+def test_rate_quadrature_of_an_indefinite_table(levels):
+    # both rates are linear in C, so they agree on Hermitian tables with
+    # eigenvalues of either sign, where sum_k lambda_k |P u_k|^2 mixes signs
+    rng = np.random.default_rng(5)
+    tr = TransitionSpec(levels=levels)
+    geo = Geometry(rng.uniform(-1.5 * LAMBDA, 1.5 * LAMBDA, size=(4, 3)))
+    m = 4 * tr.components
+    A = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    C = A + A.conj().T
+    assert np.linalg.eigvalsh(C).min() < 0 < np.linalg.eigvalsh(C).max()
+    n_s = obs.total_scattering_rate(C, geo, tr)
+    n_q = obs.farfield_rate_quadrature(C, geo, tr, n_theta=72, n_phi=144)
+    assert abs(n_s - n_q) <= 1e-6 * np.abs(np.linalg.eigvalsh(C)).sum()
 
 
 def test_intensity_decomposition_semiclassical_incoherent_zero():

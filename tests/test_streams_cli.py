@@ -255,6 +255,8 @@ def test_cli_transmit_scenario(tmp_path):
     # subwavelength array: fitted width below the single-atom linewidth
     assert 0.0 < fit["fitted_hwhm_gamma"] < 1.0
     assert (tmp_path / "farfield_map.csv").exists()
+    diag = json.loads((tmp_path / "manifest.json").read_text())["diagnostics"]
+    assert 0.0 <= diag["detector_quadrature_error"] < 1e-10
 
 
 def test_cli_stack_and_bands(tmp_path):
@@ -350,7 +352,11 @@ def test_cli_disorder_roundtrip_bitstable(tmp_path):
     m1 = json.loads((out1 / "manifest.json").read_text())
     m2 = json.loads((out2 / "manifest.json").read_text())
     assert m1["config_sha256"] == m2["config_sha256"]
-    assert m1["diagnostics"] == {"disorder_failures": 0}
+    assert m1["diagnostics"] == m2["diagnostics"]
+    assert set(m1["diagnostics"]) == {"disorder_failures",
+                                      "detector_quadrature_error"}
+    assert m1["diagnostics"]["disorder_failures"] == 0
+    assert 0.0 <= m1["diagnostics"]["detector_quadrature_error"] < 1e-10
 
 
 def test_cli_traj_directional_clicks(tmp_path):
