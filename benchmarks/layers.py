@@ -41,6 +41,7 @@ under `tracemalloc` for its peak, and its output array is compared between
 the trees.  A case that raises in a tree reports the error for that tree.
 """
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -116,8 +117,7 @@ def assemble(workload, disorder=0.0, geometry=()):
 def _fresh(s):
     """A new `lli.CouplingSystem` of the arrays of s, which has kept
     nothing from an earlier call (its mirror search and sectors)."""
-    from atomarray import lli
-    return lli.CouplingSystem(s.H, s.dH, s.f, s.geometry, s.transition)
+    return dataclasses.replace(s)
 
 
 def steady_state(workload, delta):
@@ -227,7 +227,6 @@ def evolve_qme(natoms):
 
 
 def steady_state_qme(natoms, fresh=False):
-    import dataclasses
     from atomarray import quantum
     system = _ring(natoms)
     # fresh: a copy of the system that has built no generator, so that the

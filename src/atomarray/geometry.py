@@ -251,11 +251,11 @@ class OrbitBasis:
     e_rows[g, a] over the |G| group elements (a site that several elements
     reach is summed as often), with entries +-1/sqrt(|orbit|); rows[0] is
     the identity's, so rows[0, a] is the orbit's smallest index.  Columns
-    offsets[s]:offsets[s+1] form sector s, on which group element g acts
-    as (-1)^popcount(labels[s] & g), g's bits naming the kept generators
-    it is the product of.  Q is applied one way, as the sparse `q` and
-    `qt` built on first use: `to_sectors`, `from_sectors`, and qt[lo:hi].T
-    for the vectors of one sector."""
+    lo:hi of each of `spans` form a sector s, on which group element g
+    acts as (-1)^popcount(labels[s] & g), g's bits naming the kept
+    generators it is the product of.  Q is applied one way, as the sparse
+    `q` and `qt` built on first use; with one sector every orbit is one
+    site and Q = 1, which `blocks` and the vector maps apply as it is."""
     kept: tuple                  # indices of the actions that generate G
     rows: np.ndarray             # (|G|, n) indices
     coefs: np.ndarray            # (|G|, n) their coefficients
@@ -265,6 +265,16 @@ class OrbitBasis:
     @property
     def sizes(self) -> list:
         return np.diff(self.offsets).tolist()
+
+    @property
+    def spans(self) -> list:
+        """(lo, hi) of the columns of each sector."""
+        off = self.offsets.tolist()
+        return list(zip(off[:-1], off[1:]))
+
+    @property
+    def _identity(self) -> bool:
+        return len(self.offsets) == 2
 
     @cached_property
     def q(self):
@@ -288,6 +298,23 @@ class OrbitBasis:
     def from_sectors(self, Y) -> np.ndarray:
         """Q Y Q^T, by the same two products."""
         return (self.q @ np.ascontiguousarray((self.q @ Y).T)).T
+
+    def blocks(self, X) -> list:
+        """The diagonal blocks Q_s^T X Q_s, sliced from `to_sectors`."""
+        if self._identity:
+            return [X]
+        Y = self.to_sectors(X)
+        return [Y[lo:hi, lo:hi].copy() for lo, hi in self.spans]
+
+    def to_sector_vector(self, b) -> np.ndarray:
+        """Q^T b."""
+        return b if self._identity else self.qt @ b
+
+    def to_site_vectors(self, v, lo=None, hi=None) -> np.ndarray:
+        """Q v, or Q_s v for the vectors v of the sector of columns lo:hi."""
+        if self._identity:
+            return v
+        return self.q @ v if lo is None else self.qt[lo:hi].T @ v
 
 
 def orbit_basis(actions, size: int) -> OrbitBasis:

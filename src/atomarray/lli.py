@@ -1,17 +1,19 @@
 """Low-light-intensity coupled-dipole model.
 
-Amplitudes b obey  db/dt = i (H + dH) b + f  with H = kernel.coupling_matrix
+Amplitudes b obey  db/dt = i (H + L) b + f  with H = kernel.coupling_matrix
 in the dipole basis of the transition (`TransitionSpec.basis`): diagonal
 i*gamma, off-diagonal XI * e.G(r_j - r_l).e' between dipole components;
-`evolve` is exact (`integrate.affine_evolve`).  Two level structures:
+L is the level block of the transition (`TransitionSpec.level_block`) on
+every atom, the laser detuning times 1 plus its Zeeman part Z
+(`TransitionSpec.zeeman_part`).  `evolve` is exact
+(`integrate.affine_evolve`).  Two level structures:
 
-* two-level: one real dipole orientation per atom, H is N x N;
+* two-level: one real dipole orientation per atom, H is N x N, Z = 0;
 * J=0 -> J'=1: three dipole components per atom.  Components are stored in
   the CARTESIAN basis (x, y, z), component c of atom j at index 3j + c,
   which keeps H exactly complex symmetric (in the circular basis it is
   not).  Zeeman shifts of the m = nu sublevels, entering as detunings
-  Delta - nu*delta_nu, make the per-atom level block of dH
-  (`TransitionSpec.level_block`) a 3x3 Hermitian matrix in this basis.
+  Delta - nu*delta_nu, make Z a 3x3 Hermitian matrix in this basis.
 
 `assemble` takes H from `kernel.coupling_matrix`, which gathers it from a
 table of offsets on a lattice geometry and evaluates every pair otherwise.
@@ -20,18 +22,19 @@ table of offsets on a lattice geometry and evaluates every pair otherwise.
 a symmetric array that act on every atom's dipole components as +-1 and
 leave H invariant (`invariant_mirrors`, the one mirror search, which the
 master equation's parity sectors use too) are diagonal in a real
-orthogonal orbit-sum basis Q (`mirror_basis`).  Q splits a centred square
-J=0 -> J'=1 lattice into eight blocks; an array without such a mirror is
-one block, solved as it is.  `geometry.OrbitBasis` builds and applies Q
-for both layers.  A system searches its mirrors and projects H + dH once
-(`CouplingSystem.sectors`); its eigenmodes, and its steady state at every
-detuning, which only shifts the diagonal of each block, reuse both.  The
-steady state keeps a mirror of H only where dH (a Zeeman term) keeps it
-too, and solves the blocks that Q^T f reaches; the others are zero.
-`eigen_table` passes that steady state to `eigenmodes` in the sector
-coordinates it was solved in (`sector_steady_state`, a `SectorState`),
-and `eigenmodes` solves a block with vectors only where it is not
-exactly zero, and keeps the vectors in sector coordinates
+orthogonal orbit-sum basis Q (`geometry.OrbitBasis`, which builds and
+applies Q for both layers).  Q splits a centred square J=0 -> J'=1 lattice
+into eight blocks; an array without such a mirror is one block, Q = 1.
+The eigenmodes project H in the basis of all its mirrors
+(`CouplingSystem.mode_sectors`); the steady state keeps those whose signs
+s on an atom's components keep Z, s Z s = Z (`level_mirrors`, the filter
+of the parity sectors too), projects H + Z once (`CouplingSystem.sectors`,
+the same blocks where Z = 0), and at every detuning, which only shifts
+the diagonal of each block, solves the blocks that Q^T f reaches; the
+others are zero.  `eigen_table` passes that steady state to `eigenmodes`
+in the sector coordinates it was solved in (`sector_steady_state`, a
+`SectorState`), and `eigenmodes` solves a block with vectors only where
+it is not exactly zero, and keeps the vectors in sector coordinates
 (`EigenSystem`); `mode_occupation` works sector by sector, so an
 unreached sector's occupations are exactly 0.
 """
@@ -95,6 +98,12 @@ class TransitionSpec:
             return np.array([[self.detuning]], dtype=complex)
         return self.detuning * np.eye(3) - zeeman_block(self.zeeman)
 
+    @property
+    def zeeman_part(self) -> np.ndarray:
+        """Z = level_block - detuning*1, the (m, m) part of the level block
+        that the laser detuning does not set."""
+        return self.level_block - self.detuning * np.eye(self.components)
+
     def rabi(self, field) -> np.ndarray:
         """(N, m) Rabi frequencies of the dipole components from (N, 3)
         Cartesian drive fields: R = E . basis^*."""
@@ -103,12 +112,11 @@ class TransitionSpec:
 
 @dataclass
 class CouplingSystem:
-    """H (complex symmetric), diagonal-in-atom detuning matrix dH, drive
-    vector f, plus the geometry/transition they came from.  The mirror
-    search and the projection onto its sectors are made on first use and
-    kept, so H and dH are not to be changed in place after that."""
+    """H (complex symmetric) and the drive vector f, plus the geometry and
+    the transition they came from; the transition holds the level block.
+    The mirror search and the projections onto its sectors are made on
+    first use and kept, so H is not to be changed in place after that."""
     H: np.ndarray
-    dH: np.ndarray
     f: np.ndarray
     geometry: Geometry
     transition: TransitionSpec
@@ -123,29 +131,23 @@ class CouplingSystem:
         return invariant_mirrors(self.geometry, self.transition, self.H)
 
     @cached_property
-    def level_free(self) -> bool:
-        """Whether dH is the laser detuning alone (no Zeeman term), so that
-        H and H + dH have the same blocks up to a shift of their
-        diagonals."""
-        d = np.diagonal(self.dH)
-        return (np.count_nonzero(self.dH) == np.count_nonzero(d)
-                and bool(np.all(d == self.transition.detuning)))
+    def mode_sectors(self) -> tuple:
+        """(Q, blocks): the orbit basis of all mirrors of H and the diagonal
+        blocks Q_s^T H Q_s (`eigenmodes`)."""
+        basis = orbit_basis([op for _, op in self.mirrors.values()],
+                            self.size)
+        return basis, basis.blocks(self.H)
 
     @cached_property
     def sectors(self) -> tuple:
-        """(Q, blocks): the orbit basis of the mirrors of H that dH keeps
-        too, and the diagonal blocks Q_s^T (H + dH - detuning) Q_s; blocks
-        is None where Q has a single sector, whose matrix is solved as it
-        is."""
-        ops = [op for _, op in self.mirrors.values()]
-        A = self.H
-        if not self.level_free:
-            A = self.dH - self.transition.detuning * np.eye(self.size)
-            tol = mirror_tol(A)
-            ops = [op for op in ops if invariant(A, *op, tol)]
-            A += self.H
-        basis = orbit_basis(ops, self.size)
-        return basis, _project(A, basis)
+        """(Q, blocks): the orbit basis of the mirrors of H that keep the
+        Zeeman part Z too (`level_mirrors`), and the diagonal blocks
+        Q_s^T (H + Z) Q_s (`steady_state`); `mode_sectors` where Z = 0."""
+        if not self.transition.zeeman_part.any():
+            return self.mode_sectors
+        mirrors = level_mirrors(self.transition, self.mirrors)
+        basis = orbit_basis([op for _, op in mirrors.values()], self.size)
+        return basis, basis.blocks(with_detuning(self, 0.0))
 
 
 def zeeman_block(zeeman) -> np.ndarray:
@@ -168,46 +170,36 @@ def block_diagonal(n: int, block) -> np.ndarray:
 
 def assemble(geometry: Geometry, transition: TransitionSpec,
              drive=None) -> CouplingSystem:
-    """Build H, dH and f for the given geometry, transition and drive."""
+    """Build H and f for the given geometry, transition and drive."""
     pos = geometry.positions
     H = coupling_matrix(geometry, transition.basis)
-    dH = block_diagonal(len(pos), transition.level_block)
     f = np.zeros(len(H), dtype=complex)
     if drive is not None:
         f = 1j * transition.rabi(drive.field(pos)).reshape(-1)
-    return CouplingSystem(H, dH, f, geometry, transition)
+    return CouplingSystem(H, f, geometry, transition)
 
 
 def with_detuning(system: CouplingSystem, delta: float) -> np.ndarray:
-    """H + dH with the common laser detuning set to `delta` (the zeeman
-    part of dH is kept)."""
-    base = system.dH - system.transition.detuning * np.eye(system.size)
-    return system.H + base + delta * np.eye(system.size)
-
-
-def _project(A: np.ndarray, basis: OrbitBasis):
-    """The diagonal blocks of Q^T A Q, or None where Q has one sector."""
-    if len(basis.sizes) == 1:
-        return None
-    Y = basis.to_sectors(A)
-    off = basis.offsets
-    return [Y[lo:hi, lo:hi].copy() for lo, hi in zip(off[:-1], off[1:])]
+    """H + L at laser detuning `delta`: H + Z + delta*1, Z on every atom."""
+    Z = system.transition.zeeman_part
+    return (system.H + block_diagonal(system.size // len(Z), Z)
+            + delta * np.eye(system.size))
 
 
 @dataclass(frozen=True)
 class SectorState:
     """A state y = Q^T b in the coordinates of the sectors of the orbit
-    basis Q (`basis`); with a single sector, y is b."""
+    basis Q (`basis`)."""
     basis: OrbitBasis
     y: np.ndarray
 
     def sites(self) -> np.ndarray:
         """b = Q y."""
-        return self.y if len(self.basis.sizes) == 1 else self.basis.q @ self.y
+        return self.basis.to_site_vectors(self.y)
 
 
 def steady_state(system: CouplingSystem, delta: float = None) -> np.ndarray:
-    """Solve 0 = i(H + dH) b + f, i.e. b = i (H + dH)^{-1} f, with the laser
+    """Solve 0 = i(H + L) b + f, i.e. b = i (H + L)^{-1} f, with the laser
     detuning set to `delta` if given (`sector_steady_state`, mapped to the
     sites)."""
     return sector_steady_state(system, delta).sites()
@@ -216,21 +208,15 @@ def steady_state(system: CouplingSystem, delta: float = None) -> np.ndarray:
 def sector_steady_state(system: CouplingSystem,
                         delta: float = None) -> SectorState:
     """The steady state of `steady_state` in the sectors of the system's
-    mirrors (`CouplingSystem.sectors`): each block that Q^T f reaches is
-    solved on its own, its diagonal shifted by the detuning, and the others
-    are exactly zero; a singular block raises ResonantSingularityError
-    with its own nearest eigenvalue.  Without a sector split the whole
-    matrix is solved."""
+    mirrors that keep its Zeeman part (`CouplingSystem.sectors`): each
+    block that Q^T f reaches is solved on its own, its diagonal shifted by
+    the detuning, and the others are exactly zero; a singular block raises
+    ResonantSingularityError with its own nearest eigenvalue."""
     basis, blocks = system.sectors
-    if blocks is None:
-        A = (system.H + system.dH if delta is None
-             else with_detuning(system, delta))
-        return SectorState(basis, solve_checked(A, 1j * system.f))
     shift = system.transition.detuning if delta is None else delta
-    g = basis.qt @ (1j * system.f)
+    g = basis.to_sector_vector(1j * system.f)
     y = np.zeros(system.size, dtype=complex)
-    off = basis.offsets
-    for lo, hi, block in zip(off[:-1], off[1:], blocks):
+    for (lo, hi), block in zip(basis.spans, blocks):
         if g[lo:hi].any():
             y[lo:hi] = solve_checked(block + shift * np.eye(hi - lo),
                                      g[lo:hi])
@@ -238,8 +224,10 @@ def sector_steady_state(system: CouplingSystem,
 
 
 def evolve(system: CouplingSystem, b0, t_grid, delta: float = None) -> np.ndarray:
-    """Exact evolution of db/dt = i(H+dH)b + f on t_grid (returns (nt, M))."""
-    A = 1j * (system.H + system.dH if delta is None else with_detuning(system, delta))
+    """Exact evolution of db/dt = i(H + L)b + f on t_grid, with the laser
+    detuning set to `delta` if given (returns (nt, M))."""
+    A = 1j * with_detuning(system, system.transition.detuning
+                           if delta is None else delta)
     return affine_evolve(A, system.f, b0, t_grid)
 
 
@@ -250,8 +238,8 @@ class EigenSystem:
     symmetric H makes the left eigenvectors the plain transposes).
 
     The vectors are kept in the coordinates of the sectors of the orbit
-    basis Q that H was solved in: sector s (columns offsets[s]:offsets[s+1]
-    of `basis`) holds `sector_vectors[s]`, or None where it was solved
+    basis Q that H was solved in: sector s (the columns lo:hi of
+    `basis.spans[s]`) holds `sector_vectors[s]`, or None where it was solved
     without vectors, and its modes are those numbered `columns[lo:hi]`.
     The site-basis `vectors` and `anomalous` are built on first read; a
     sector without vectors makes that read raise
@@ -277,8 +265,8 @@ class EigenSystem:
 
     def sectors(self):
         """(lo, hi, vectors) of each sector."""
-        off = self.basis.offsets
-        return zip(off[:-1], off[1:], self.sector_vectors)
+        return ((lo, hi, v) for (lo, hi), v in
+                zip(self.basis.spans, self.sector_vectors))
 
     @cached_property
     def vectors(self) -> np.ndarray:
@@ -286,7 +274,7 @@ class EigenSystem:
         _solved(self.sector_vectors)
         out = np.empty((len(self.columns),) * 2, dtype=complex)
         for lo, hi, v in self.sectors():
-            out[:, self.columns[lo:hi]] = _to_sites(self.basis, lo, hi, v)
+            out[:, self.columns[lo:hi]] = self.basis.to_site_vectors(v, lo, hi)
         return out
 
     @cached_property
@@ -305,11 +293,6 @@ def _solved(parts: list) -> list:
     return parts
 
 
-def _to_sites(basis: OrbitBasis, lo: int, hi: int, v) -> np.ndarray:
-    """Q_s v: vectors of the sector lo:hi in the site basis."""
-    return v if len(basis.sizes) == 1 else basis.qt[lo:hi].T @ v
-
-
 def _to_sectors(basis: OrbitBasis, b) -> np.ndarray:
     """Q^T b: a site-basis state, or a `SectorState`, in the coordinates of
     the sectors; a SectorState of the same basis is taken as it is, so that
@@ -318,8 +301,7 @@ def _to_sectors(basis: OrbitBasis, b) -> np.ndarray:
         if b.basis is basis:
             return b.y
         b = b.sites()
-    b = np.asarray(b)
-    return b if len(basis.sizes) == 1 else basis.qt @ b
+    return basis.to_sector_vector(np.asarray(b))
 
 
 MIRROR_TOL = 1e-12
@@ -363,25 +345,26 @@ def invariant(H: np.ndarray, idx, sign, tol: float) -> bool:
 
 
 def invariant_mirrors(geometry: Geometry, transition: TransitionSpec,
-                      *matrices) -> dict:
+                      H: np.ndarray) -> dict:
     """{axis: (perm, (idx, sign))} of the coordinate mirrors that
     `geometry.coordinate_mirrors` proposes, whose action on the amplitudes
-    (`mirror_action`) exists and leaves each of `matrices` invariant."""
+    (`mirror_action`) exists and leaves the couplings H invariant."""
     ops = {axis: (perm, op) for axis, perm in
            coordinate_mirrors(geometry.positions).items()
            if (op := mirror_action(transition, axis, perm)) is not None}
-    tols = [mirror_tol(X) for X in matrices] if ops else []
+    tol = mirror_tol(H) if ops else 0.0
     return {axis: (perm, op) for axis, (perm, op) in ops.items()
-            if all(invariant(X, *op, tol) for X, tol in zip(matrices, tols))}
+            if invariant(H, *op, tol)}
 
 
-def mirror_basis(system: CouplingSystem) -> OrbitBasis:
-    """Orbit-sum basis of the mirrors that leave H invariant; Q^T H Q is
-    block diagonal with blocks of `sizes`.  With none kept, Q = 1 and the
-    whole of H is one block."""
-    if system.level_free:
-        return system.sectors[0]
-    return orbit_basis([op for _, op in system.mirrors.values()], system.size)
+def level_mirrors(transition: TransitionSpec, mirrors: dict) -> dict:
+    """Those of `mirrors` (`invariant_mirrors`) that keep the Zeeman part
+    Z of the level block on every atom: s Z s == Z to `mirror_tol(Z)`, s
+    the mirror's signs on one atom's components."""
+    Z = transition.zeeman_part
+    tol, m = mirror_tol(Z), len(Z)
+    return {axis: (perm, op) for axis, (perm, op) in mirrors.items()
+            if np.abs((s := op[1][:m])[:, None] * Z * s - Z).max() <= tol}
 
 
 def _runs(idx: np.ndarray, key: np.ndarray, tol: float) -> list:
@@ -411,23 +394,21 @@ def eigenmodes(system: CouplingSystem, state=None) -> EigenSystem:
     """Eigendecomposition of the coupling matrix H, block by block.
 
     A coordinate mirror x -> -x, y -> -y or z -> -z is used if it permutes
-    the atoms (`geometry.coordinate_mirrors`), acts on each atom's dipole
-    components as +-1 (basis^H R basis diagonal +-1, which a tilted
+    the atoms, acts on each atom's dipole components as +-1 (which a tilted
     two-level dipole fails) and leaves H invariant to MIRROR_TOL (which
-    disorder, or a Zeeman term added to H, fails).  The kept mirrors split
-    H into blocks Q_s^T H Q_s (`mirror_basis`), complex symmetric like H,
-    sliced from Q^T H Q (`OrbitBasis.to_sectors`); each is solved by one
-    `scipy.linalg.eig` call.  Where dH is the laser detuning alone these
-    are the blocks of the steady state (`CouplingSystem.sectors`),
-    projected once for both.  With no mirror kept, H is one block.  Q is
-    real orthogonal, so v^T v = 1 and the `anomalous` rule mean what they
-    mean for a full eigensolve.
+    disorder, or a Zeeman term added to H, fails): `invariant_mirrors`.
+    The kept mirrors split H into blocks Q_s^T H Q_s, complex symmetric
+    like H (`CouplingSystem.mode_sectors`, the steady state's where the
+    transition has no Zeeman part), each solved by one `scipy.linalg.eig`
+    call; with no mirror kept, H is one block.  Q is real orthogonal, so
+    v^T v = 1 and the `anomalous` rule mean what they mean for a full
+    eigensolve.
 
     Given the `state` whose occupations are wanted, a block is solved with
     vectors only where Q_s^T state is not exactly zero, and for its
     eigenvalues alone elsewhere; each block's eigenvalues come from the
     same call as its vectors.  A `SectorState` in the same basis (the
-    steady state where dH is the laser detuning alone) is read as it is,
+    steady state where the transition has no Zeeman part) is read as it is,
     so its exact zeros decide; a site-basis state is mapped in, which can
     leave rounding in a block the state does not reach.  Without a state
     every block has vectors.
@@ -448,14 +429,11 @@ def eigenmodes(system: CouplingSystem, state=None) -> EigenSystem:
     such a cluster, and their sum where the state reaches several of its
     modes.
     """
-    basis = mirror_basis(system)
-    off = basis.offsets
-    blocks = (system.sectors[1] if system.level_free
-              else _project(system.H, basis)) or [system.H]
+    basis, blocks = system.mode_sectors
     if state is not None:
         g = _to_sectors(basis, state)
     evals, vecs, anomalous = [], [], []
-    for lo, hi, block in zip(off[:-1], off[1:], blocks):
+    for (lo, hi), block in zip(basis.spans, blocks):
         want = state is None or bool(g[lo:hi].any())
         out = scipy.linalg.eig(block, right=want)
         w, v = out if want else (out, None)
@@ -465,8 +443,8 @@ def eigenmodes(system: CouplingSystem, state=None) -> EigenSystem:
             norms = np.einsum("ij,ij->j", v, v)
             anom = np.abs(norms) < 1e-12
             scale = np.sqrt(norms + 0j)
-            scale[anom] = np.abs(_to_sites(basis, lo, hi, v[:, anom])).max(
-                axis=0)
+            scale[anom] = np.abs(basis.to_site_vectors(
+                v[:, anom], lo, hi)).max(axis=0)
             v /= scale
         evals.append(w)
         vecs.append(v)

@@ -36,11 +36,6 @@ from .kernel import (GAMMA, K, XI, coupling_matrix, farfield_phase,
                      green_tensor, transverse)
 from .lli import TransitionSpec
 
-# default product quadrature on a hemisphere (Gauss-Legendre x uniform phi)
-N_THETA = 48
-N_PHI = 96
-
-
 def dipole_table(system_or_transition, b) -> np.ndarray:
     """(N, 3) Cartesian dipole vectors from a component-amplitude vector."""
     basis = getattr(system_or_transition, "transition",
@@ -69,7 +64,7 @@ def _gauss_legendre(n_theta):
     return x, w
 
 
-def hemisphere_grid(n_theta=N_THETA, n_phi=N_PHI, forward=True):
+def hemisphere_grid(n_theta, n_phi, forward=True):
     """Product quadrature directions/weights covering the x>0 (forward) or
     x<0 (backward) hemisphere: Gauss-Legendre in cos(theta) (row index
     a = 0..n_theta-1) times the uniform phi_b = (b + 1/2) 2 pi / n_phi,
@@ -89,7 +84,7 @@ def hemisphere_grid(n_theta=N_THETA, n_phi=N_PHI, forward=True):
     return nhat, W
 
 
-def sphere_grid(n_theta=N_THETA, n_phi=N_PHI):
+def sphere_grid(n_theta, n_phi):
     """Full-sphere product quadrature."""
     nf, wf = hemisphere_grid(n_theta, n_phi, forward=True)
     nb, wb = hemisphere_grid(n_theta, n_phi, forward=False)
@@ -361,7 +356,7 @@ def scattering_rates(corr, means, geometry, transition) -> dict:
 
 
 def farfield_rate_quadrature(corr, geometry: Geometry, transition: TransitionSpec,
-                             n_theta=N_THETA, n_phi=N_PHI) -> float:
+                             n_theta, n_phi) -> float:
     """Independent oracle for the total rate: sphere quadrature of the
     far-field intensity per photon energy,
 

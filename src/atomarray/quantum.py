@@ -34,15 +34,16 @@ sum sum c_il s+_i s-_l one row move per i (`pair_sum`).  The one generator
 J, the jump term sum 2 B_il s-_i rho s+_l on row-major vec rho, a CSR
 matrix whose entries come from the row moves by index arithmetic
 (`jump_superoperator`).  It runs block by block in mirror-parity sectors
-(`parity_sectors`): a coordinate mirror that leaves the couplings, B and
-the drive invariant is a signed permutation U of the product space that
-commutes with the generator, so Hnh is block diagonal in the orbit-sum
-basis P of the group of such mirrors, and J maps the block (s, t) of
-P^T rho P only to blocks of its charge, the character product of s and t.
-The mirror search (`lli.invariant_mirrors`) and P, which applies itself
-(`geometry.OrbitBasis`), are those of the coupled-dipole eigenmodes.  The
-generator holds the blocks of Hnh and the jump term of each charge it is
-asked for (`QmeGenerator`), two small dense products per block and one
+(`parity_sectors`): a coordinate mirror that leaves the couplings, the
+level block and the drive invariant is a signed permutation U of the
+product space that commutes with the generator, so Hnh is block diagonal
+in the orbit-sum basis P of the group of such mirrors, and J maps the
+block (s, t) of P^T rho P only to blocks of its charge, the character
+product of s and t.  The mirror search (`lli.invariant_mirrors`), its
+level-block filter (`lli.level_mirrors`) and P, which applies itself
+(`geometry.OrbitBasis`), are those of the coupled-dipole steady state.
+The generator holds the blocks of Hnh and the jump term of each charge it
+is asked for (`QmeGenerator`), two small dense products per block and one
 sparse one per charge.  |G><G| occupies charge 0, and so does the steady
 state.  An array without a kept mirror is one sector, on the same path.
 
@@ -87,7 +88,8 @@ from .geometry import Geometry, OrbitBasis, orbit_basis
 from .integrate import integrate_complex
 from .kernel import (GAMMA, coupling_matrix, direction, direction_angles,
                      farfield_phase, transverse)
-from .lli import MIRROR_TOL, TransitionSpec, block_diagonal, invariant_mirrors
+from .lli import (MIRROR_TOL, TransitionSpec, block_diagonal,
+                  invariant_mirrors, level_mirrors)
 from .observables import sphere_grid
 
 TRAJ_CHUNK = 4096           # trajectories per RNG stream
@@ -200,8 +202,7 @@ class QuantumSystem:
         entries."""
         basis, D = self.sectors, self.dim
         orbit = len(basis.rows) // (basis.rows == basis.rows[0]).sum(axis=0)
-        per_sector = [orbit[lo:hi].sum()
-                      for lo, hi in zip(basis.offsets[:-1], basis.offsets[1:])]
+        per_sector = [orbit[lo:hi].sum() for lo, hi in basis.spans]
         nnz_j = np.count_nonzero(self.bmatrix) * self.moves[0].shape[1]**2
         held = 48 * sum(d * d for d in basis.sizes) + 24 * sum(per_sector)
         build = 0
@@ -224,18 +225,18 @@ class QuantumSystem:
         return QmeGenerator(self.sectors, hnh, 2.0 * self.bmatrix, self.moves)
 
 
-def parity_sectors(geometry: Geometry, transition: TransitionSpec, omega,
-                   bmatrix, rabi) -> OrbitBasis:
+def parity_sectors(geometry: Geometry, transition: TransitionSpec,
+                   couplings, rabi) -> OrbitBasis:
     """Sectors of the product space under the coordinate mirrors that leave
-    the master equation invariant.  A mirror that leaves the coherent
-    couplings plus level blocks `omega` and B invariant
-    (`lli.invariant_mirrors`), with a +-1 action s_c on the dipole
-    components, is kept if it leaves the Rabi vector invariant too with the
-    component signs s or, failing that, -s; the two differ by the global
-    sign e^{i pi N_e}, so both are unitaries.  On the product space it
-    moves digit j of a basis state to digit perm[j], with the product of
-    the component signs of the excited atoms as its sign.
-    The kept mirrors and their products are a group of signed
+    the master equation invariant.  A mirror that leaves the complex
+    `couplings` C = Omega + iB invariant (`lli.invariant_mirrors`), with a
+    +-1 action s_c on the dipole components that keeps the Zeeman part of
+    the level block (`lli.level_mirrors`), is kept if it leaves the Rabi
+    vector invariant too with the component signs s or, failing that, -s;
+    the two differ by the global sign e^{i pi N_e}, so both are unitaries.
+    On the product space it moves digit j of a basis state to digit
+    perm[j], with the product of the component signs of the excited atoms
+    as its sign.  The kept mirrors and their products are a group of signed
     permutations (`geometry.orbit_basis`), a weak symmetry of the Lindblad
     generator (Buca & Prosen, New J. Phys. 14, 073007 (2012)): the block
     (s, t) of rho couples only to blocks of the same charge, the character
@@ -245,7 +246,8 @@ def parity_sectors(geometry: Geometry, transition: TransitionSpec, omega,
     digits = np.arange(L**n) // place[:, None] % L              # (n, D)
     tol = MIRROR_TOL * np.abs(rabi).max(initial=0.0)
     actions = []
-    mirrors = invariant_mirrors(geometry, transition, omega, bmatrix)
+    mirrors = level_mirrors(transition,
+                            invariant_mirrors(geometry, transition, couplings))
     for perm, (idx, sign) in mirrors.values():
         for flip in (1.0, -1.0):
             if np.abs(flip * sign * rabi[idx] - rabi).max() <= tol:
@@ -312,9 +314,7 @@ class QmeGenerator:
     def __init__(self, basis: OrbitBasis, hnh, coefficients, moves):
         self.basis = basis
         self.dim = len(hnh)
-        blocks = basis.to_sectors(hnh)
-        self.hnh = [blocks[lo:hi, lo:hi].copy()
-                    for lo, hi in zip(basis.offsets[:-1], basis.offsets[1:])]
+        self.hnh = basis.blocks(hnh)
         self._left = [-1j * h for h in self.hnh]
         self._right = [1j * h.conj().T for h in self.hnh]
         self._coefficients, self._moves = coefficients, moves
@@ -359,11 +359,11 @@ class QmeGenerator:
             return
         basis, D = self.basis, self.dim
         J = jump_superoperator(self._coefficients, self._moves, D)
-        n_group, off = len(basis.rows), basis.offsets
-        P = [basis.qt[lo:hi] for lo, hi in zip(off[:-1], off[1:])]
+        n_group = len(basis.rows)
+        P = [basis.qt[lo:hi] for lo, hi in basis.spans]
         rep = [scipy.sparse.csr_array((n_group * basis.coefs[0, lo:hi], (
             np.arange(hi - lo), basis.rows[0, lo:hi])), shape=(hi - lo, D))
-            for lo, hi in zip(off[:-1], off[1:])]
+            for lo, hi in basis.spans]
         for q in missing:
             blocks = sector_blocks(basis, q)
             S = scipy.sparse.vstack([scipy.sparse.kron(P[s], P[t])
@@ -426,7 +426,7 @@ def build_quantum_system(geometry: Geometry, transition: TransitionSpec,
         pump = lowering(R.conj(), moves, D)
         H -= pump + pump.conj().T                  # sum R* s- + R s+
     return QuantumSystem(geometry, transition, moves, D, H, B,
-                         parity_sectors(geometry, transition, omega, B, R))
+                         parity_sectors(geometry, transition, C, R))
 
 
 def qme_rhs(rho, system: QuantumSystem) -> np.ndarray:
@@ -600,7 +600,7 @@ def farfield_coefficients(system: QuantumSystem, nhat, pols) -> np.ndarray:
     return (phases[:, :, None] * coef[:, None, :]).reshape(len(coef), -1)
 
 
-def directional_basis(system: QuantumSystem, n_theta=12, n_phi=24) -> JumpBasis:
+def directional_basis(system: QuantumSystem, n_theta, n_phi) -> JumpBasis:
     """Photon-detection jump operators on a product solid-angle grid, one
     channel per transverse polarization:
 

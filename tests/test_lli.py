@@ -30,7 +30,7 @@ def test_assemble_single_atom():
     sys_ = assemble(single_atom(), tr, PlaneWave(amplitude=0.3))
     assert sys_.H.shape == (1, 1)
     assert sys_.H[0, 0] == 1j * GAMMA
-    assert sys_.dH[0, 0] == 0.7
+    assert lli.with_detuning(sys_, 0.7)[0, 0] == 0.7 + 1j * GAMMA
     assert np.isclose(sys_.f[0], 0.3j)
 
 
@@ -108,7 +108,7 @@ def test_steady_state_singularity_error():
     # near-defective system: eigenvalue 13 orders below the norm
     H = np.diag([1e-13j, 1j])
     geo = Geometry([[0, 0, 0], [0, 0, LAMBDA]])
-    sys_ = CouplingSystem(H, np.zeros((2, 2)), np.array([1j, 1j]), geo, EY)
+    sys_ = CouplingSystem(H, np.array([1j, 1j]), geo, EY)
     with pytest.raises(ResonantSingularityError) as err:
         steady_state(sys_)
     assert abs(err.value.nearest_eigenvalue) < 1e-12
@@ -267,9 +267,10 @@ ZEEMAN = TransitionSpec(levels=4, zeeman=(0.3, 0.0, -0.1))
 
 
 def with_level_block(system):
-    """The system with its Zeeman level block dH moved into H, which then
-    is not complex symmetric: its circular modes have v^T v = 0."""
-    return CouplingSystem(system.H + system.dH, system.dH, system.f,
+    """The system with the Zeeman part of its level block moved into H,
+    which then is not complex symmetric: its circular modes have
+    v^T v = 0."""
+    return CouplingSystem(lli.with_detuning(system, 0.0), system.f,
                           system.geometry, system.transition)
 
 
@@ -366,7 +367,7 @@ def test_block_eigenmodes_match_full_eigensolve(case):
     # the blocks are sliced from Q^T H Q, whose other entries vanish; the
     # x mirror fixes every atom of a planar array and odd rings have atoms
     # on a mirror axis, so Q sums stabilizer repeats
-    basis = lli.mirror_basis(system)
+    basis = system.mode_sectors[0]
     off_sector = basis.to_sectors(system.H)
     for lo, hi in zip(basis.offsets[:-1], basis.offsets[1:]):
         off_sector[lo:hi, lo:hi] = 0.0
@@ -406,7 +407,7 @@ def test_eigenmode_order_survives_last_bit_rounding(monkeypatch, sign):
 
 
 def dense_q(basis, size):
-    """The orbit-sum basis of `lli.mirror_basis` as a dense matrix, built
+    """The orbit-sum basis of `CouplingSystem.mode_sectors` as a dense matrix, built
     from its tables: the reference for the sparse `OrbitBasis.q`."""
     Q = np.zeros((size, size))
     for rows, coefs in zip(basis.rows, basis.coefs):
@@ -419,7 +420,7 @@ def test_block_eigenmodes_orthonormal_in_unsplit_cluster():
     # type E have one parity under every coordinate mirror, so each such
     # pair is a degenerate cluster inside one block
     system = assemble(build_bilayer(2, 2, 0.5 * LAMBDA, 0.5 * LAMBDA), J01)
-    basis = lli.mirror_basis(system)
+    basis = system.mode_sectors[0]
     Q = dense_q(basis, system.size)
     gaps = [np.abs(np.diff(np.sort_complex(np.linalg.eigvals(
         Q[:, lo:hi].T @ system.H @ Q[:, lo:hi])))).min()
@@ -434,7 +435,7 @@ def kept_axes(system):
     the group."""
     found = list(lli.invariant_mirrors(system.geometry, system.transition,
                                        system.H))
-    return tuple(found[k] for k in lli.mirror_basis(system).kept)
+    return tuple(found[k] for k in system.mode_sectors[0].kept)
 
 
 @pytest.mark.parametrize("geo, tr, mirrors", [
@@ -460,7 +461,7 @@ def test_mirrors_kept_zeeman_in_H():
 
 def test_mirror_basis_is_orthogonal_orbit_sums():
     sys_ = assemble(build_square_lattice(16, 16, 0.55 * LAMBDA), J01)
-    basis = lli.mirror_basis(sys_)
+    basis = sys_.mode_sectors[0]
     assert sorted(basis.sizes) == [64] * 4 + [128] * 4
     Q = dense_q(basis, sys_.size)
     assert np.max(np.abs(Q.T @ Q - np.eye(sys_.size))) < 1e-15
@@ -538,7 +539,7 @@ def test_block_steady_state_matches_full_solve(case):
     got = steady_state(system, delta)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     if kind == "random":
-        assert system.sectors[1] is None
+        assert len(system.sectors[1]) == 1
         assert np.array_equal(got, want)
     # the laser detuning of the transition is the default
     assert np.array_equal(steady_state(system),
@@ -574,7 +575,7 @@ def test_zeeman_term_drops_the_mirrors_it_breaks():
                       GaussianBeam(waist=LAMBDA))
     assert sorted(system.mirrors) == [0, 1, 2]
     basis, blocks = system.sectors
-    assert len(lli.mirror_basis(system).sizes) == 8
+    assert len(system.mode_sectors[0].sizes) == 8
     assert len(basis.sizes) == len(blocks) == 2
     assert np.abs(steady_state(system, 0.2)
                   - full_steady_state(system, 0.2)).max() < 1e-13
@@ -582,19 +583,70 @@ def test_zeeman_term_drops_the_mirrors_it_breaks():
 
 def test_mirror_search_takes_one_tolerance_per_matrix(monkeypatch):
     # three mirrors of H are checked against one tolerance, and the two
-    # that the Zeeman term breaks against one more, that of dH
+    # that the Zeeman term breaks are dropped by the 3x3 Zeeman part alone:
+    # no M x M level matrix is formed or checked
     system = assemble(build_square_lattice(3, 4, 0.6 * LAMBDA), ZEEMAN,
                       GaussianBeam(waist=LAMBDA))
-    mirror_tol, seen = lli.mirror_tol, []
+    mirror_tol, invariant, seen, checked = lli.mirror_tol, lli.invariant, \
+        [], []
 
     def record(X):
         seen.append(X)
         return mirror_tol(X)
+
+    def record_invariant(X, *args):
+        checked.append(X)
+        return invariant(X, *args)
     monkeypatch.setattr(lli, "mirror_tol", record)
+    monkeypatch.setattr(lli, "invariant", record_invariant)
     assert sorted(system.mirrors) == [0, 1, 2]
     assert len(seen) == 1 and seen[0] is system.H
     assert len(system.sectors[0].sizes) == 2
-    assert len(seen) == 2
+    assert len(seen) == 2 and seen[1].shape == (3, 3)
+    assert len(checked) == 3 and all(X is system.H for X in checked)
+
+
+@pytest.mark.parametrize("tr", [EY, J01, ZEEMAN],
+                         ids=["two_level", "j01", "zeeman"])
+def test_steady_state_without_mirror_is_the_full_solve(tr):
+    # an array without a mirror is one sector, Q = 1: its steady state is
+    # the plain solve of H + delta, or of the full matrix with the Zeeman
+    # part on every atom, bit for bit
+    geo = Geometry(np.random.default_rng(5).uniform(-LAMBDA, LAMBDA,
+                                                    size=(7, 3)))
+    system = assemble(geo, tr, GaussianBeam(waist=LAMBDA))
+    assert system.sectors[0].sizes == [system.size]
+    for delta in (-0.4, 0.0, 1.3):
+        got = steady_state(system, delta)
+        assert np.array_equal(got, full_steady_state(system, delta))
+        if tr is not ZEEMAN:
+            assert np.array_equal(got, solve_checked(
+                system.H + delta * np.eye(system.size), 1j * system.f))
+
+
+zeeman_shifts = st.one_of(st.sampled_from([0.0, 0.4, -0.4]),
+                          st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["square", "bilayer", "ring"]), st.integers(1, 4),
+       st.integers(1, 4), st.tuples(zeeman_shifts, zeeman_shifts,
+                                    zeeman_shifts), st.floats(-3.0, 3.0))
+def test_level_filter_keeps_the_mirrors_of_the_dense_level_matrix(
+        kind, nx, ny, zeeman, detuning):
+    # the 3x3 sign check s Z s = Z keeps exactly the mirrors of H that
+    # leave the dense Zeeman part, Z on every atom, invariant
+    a = 0.6 * LAMBDA
+    geo = {"square": lambda: build_square_lattice(nx, ny, a),
+           "bilayer": lambda: build_bilayer(nx, ny, a, 0.4 * LAMBDA),
+           "ring": lambda: build_ring(nx + ny, a)}[kind]()
+    tr = TransitionSpec(levels=4, zeeman=zeeman, detuning=detuning)
+    system = assemble(geo, tr)
+    dense = lli.block_diagonal(geo.natoms, tr.zeeman_part)
+    tol = lli.mirror_tol(dense)
+    want = [axis for axis, (_, op) in system.mirrors.items()
+            if lli.invariant(dense, *op, tol)]
+    assert list(lli.level_mirrors(tr, system.mirrors)) == want
 
 
 def test_singular_block_raises_with_its_own_eigenvalue():
@@ -603,14 +655,13 @@ def test_singular_block_raises_with_its_own_eigenvalue():
     # odd one, whose nearest eigenvalue the error carries, not the even
     # block's smaller one that a full solve would report
     geo = Geometry([[0.0, 0.0, z * LAMBDA] for z in range(4)])
-    probe = CouplingSystem(assemble(geo, EY).H, np.zeros((4, 4)),
-                           np.zeros(4), geo, EY)
+    probe = CouplingSystem(assemble(geo, EY).H, np.zeros(4), geo, EY)
     basis = probe.sectors[0]
     assert basis.sizes == [2, 2]
     Q = dense_q(basis, 4)
     H = Q @ np.diag([1j, 1e-15j, 1j, 1e-13j]) @ Q.T
     f = Q[:, 2:] @ [1.0, 1.0]
-    system = CouplingSystem(H, np.zeros((4, 4)), f, geo, EY)
+    system = CouplingSystem(H, f, geo, EY)
     with pytest.raises(ResonantSingularityError) as err:
         steady_state(system)
     assert abs(err.value.nearest_eigenvalue - 1e-13j) < 1e-15
@@ -652,7 +703,7 @@ def test_reached_sector_eigenmodes_match_full_eigenmodes(case):
     for lo, hi, v in es.sectors():
         if v is None:
             assert not occ[es.columns[lo:hi]].any()
-    if system.level_free:
+    if not system.transition.zeeman_part.any():
         # every block the steady state solves has vectors; where it solves
         # one, b = Q y has no rounding in the others, which have none
         steady = sector_reach(system.sectors[0], system.f)

@@ -510,3 +510,14 @@ def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
     for name in names:
         assert ((tmp_path / "1" / name).read_bytes()
                 == (tmp_path / "2" / name).read_bytes()), name
+
+
+def test_disorder_run_leaves_scipy_sparse_unloaded(tmp_path):
+    # disordered arrays have no mirror: one sector, Q = 1, which the
+    # steady state applies without building the sparse Q
+    code = ("import json, sys, workloads\n"
+            "from atomarray.cli import run\n"
+            "run(workloads.SIZES['tiny']['disorder'], sys.argv[1])\n"
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "                        if m.startswith('scipy.sparse'))))\n")
+    assert json.loads(run_in_subprocess(code, 1, str(tmp_path))) == []
