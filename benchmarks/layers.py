@@ -88,11 +88,13 @@ def lattice_sums():
 
 
 def obe_rhs():
-    from atomarray import semiclassical as sc
-    system = sc.build_obe_system(*_array("transmit"))
+    from atomarray import lli, semiclassical as sc
+    geo, tr, beam = _array("transmit")
+    # the OBEs read `lli.assemble`'s system; a tree before that built its own
+    system = getattr(sc, "build_obe_system", lli.assemble)(geo, tr, beam)
     rng = np.random.default_rng(0)
-    coh = 0.1 * (rng.normal(size=(system.natoms, system.ncomp))
-                 + 1j * rng.normal(size=(system.natoms, system.ncomp)))
+    shape = (geo.natoms, tr.components)
+    coh = 0.1 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
     exc = np.einsum("ja,jb->jab", coh, coh.conj())
     state = sc.SemiclassicalState(coh, exc)
     return lambda: sc.obe_rhs(state, system), lambda d: d.flatten()

@@ -76,7 +76,6 @@ class Geometry:
     (`min_distance`).
     """
     positions: np.ndarray                  # (N, 3)
-    site_labels: np.ndarray = None         # (N,) integer layer/site index
     fluctuation: tuple = (0.0, 0.0, 0.0)   # (ell_x, ell_y, ell_z)
     lattice: Lattice = None
 
@@ -85,10 +84,6 @@ class Geometry:
         if pos.shape[1] != 3:
             raise ValueError("positions must be (N, 3)")
         object.__setattr__(self, "positions", pos)
-        labels = self.site_labels
-        if labels is None:
-            labels = np.zeros(len(pos), dtype=int)
-        object.__setattr__(self, "site_labels", np.asarray(labels, dtype=int))
         if self.lattice is not None:
             # distinct lattice sites: O(N), and no pair search
             sites = self.lattice.sites()
@@ -108,14 +103,12 @@ class Geometry:
         return len(self.positions)
 
     def with_fluctuation(self, ell, ell_x) -> "Geometry":
-        return Geometry(self.positions, self.site_labels, (ell_x, ell, ell),
-                        self.lattice)
+        return Geometry(self.positions, (ell_x, ell, ell), self.lattice)
 
     def to_json(self) -> str:
         """Serialize with lengths in units of the wavelength."""
         doc = {
             "positions": (self.positions / LAMBDA).tolist(),
-            "labels": self.site_labels.tolist(),
             "fluctuation": [w / LAMBDA for w in self.fluctuation],
             "units": "wavelengths",
         }
@@ -128,6 +121,9 @@ class Geometry:
 
     @staticmethod
     def from_json(text: str) -> "Geometry":
+        """The geometry of a `to_json` document; keys it does not read,
+        such as the per-site "labels" that older documents carry, are
+        ignored."""
         doc = json.loads(text)
         if doc.get("units", "wavelengths") != "wavelengths":
             raise ValueError("unknown length unit in geometry document")
@@ -136,8 +132,7 @@ class Geometry:
         if lat is not None:
             lat = Lattice(lat["nx"], lat["ny"], lat["spacing"] * LAMBDA,
                           tuple(x * LAMBDA for x in lat["layers"]))
-        return Geometry(np.asarray(doc["positions"]) * LAMBDA,
-                        doc.get("labels"), fluct, lat)
+        return Geometry(np.asarray(doc["positions"]) * LAMBDA, fluct, lat)
 
 
 @dataclass(frozen=True)
@@ -177,14 +172,13 @@ def build_square_lattice(nx: int, ny: int, a: float) -> Geometry:
     origin.  Site order is row-major in (m, n): site (m, n) sits at
     (0, m*a, n*a) up to the centering offset."""
     lattice = Lattice(nx, ny, a)
-    return Geometry(lattice.sites(), np.arange(nx * ny), lattice=lattice)
+    return Geometry(lattice.sites(), lattice=lattice)
 
 
 def _layers(nx: int, ny: int, a: float, x) -> Geometry:
-    """Layers of an nx-by-ny lattice at the x offsets x, labelled by layer."""
+    """Layers of an nx-by-ny lattice at the x offsets x."""
     lattice = Lattice(nx, ny, a, tuple(x))
-    return Geometry(lattice.sites(), np.repeat(np.arange(len(x)), nx * ny),
-                    lattice=lattice)
+    return Geometry(lattice.sites(), lattice=lattice)
 
 
 def build_bilayer(nx: int, ny: int, a: float, d: float) -> Geometry:
@@ -195,8 +189,8 @@ def build_bilayer(nx: int, ny: int, a: float, d: float) -> Geometry:
 
 
 def build_stack(nx: int, ny: int, a: float, separations) -> Geometry:
-    """len(separations)+1 layers at cumulative x offsets, centered on x=0.
-    site_labels carry the layer index."""
+    """len(separations)+1 layers at cumulative x offsets, centered on x=0;
+    the layer of a site is read from `geometry.lattice`."""
     seps = np.asarray(separations, dtype=float)
     if np.any(seps <= 0):
         raise ValueError("layer separations must be positive")
@@ -214,7 +208,7 @@ def build_ring(n: int, radius: float) -> Geometry:
         raise ValueError("ring radius must be positive")
     phi = 2 * np.pi * np.arange(n) / n
     pos = np.column_stack([np.zeros(n), radius * np.cos(phi), radius * np.sin(phi)])
-    return Geometry(pos, np.arange(n))
+    return Geometry(pos)
 
 
 def coordinate_mirrors(positions) -> dict:
@@ -389,8 +383,7 @@ def sample_positions(geometry: Geometry, rng: np.random.Generator,
     for _ in range(100):
         jitter = rng.normal(0.0, 1.0, size=geometry.positions.shape) * sigma
         try:
-            sample = Geometry(geometry.positions + jitter,
-                              geometry.site_labels, tuple(widths))
+            sample = Geometry(geometry.positions + jitter, tuple(widths))
         except ValueError:      # coincident sites
             continue
         if sample.min_distance >= min_separation:

@@ -17,6 +17,8 @@ every atom, the laser detuning times 1 plus its Zeeman part Z
 
 `assemble` takes H from `kernel.coupling_matrix`, which gathers it from a
 table of offsets on a lattice geometry and evaluates every pair otherwise.
+Its `CouplingSystem` is the one assembled system of every model: the OBEs
+(`semiclassical`) and the master equation (`quantum`) read it too.
 
 `eigenmodes` and `steady_state` work in blocks: the coordinate mirrors of
 a symmetric array that act on every atom's dipole components as +-1 and
@@ -90,13 +92,15 @@ class TransitionSpec:
             return self.unit_orientation()[:, None].astype(complex)
         return np.eye(3, dtype=complex)
 
-    @property
+    @cached_property
     def level_block(self) -> np.ndarray:
         """(m, m) Hermitian per-atom level block: detuning minus the Zeeman
-        shifts, delta*1 - zeeman_block."""
-        if self.levels == 2:
-            return np.array([[self.detuning]], dtype=complex)
-        return self.detuning * np.eye(3) - zeeman_block(self.zeeman)
+        shifts, delta*1 - zeeman_block; made on first read and kept,
+        read-only (the OBE right-hand side reads it at every call)."""
+        block = (np.array([[self.detuning]], dtype=complex) if self.levels == 2
+                 else self.detuning * np.eye(3) - zeeman_block(self.zeeman))
+        block.setflags(write=False)
+        return block
 
     @property
     def zeeman_part(self) -> np.ndarray:

@@ -8,9 +8,10 @@ The master equation (gamma units, hbar = 1) is
             + sum B_{(jc),(lc')} (2 s-_{lc'} rho s+_{jc}
                                   - s+_{jc} s-_{lc'} rho - rho s+_{jc} s-_{lc'})
 
-with B = Im and Omega = Re of kernel.coupling_matrix in the dipole basis of
-the transition (B real symmetric, diagonal gamma; Omega real symmetric,
-zero diagonal) and
+with B = Im and Omega = Re of the couplings H of `lli.assemble`, the one
+assembled system of every model, in the dipole basis of the transition (B
+real symmetric, diagonal gamma; Omega real symmetric, zero diagonal), R =
+-i f its bare drive, and
 
   H_drive = -sum_{jc} (R_{jc} s+_{jc} + R*_{jc} s-_{jc})
             - sum_j L_{cc'} s+_{jc} s-_{jc'},
@@ -39,8 +40,9 @@ level block and the drive invariant is a signed permutation U of the
 product space that commutes with the generator, so Hnh is block diagonal
 in the orbit-sum basis P of the group of such mirrors, and J maps the
 block (s, t) of P^T rho P only to blocks of its charge, the character
-product of s and t.  The mirror search (`lli.invariant_mirrors`), its
-level-block filter (`lli.level_mirrors`) and P, which applies itself
+product of s and t.  The mirrors of the couplings, searched once and kept
+on the assembled system (`CouplingSystem.mirrors`), their level-block
+filter (`lli.level_mirrors`) and P, which applies itself
 (`geometry.OrbitBasis`), are those of the coupled-dipole steady state.
 The generator holds the blocks of Hnh and the jump term of each charge it
 is asked for (`QmeGenerator`), two small dense products per block and one
@@ -85,11 +87,11 @@ from scipy.linalg.lapack import ztrsyl
 from .errors import (DimensionCapError, NonConvergenceError, PropagatorError,
                      UndefinedG2Error)
 from .geometry import Geometry, OrbitBasis, orbit_basis
-from .integrate import integrate_complex
-from .kernel import (GAMMA, coupling_matrix, direction, direction_angles,
-                     farfield_phase, transverse)
-from .lli import (MIRROR_TOL, TransitionSpec, block_diagonal,
-                  invariant_mirrors, level_mirrors)
+from .integrate import integrate_complex, row_product
+from .kernel import (GAMMA, direction, direction_angles, farfield_phase,
+                     transverse)
+from .lli import (MIRROR_TOL, CouplingSystem, TransitionSpec, assemble,
+                  block_diagonal, level_mirrors)
 from .observables import sphere_grid
 
 TRAJ_CHUNK = 4096           # trajectories per RNG stream
@@ -225,15 +227,14 @@ class QuantumSystem:
         return QmeGenerator(self.sectors, hnh, 2.0 * self.bmatrix, self.moves)
 
 
-def parity_sectors(geometry: Geometry, transition: TransitionSpec,
-                   couplings, rabi) -> OrbitBasis:
+def parity_sectors(system: CouplingSystem) -> OrbitBasis:
     """Sectors of the product space under the coordinate mirrors that leave
-    the master equation invariant.  A mirror that leaves the complex
-    `couplings` C = Omega + iB invariant (`lli.invariant_mirrors`), with a
-    +-1 action s_c on the dipole components that keeps the Zeeman part of
-    the level block (`lli.level_mirrors`), is kept if it leaves the Rabi
-    vector invariant too with the component signs s or, failing that, -s;
-    the two differ by the global sign e^{i pi N_e}, so both are unitaries.
+    the master equation of the coupled-dipole `system` invariant.  A mirror
+    of its couplings C = Omega + iB (`CouplingSystem.mirrors`), with a +-1
+    action s_c on the dipole components that keeps the Zeeman part of the
+    level block (`lli.level_mirrors`), is kept if it leaves the drive f =
+    i R invariant too with the component signs s or, failing that, -s; the
+    two differ by the global sign e^{i pi N_e}, so both are unitaries.
     On the product space it moves digit j of a basis state to digit
     perm[j], with the product of the component signs of the excited atoms
     as its sign.  The kept mirrors and their products are a group of signed
@@ -241,16 +242,16 @@ def parity_sectors(geometry: Geometry, transition: TransitionSpec,
     generator (Buca & Prosen, New J. Phys. 14, 073007 (2012)): the block
     (s, t) of rho couples only to blocks of the same charge, the character
     product of s and t."""
-    n, L = geometry.natoms, transition.levels
+    n, L = system.geometry.natoms, system.transition.levels
     place = L ** np.arange(n - 1, -1, -1)
     digits = np.arange(L**n) // place[:, None] % L              # (n, D)
-    tol = MIRROR_TOL * np.abs(rabi).max(initial=0.0)
+    f = system.f
+    tol = MIRROR_TOL * np.abs(f).max(initial=0.0)
     actions = []
-    mirrors = level_mirrors(transition,
-                            invariant_mirrors(geometry, transition, couplings))
-    for perm, (idx, sign) in mirrors.values():
+    for perm, (idx, sign) in level_mirrors(system.transition,
+                                           system.mirrors).values():
         for flip in (1.0, -1.0):
-            if np.abs(flip * sign * rabi[idx] - rabi).max() <= tol:
+            if np.abs(flip * sign * f[idx] - f).max() <= tol:
                 ext = np.concatenate([[1.0], flip * sign[:L - 1]])
                 actions.append((place[perm] @ digits,
                                 ext[digits].prod(axis=0)))
@@ -414,19 +415,16 @@ def build_quantum_system(geometry: Geometry, transition: TransitionSpec,
     n, D = geometry.natoms, transition.levels**geometry.natoms
     _check_memory("build_quantum_system", D, 64 * D**2)  # H, pair_sum's rows
     moves = lowering_moves(n, transition.levels)
-
-    C = coupling_matrix(geometry, transition.basis)
-    B = C.imag
+    couplings = assemble(geometry, transition, drive)
     # coherent couplings (zero diagonal) plus the per-atom level blocks
-    omega = C.real + block_diagonal(n, transition.level_block)
+    omega = couplings.H.real + block_diagonal(n, transition.level_block)
     H = -pair_sum(omega, moves, D)
-    R = np.zeros(len(B), dtype=complex)
     if drive is not None:
-        R = transition.rabi(drive.field(geometry.positions)).reshape(-1)
+        R = -1j * couplings.f                      # the bare drive
         pump = lowering(R.conj(), moves, D)
         H -= pump + pump.conj().T                  # sum R* s- + R s+
-    return QuantumSystem(geometry, transition, moves, D, H, B,
-                         parity_sectors(geometry, transition, C, R))
+    return QuantumSystem(geometry, transition, moves, D, H, couplings.H.imag,
+                         parity_sectors(couplings))
 
 
 def qme_rhs(rho, system: QuantumSystem) -> np.ndarray:
@@ -702,10 +700,6 @@ def run_trajectories(psi0, system: QuantumSystem, jump_basis: JumpBasis,
         raise PropagatorError(f"eigenbasis propagator differs from expm by "
                               f"{error:.2e} over one output interval")
 
-    def rows(B, *blocks):   # padded: numpy hands one row to gemv, whose sums
-        # run in another order than gemm's; a trajectory must not see its batch
-        return (np.concatenate([*blocks, blocks[0][:1]]) @ B)[:-1]
-
     entropy = np.random.SeedSequence(seed).entropy
 
     def draws(chunk, block):
@@ -714,7 +708,7 @@ def run_trajectories(psi0, system: QuantumSystem, jump_basis: JumpBasis,
                                                  2 * TRAJ_JUMP_BLOCK))
 
     def gap(w, log_r):              # log ||psi||^2 - log r and psi = V w
-        psi = rows(V.T, w)
+        psi = row_product(V.T, w)
         return np.log((psi.conj() * psi).real.sum(axis=1)) - log_r, psi
 
     psi0 = np.asarray(psi0, dtype=complex)
@@ -739,7 +733,7 @@ def run_trajectories(psi0, system: QuantumSystem, jump_basis: JumpBasis,
                 for _ in range(100):    # Newton takes ~5, bisection ~45
                     i = cross[act]
                     wt = c[i] * np.exp(-1j * np.outer(t - t0[i], lam))
-                    P = rows(V.T, wt, -1j * lam * wt).reshape(2, -1, D)
+                    P = row_product(V.T, wt, -1j * lam * wt).reshape(2, -1, D)
                     n2, dn2 = (P[0].conj() * P).real.sum(axis=2)  # and d/dt
                     gt, slope = np.log(n2) - log_r[i], 2.0 * dn2 / n2
                     lo, hi = np.where(gt >= 0, t, lo), np.where(gt < 0, t, hi)
@@ -751,7 +745,7 @@ def run_trajectories(psi0, system: QuantumSystem, jump_basis: JumpBasis,
                     act, lo, hi, t = act[keep], lo[keep], hi[keep], new[keep]
                     if not len(act):
                         break
-                psi_j = rows(V.T, c[cross] * np.exp(
+                psi_j = row_product(V.T, c[cross] * np.exp(
                     -1j * np.outer(tj - t0[cross], lam)))
                 low = np.zeros((len(cross), M, D), dtype=complex)  # s-_i psi
                 low[:, np.arange(M)[:, None], dst] = psi_j[:, src]
@@ -767,7 +761,7 @@ def run_trajectories(psi0, system: QuantumSystem, jump_basis: JumpBasis,
                         > cum).sum(axis=1)
                 chosen = np.einsum("bi,bid->bd", A[pick], low)
                 chosen /= np.linalg.norm(chosen, axis=1, keepdims=True)
-                c[cross], t0[cross] = rows(Vinv.T, chosen), tj
+                c[cross], t0[cross] = row_product(Vinv.T, chosen), tj
                 jumps[cross] = j + 1
                 log_r[cross] = np.log(table[cross, 2 * j + 2])
                 g0[cross] = -log_r[cross]
@@ -802,15 +796,24 @@ def detection_operator(system: QuantumSystem, theta, phi,
     """Far-field detection operator E(n, pol) along n = (theta, phi), its
     `farfield_coefficients` row over the lowering operators, normalization-free
     (the scale cancels in g2).  The default polarization is the transverse
-    projection of the dominant dipole component."""
+    projection of the dominant dipole component.  UndefinedG2Error where
+    the transverse part is below 1e-12 of the polarization it came from
+    (a polarization along n, or the default along a dipole's own axis): no
+    light of it reaches the detector."""
     nh = direction(theta, phi)
     if polarization is None:
-        proj = transverse(nh, system.transition.basis.T)      # (m, 3)
+        sources = system.transition.basis.T                   # (m, 3)
+        proj = transverse(nh, sources)
         norms = np.real(np.einsum("ci,ci->c", proj.conj(), proj))
-        pol = proj[int(np.argmax(norms))]
+        source, pol = sources[np.argmax(norms)], proj[np.argmax(norms)]
     else:
-        pol = transverse(nh, np.asarray(polarization, dtype=complex))
-    pol = pol / np.linalg.norm(pol)
+        source = np.asarray(polarization, dtype=complex)
+        pol = transverse(nh, source)
+    size = np.linalg.norm(pol)
+    if not size > 1e-12 * np.linalg.norm(source):
+        raise UndefinedG2Error(f"no light of polarization {source} reaches "
+                               f"a detector along n = {nh}")
+    pol = pol / size
     row = farfield_coefficients(system, nh[None], pol[None])[0]
     return lowering(row, system.moves, system.dim)
 

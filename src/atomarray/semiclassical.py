@@ -9,8 +9,10 @@ seen by atom j is the effective Rabi frequency
 
     Rbar_nu(j) = R_nu(j) + XI * sum_{l != j} G_numu(r_j - r_l) rho_ge,mu(l),
 
-with the couplings of kernel.coupling_matrix, and with the per-atom
-Hermitian level block L = Delta*1 - zeeman_block the equations of motion are
+read from the coupled-dipole system of `lli.assemble`, which every model
+shares: the bare drive R = -i f and the couplings H - i gamma 1 (H less
+its diagonal i gamma).  With the per-atom Hermitian level block of the
+transition, L = Delta*1 - zeeman_block, the equations of motion are
 
     d/dt rho_ge,eta  = i L_{eta tau} rho_ge,tau - gamma rho_ge,eta
                        + i Rbar_eta rho_gg - i Rbar_tau X_{tau eta}
@@ -29,10 +31,10 @@ import numpy as np
 import scipy.optimize
 
 from .errors import NonConvergenceError
-from .geometry import LAMBDA, Geometry
-from .integrate import integrate_complex
-from .kernel import GAMMA, coupling_matrix
-from .lli import TransitionSpec
+from .geometry import LAMBDA
+from .integrate import integrate_complex, row_product
+from .kernel import GAMMA
+from .lli import CouplingSystem
 
 
 @dataclass
@@ -69,53 +71,21 @@ class SemiclassicalState:
                    np.zeros((natoms, ncomp, ncomp), dtype=complex))
 
 
-@dataclass
-class ObeSystem:
-    """Geometry-dependent pieces of the OBEs, precomputed.
-
-    coupling[(j nu), (l mu)] = XI * G_numu(r_j - r_l) (zero for j = l), the
-    rescattering part of kernel.coupling_matrix;
-    level is the per-atom level block (laser detuning and Zeeman shifts);
-    rabi[j, nu] is the bare drive.
-    """
-    coupling: np.ndarray
-    level: np.ndarray
-    rabi: np.ndarray
-    transition: TransitionSpec
-
-    @property
-    def natoms(self) -> int:
-        return self.rabi.shape[0]
-
-    @property
-    def ncomp(self) -> int:
-        return self.rabi.shape[1]
+def effective_rabi(system: CouplingSystem, coherences) -> np.ndarray:
+    """Rbar = R + XI sum_{l != j} G rho_ge(l): the bare drive R = -i f plus
+    the fields rescattered by the couplings, (H - i gamma 1) rho_ge, H's
+    diagonal being i gamma (H rho_ge as the row product rho_ge^T H^T)."""
+    rho = coherences.ravel()
+    rescattered = row_product(system.H.T, rho[None])[0] - 1j * GAMMA * rho
+    return (-1j * system.f + rescattered).reshape(coherences.shape)
 
 
-def build_obe_system(geometry: Geometry, transition: TransitionSpec,
-                     drive=None) -> ObeSystem:
-    pos = geometry.positions
-    basis = transition.basis
-    C = coupling_matrix(geometry, basis)
-    C[np.diag_indices(len(C))] -= 1j * GAMMA
-    if drive is None:
-        R = np.zeros((len(pos), basis.shape[1]), dtype=complex)
-    else:
-        R = transition.rabi(drive.field(pos))
-    return ObeSystem(C, transition.level_block, R, transition)
-
-
-def effective_rabi(system: ObeSystem, coherences) -> np.ndarray:
-    """Rbar = R + XI sum_l G rho_ge(l): drive plus rescattered fields."""
-    return system.rabi + (system.coupling @ coherences.ravel()).reshape(
-        coherences.shape)
-
-
-def obe_rhs(state: SemiclassicalState, system: ObeSystem) -> SemiclassicalState:
+def obe_rhs(state: SemiclassicalState,
+            system: CouplingSystem) -> SemiclassicalState:
     coh, exc = state.coherences, state.excited
     rbar = effective_rabi(system, coh)
     rho_gg = 1.0 - np.einsum("jnn->j", exc)
-    LT = system.level.T
+    LT = system.transition.level_block.T
     dcoh = (1j * coh @ LT - GAMMA * coh
             + 1j * rbar * rho_gg[:, None]
             - 1j * np.einsum("jt,jte->je", rbar, exc))
@@ -125,7 +95,8 @@ def obe_rhs(state: SemiclassicalState, system: ObeSystem) -> SemiclassicalState:
     return SemiclassicalState(dcoh, dexc)
 
 
-def integrate_obe(state0: SemiclassicalState, system: ObeSystem, t_grid):
+def integrate_obe(state0: SemiclassicalState, system: CouplingSystem,
+                  t_grid):
     """Adaptive integration; returns a list of states on t_grid."""
     n, m = state0.natoms, state0.ncomp
 
@@ -136,8 +107,8 @@ def integrate_obe(state0: SemiclassicalState, system: ObeSystem, t_grid):
     return [SemiclassicalState.unflatten(row, n, m) for row in traj]
 
 
-def steady_state_obe(system: ObeSystem, horizon=200.0, residual_tol=1e-10,
-                     refine=True):
+def steady_state_obe(system: CouplingSystem, horizon=200.0,
+                     residual_tol=1e-10, refine=True):
     """March from the ground state to the attractor, then damped-Newton
     refine.
 
@@ -145,7 +116,7 @@ def steady_state_obe(system: ObeSystem, horizon=200.0, residual_tol=1e-10,
     trajectory tail attached when no stationary point is reached (possible
     in bistable/oscillatory regimes).
     """
-    n, m = system.natoms, system.ncomp
+    n, m = system.geometry.natoms, system.transition.components
     t_grid = np.linspace(0.0, horizon, 41)
     traj = integrate_obe(SemiclassicalState.ground(n, m), system, t_grid)
     state = traj[-1]

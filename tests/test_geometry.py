@@ -56,13 +56,13 @@ def test_lattice_invalid_args():
 def test_bilayer_minimal():
     geo = build_bilayer(1, 1, 1.0, 0.8)
     assert np.allclose(sorted(geo.positions[:, 0]), [-0.4, 0.4])
-    assert set(geo.site_labels) == {0, 1}
+    assert len(geo.lattice.layers) == 2
 
 
 def test_stack_counts():
     geo = build_stack(2, 2, 1.0, [0.7, 0.7])
     assert geo.natoms == 12
-    assert set(geo.site_labels) == {0, 1, 2}
+    assert len(geo.lattice.layers) == 3
     xs = np.unique(geo.positions[:, 0])
     assert len(xs) == 3
     assert np.allclose(np.diff(xs), 0.7)
@@ -234,8 +234,21 @@ def test_json_round_trip():
     assert data["units"] == "wavelengths"
     back = Geometry.from_json(doc)
     assert np.allclose(back.positions, geo.positions)
-    assert np.array_equal(back.site_labels, geo.site_labels)
     assert np.allclose(back.fluctuation, geo.fluctuation)
+
+
+def test_from_json_reads_documents_with_site_labels():
+    # documents written before the per-site labels were dropped carry them
+    doc = {"positions": [[0.0, -0.5, 0.0], [0.0, 0.5, 0.0]],
+           "labels": [0, 1], "fluctuation": [0.01, 0.02, 0.02],
+           "units": "wavelengths",
+           "lattice": {"nx": 2, "ny": 1, "spacing": 1.0, "layers": [0.0]}}
+    geo = Geometry.from_json(json.dumps(doc))
+    assert np.allclose(geo.positions / LAMBDA, doc["positions"])
+    assert np.allclose(np.asarray(geo.fluctuation) / LAMBDA,
+                       doc["fluctuation"])
+    assert geo.lattice == Lattice(2, 1, LAMBDA, (0.0,))
+    assert "labels" not in json.loads(geo.to_json())
 
 
 @settings(max_examples=25, deadline=None)

@@ -421,7 +421,7 @@ def test_lattice_table_equals_pair_couplings(geo, kind):
              "tilted": np.array([[1.0], [0.1], [0.3]]) / np.sqrt(1.1),
              "j01": np.eye(3)}[kind].astype(complex)
     table = coupling_matrix(geo, basis)
-    pairs = coupling_matrix(Geometry(geo.positions, geo.site_labels), basis)
+    pairs = coupling_matrix(Geometry(geo.positions), basis)
     assert np.abs(table - pairs).max() <= 1e-14 * np.abs(pairs).max()
     assert np.array_equal(np.diagonal(table), np.diagonal(pairs))
 

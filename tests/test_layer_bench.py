@@ -8,7 +8,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CHEAP = ["infinite.lattice_sums", "semiclassical.obe_rhs",
          "lli.assemble@10x10", "observables.farfield_detector@10x10",
-         "quantum.generator@N6", "quantum.evolve_qme@N6"]
+         "quantum.build_quantum_system@N6", "quantum.generator@N6",
+         "quantum.evolve_qme@N6"]
 
 
 def test_layers_reports_both_trees(tmp_path):

@@ -515,7 +515,7 @@ def test_many_body_signature_diagnostic():
     rho, _ = steady_state_qme(qs)
     C = correlation_table(rho, qs)
     means_q = mean_lowering(rho, qs)
-    system = sc.build_obe_system(geo, EY, drive)
+    system = lli.assemble(geo, EY, drive)
     st, _ = sc.steady_state_obe(system)
     rep = obs.many_body_signature(C, means_q, st.populations(),
                                   st.coherences[:, 0], geo, EY)

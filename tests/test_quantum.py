@@ -13,8 +13,10 @@ from atomarray import lli, quantum as qt
 from atomarray.drives import PlaneWave, no_drive
 from atomarray.errors import (DimensionCapError, NonConvergenceError,
                               PropagatorError, UndefinedG2Error)
-from atomarray.geometry import LAMBDA, Geometry, build_ring, build_square_lattice
-from atomarray.kernel import GAMMA, K, XI, green_tensor
+from atomarray.geometry import (LAMBDA, Geometry, build_ring,
+                                build_square_lattice, coordinate_mirrors,
+                                orbit_basis, sample_positions)
+from atomarray.kernel import GAMMA, K, XI, coupling_matrix, green_tensor
 from atomarray.lli import TransitionSpec
 
 EY = TransitionSpec(levels=2, orientation=(0.0, 1.0, 0.0))
@@ -91,7 +93,6 @@ def test_lowering_operators_index_oracle(layout):
 def test_observables_equal_per_operator_loops(geo, tr):
     """The contracted observables against explicit per-operator traces, and
     the Hamiltonian against its construction from the dense table."""
-    from atomarray.kernel import coupling_matrix
     drive = PlaneWave(amplitude=0.6)
     qs = qt.build_quantum_system(geo, tr, drive)
     rng = np.random.default_rng(8)
@@ -328,6 +329,95 @@ def test_asymmetric_systems_are_one_sector():
         assert qs.sectors.sizes == [qs.dim]
     atom = qt.build_quantum_system(single_atom(), EY, drive)
     assert atom.sectors.kept == () and atom.sectors.sizes == [2]
+
+
+def separate_parity_sectors(geometry, transition, drive):
+    """Oracle: the parity sectors from couplings, a Rabi vector and a
+    mirror search of the master equation's own, as they were found before
+    it read the assembled coupled-dipole system."""
+    C = coupling_matrix(geometry, transition.basis)
+    R = np.zeros(len(C), dtype=complex)
+    if drive is not None:
+        R = transition.rabi(drive.field(geometry.positions)).reshape(-1)
+    n, L = geometry.natoms, transition.levels
+    place = L ** np.arange(n - 1, -1, -1)
+    digits = np.arange(L**n) // place[:, None] % L
+    tol = lli.MIRROR_TOL * np.abs(R).max(initial=0.0)
+    actions = []
+    mirrors = lli.level_mirrors(
+        transition, lli.invariant_mirrors(geometry, transition, C))
+    for perm, (idx, sign) in mirrors.values():
+        for flip in (1.0, -1.0):
+            if np.abs(flip * sign * R[idx] - R).max() <= tol:
+                ext = np.concatenate([[1.0], flip * sign[:L - 1]])
+                actions.append((place[perm] @ digits,
+                                ext[digits].prod(axis=0)))
+                break
+    return orbit_basis(actions, L**n)
+
+
+@st.composite
+def sector_cases(draw):
+    """Rings of 2-5 atoms, 1x2 and 2x2 squares and sampled positions; y,
+    tilted, J=0->1 and Zeeman-split J=0->1 atoms (at most 4 of those);
+    plane drives polarized along y, (y + z)/sqrt2 or (y + iz)/sqrt2, or no
+    drive."""
+    tr = draw(st.sampled_from([
+        EY, TILTED, J01, TransitionSpec(levels=4, zeeman=(0.3, 0.0, 0.3)),
+        TransitionSpec(levels=4, zeeman=(0.2, 0.1, -0.4), detuning=0.3)]))
+    spacing = draw(st.floats(0.2, 0.6)) * LAMBDA
+    shape = draw(st.sampled_from(["ring", "1x2", "2x2", "sampled"]))
+    if shape == "ring":
+        geo = build_ring(draw(st.integers(2, 5 if tr.levels == 2 else 4)),
+                         spacing)
+    elif shape == "sampled":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        geo = sample_positions(build_square_lattice(2, 2, spacing), rng,
+                               0.05 * LAMBDA)
+    else:
+        geo = build_square_lattice(int(shape[0]), 2, spacing)
+    pol = draw(st.sampled_from([(0, 1, 0), (0, 1, 1), (0, 1, 1j), None]))
+    drive = None if pol is None else PlaneWave(
+        amplitude=draw(st.floats(0.1, 2.0)),
+        polarization=tuple(np.array(pol) / np.linalg.norm(pol)))
+    return geo, tr, drive
+
+
+@settings(max_examples=60, deadline=None)
+@given(sector_cases())
+def test_parity_sectors_equal_a_separate_search(case):
+    """The sectors of build_quantum_system, found from the assembled
+    system's cached mirrors and its drive f = i R, equal those of the
+    master equation's own search, entry for entry."""
+    want = separate_parity_sectors(*case)
+    got = qt.build_quantum_system(*case).sectors
+    assert got.kept == want.kept and got.labels == want.labels
+    for name in ("rows", "coefs", "offsets"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("geo, tr", [
+    (build_square_lattice(2, 2, 0.3 * LAMBDA), J01),
+    (build_ring(5, 0.4 * LAMBDA), EY),
+    (build_ring(3, 0.3 * LAMBDA), TILTED)],
+    ids=["square-J01", "ring5", "tilted"])
+def test_build_assembles_once_and_checks_each_mirror_once(geo, tr,
+                                                          monkeypatch):
+    calls = {"coupling_matrix": 0, "invariant": 0}
+
+    def counted(name):
+        original = getattr(lli, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return call
+    for name in calls:
+        monkeypatch.setattr(lli, name, counted(name))
+    qt.build_quantum_system(geo, tr, PlaneWave(amplitude=0.5))
+    proposed = [axis for axis, perm in coordinate_mirrors(geo.positions)
+                .items() if lli.mirror_action(tr, axis, perm) is not None]
+    assert calls == {"coupling_matrix": 1, "invariant": len(proposed)}
 
 
 @settings(max_examples=25, deadline=None)
@@ -568,7 +658,7 @@ def test_many_body_deviation_peaks_at_intermediate_intensity():
         qs = qt.build_quantum_system(geo, EY, drive)
         rho, _ = qt.steady_state_qme(qs)
         means_q = qt.mean_lowering(rho, qs)
-        system = sc.build_obe_system(geo, EY, drive)
+        system = lli.assemble(geo, EY, drive)
         st, _ = sc.steady_state_obe(system, horizon=300.0)
         num = np.linalg.norm(means_q - st.coherences[:, 0])
         den = max(np.linalg.norm(means_q), 1e-12)
@@ -973,6 +1063,29 @@ def test_g2_undefined_without_rate():
     rho = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(UndefinedG2Error):
         qt.g2_regression(qs, np.linspace(0, 1, 3), rho_ss=rho)
+
+
+def test_detection_operator_without_transverse_light_is_undefined():
+    """A polarization along n, and the default along a dipole's own axis
+    (whose transverse part is rounding), reach no detector: an error, not
+    a NaN operator."""
+    import warnings
+    qs = qt.build_quantum_system(pair(0.3 * LAMBDA), EY,
+                                 PlaneWave(amplitude=0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(UndefinedG2Error):
+            qt.detection_operator(qs, 0.0, 0.0, (1.0, 0.0, 0.0))
+        with pytest.raises(UndefinedG2Error):
+            qt.detection_operator(qs, np.pi / 2, 0.0)   # n along y
+        E = qt.detection_operator(qs, np.pi / 2, 1e-3)
+    assert np.isfinite(E).all() and np.abs(E).max() > 0
+
+
+def test_g2_along_a_dipole_axis_is_undefined():
+    qs = qt.build_quantum_system(single_atom(), EY, PlaneWave(amplitude=0.35))
+    with pytest.raises(UndefinedG2Error):
+        qt.g2_regression(qs, np.linspace(0, 1, 3), np.pi / 2, 0.0)
 
 
 def test_dimension_caps():

@@ -4,7 +4,7 @@ import pytest
 from atomarray import lli, semiclassical as sc
 from atomarray.drives import PlaneWave
 from atomarray.geometry import LAMBDA, Geometry, build_square_lattice
-from atomarray.kernel import GAMMA
+from atomarray.kernel import GAMMA, coupling_matrix
 from atomarray.lli import TransitionSpec
 
 EY = TransitionSpec(levels=2, orientation=(0.0, 1.0, 0.0))
@@ -19,7 +19,7 @@ def pair(d):
 
 
 def test_rhs_single_atom_matches_hand_obe():
-    system = sc.build_obe_system(single_atom(), EY, PlaneWave(amplitude=0.4))
+    system = lli.assemble(single_atom(), EY, PlaneWave(amplitude=0.4))
     rng = np.random.default_rng(0)
     p = 0.1 + 0.05j
     n = 0.2
@@ -37,18 +37,51 @@ def test_rhs_single_atom_matches_hand_obe():
 def test_rhs_lli_limit_matches_coupled_dipoles():
     geo = build_square_lattice(2, 2, 0.4 * LAMBDA)
     drive = PlaneWave(amplitude=1e-6)
-    system = sc.build_obe_system(geo, EY, drive)
-    lsys = lli.assemble(geo, EY, drive)
+    system = lli.assemble(geo, EY, drive)
     rng = np.random.default_rng(1)
     coh = 1e-6 * (rng.normal(size=(4, 1)) + 1j * rng.normal(size=(4, 1)))
     st = sc.SemiclassicalState(coh, np.zeros((4, 1, 1), dtype=complex))
     out = sc.obe_rhs(st, system)
-    want = 1j * lsys.H @ coh[:, 0] + lsys.f
+    want = 1j * system.H @ coh[:, 0] + system.f
     assert np.max(np.abs(out.coherences[:, 0] - want)) < 1e-12
 
 
+@pytest.mark.parametrize("tr", [
+    EY, TransitionSpec(levels=4, zeeman=(0.3, 0.0, -0.2), detuning=0.4)],
+    ids=["two-level", "J01-zeeman"])
+def test_obe_rhs_equals_the_separate_coupling_formula(tr):
+    """obe_rhs on the system of lli.assemble against the right-hand side
+    written out with couplings and a drive of its own: Rbar = R + (C -
+    i gamma 1) rho_ge, C from kernel.coupling_matrix; H is left as it is."""
+    geo = build_square_lattice(3, 3, 0.4 * LAMBDA)
+    drive = PlaneWave(amplitude=0.7,
+                      polarization=(0, 1 / np.sqrt(2), 1j / np.sqrt(2)))
+    system = lli.assemble(geo, tr, drive)
+    H = system.H.copy()
+    n, m = geo.natoms, tr.components
+    rng = np.random.default_rng(3)
+    coh = 0.2 * (rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m)))
+    exc = np.einsum("ja,jb->jab", coh.conj(), coh) + 0.1 * np.eye(m)
+    C = coupling_matrix(geo, tr.basis)
+    C[np.diag_indices(len(C))] -= 1j * GAMMA
+    rbar = (tr.rabi(drive.field(geo.positions))
+            + (C @ coh.ravel()).reshape(n, m))
+    LT = tr.level_block.T
+    rho_gg = 1.0 - np.einsum("jnn->j", exc)
+    dcoh = (1j * coh @ LT - GAMMA * coh + 1j * rbar * rho_gg[:, None]
+            - 1j * np.einsum("jt,jte->je", rbar, exc))
+    dexc = (1j * (exc @ LT - LT @ exc) - 2 * GAMMA * exc
+            + 1j * rbar[:, None, :] * np.conj(coh)[:, :, None]
+            - 1j * np.conj(rbar[:, :, None] * np.conj(coh)[:, None, :]))
+    out = sc.obe_rhs(sc.SemiclassicalState(coh, exc), system)
+    for got, want in ((sc.effective_rabi(system, coh), rbar),
+                      (out.coherences, dcoh), (out.excited, dexc)):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.array_equal(system.H, H)
+
+
 def test_saturation_strong_drive():
-    system = sc.build_obe_system(single_atom(), EY, PlaneWave(amplitude=50.0))
+    system = lli.assemble(single_atom(), EY, PlaneWave(amplitude=50.0))
     state, resid = sc.steady_state_obe(system, horizon=60.0)
     assert abs(state.populations()[0] - 0.5) < 1e-3
 
@@ -56,7 +89,7 @@ def test_saturation_strong_drive():
 def test_single_atom_steady_state_exact():
     # N=1, Delta=0: rho_ee = |R|^2/(gamma^2 + 2|R|^2)
     R = 1 / np.sqrt(2)
-    system = sc.build_obe_system(single_atom(), EY, PlaneWave(amplitude=R))
+    system = lli.assemble(single_atom(), EY, PlaneWave(amplitude=R))
     state, _ = sc.steady_state_obe(system)
     want = R**2 / (GAMMA**2 + 2 * R**2)
     assert abs(state.populations()[0] - want) < 1e-10
@@ -71,7 +104,7 @@ def test_obe_pair_matches_qme_at_low_intensity():
     drive = PlaneWave(amplitude=R)
     tr = TransitionSpec(levels=2, orientation=(0, 1, 0), detuning=0.0)
     geo = pair(d)
-    system = sc.build_obe_system(geo, tr, drive)
+    system = lli.assemble(geo, tr, drive)
     state, _ = sc.steady_state_obe(system)
     qsys = build_quantum_system(geo, tr, drive)
     rho, _ = steady_state_qme(qsys)
@@ -88,7 +121,7 @@ def test_obe_steady_state_reaches_lli_at_weak_drive():
     geo = build_square_lattice(3, 3, 0.6 * LAMBDA)
     R = np.sqrt(1e-6 / 2)
     drive = PlaneWave(amplitude=R)
-    system = sc.build_obe_system(geo, EY, drive)
+    system = lli.assemble(geo, EY, drive)
     state, _ = sc.steady_state_obe(system, horizon=120.0)
     lsys = lli.assemble(geo, EY, drive)
     b = lli.steady_state(lsys, 0.0)
@@ -98,7 +131,7 @@ def test_obe_steady_state_reaches_lli_at_weak_drive():
 
 def test_population_bounds_and_hermiticity_along_trajectory():
     geo = pair(0.3 * LAMBDA)
-    system = sc.build_obe_system(geo, EY, PlaneWave(amplitude=2.0))
+    system = lli.assemble(geo, EY, PlaneWave(amplitude=2.0))
     t = np.linspace(0, 10, 21)
     traj = sc.integrate_obe(sc.SemiclassicalState.ground(2), system, t)
     for st in traj:
@@ -250,7 +283,7 @@ def test_j01_single_atom_obe_matches_qme():
     tr = TransitionSpec(levels=4, zeeman=(0.4, 0.0, 0.4), detuning=0.2)
     drive = PlaneWave(amplitude=0.5, polarization=(0, 1, 0))
     geo = single_atom()
-    system = sc.build_obe_system(geo, tr, drive)
+    system = lli.assemble(geo, tr, drive)
     state, _ = sc.steady_state_obe(system)
     qs = build_quantum_system(geo, tr, drive)
     rho, _ = steady_state_qme(qs)
@@ -268,7 +301,7 @@ def test_j01_pair_obe_lli_limit_against_coupled_dipoles():
     tr = TransitionSpec(levels=4, zeeman=(0.2, 0.0, 0.2))
     geo = pair(0.5 * LAMBDA)
     drive = PlaneWave(amplitude=1e-5, polarization=(0, 1, 0))
-    system = sc.build_obe_system(geo, tr, drive)
+    system = lli.assemble(geo, tr, drive)
     state, _ = sc.steady_state_obe(system, horizon=300.0)
     lsys = lli_mod.assemble(geo, tr, drive)
     b = lli_mod.steady_state(lsys, 0.0)
@@ -282,7 +315,7 @@ def test_steady_state_reports_nonconvergence_with_tail():
     # the marching horizon; the error carries the trajectory tail
     from atomarray.errors import NonConvergenceError
     geo = pair(0.12 * LAMBDA)
-    system = sc.build_obe_system(geo, EY, PlaneWave(amplitude=8.0))
+    system = lli.assemble(geo, EY, PlaneWave(amplitude=8.0))
     try:
         state, resid = sc.steady_state_obe(system, horizon=2.0,
                                             residual_tol=1e-14, refine=False)
