@@ -1,8 +1,7 @@
 """Shared solvers: exact propagation (`affine_evolve`) and the checked
 steady-state solve (`solve_checked`) of the linear amplitude models
 dy/dt = A y + f; adaptive DOP853 (`integrate_complex`) only for the
-nonlinear optical Bloch equations and the master equation, whose row
-vector-matrix products go through `row_product`."""
+nonlinear optical Bloch equations and the master equation."""
 from __future__ import annotations
 
 import warnings
@@ -41,7 +40,16 @@ def integrate_complex(rhs, y0, t_grid, rtol=1e-10, atol=1e-12):
         y = yr.view(complex)
         return np.asarray(rhs(t, y), dtype=complex).view(float)
 
-    solver = DOP853(rhs_real, t_grid[0], y0.copy().view(float), t_grid[-1],
+    class Solver(DOP853):
+        def _estimate_error_norm(self, K, h, scale):
+            # scipy's ratio is 0/0 once both error estimates underflow, as
+            # for derivatives of ~1e-159 (a drive of rounding noise); every
+            # step is then rejected.  An error that underflows is zero.
+            with np.errstate(invalid="ignore"):
+                norm = super()._estimate_error_norm(K, h, scale)
+            return 0.0 if np.isnan(norm) and np.isfinite(K).all() else norm
+
+    solver = Solver(rhs_real, t_grid[0], y0.copy().view(float), t_grid[-1],
                     rtol=rtol, atol=atol)
     done = 0
     while solver.status == "running":
@@ -56,14 +64,6 @@ def integrate_complex(rhs, y0, t_grid, rtol=1e-10, atol=1e-12):
             done = reached
             del dense          # its 7 interpolant rows, before the next step
     return out
-
-
-def row_product(B, *blocks) -> np.ndarray:
-    """The row blocks stacked, times B, as one matrix product padded by a
-    row: numpy hands a single row to gemv, whose sums run in another order
-    than gemm's (a trajectory must not see its batch) and which a threaded
-    OpenBLAS runs for complex operands at about 8 ms a call."""
-    return (np.concatenate([*blocks, blocks[0][:1]]) @ B)[:-1]
 
 
 def affine_evolve(A, f, y0, t_grid) -> np.ndarray:

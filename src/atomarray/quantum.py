@@ -87,7 +87,7 @@ from scipy.linalg.lapack import ztrsyl
 from .errors import (DimensionCapError, NonConvergenceError, PropagatorError,
                      UndefinedG2Error)
 from .geometry import Geometry, OrbitBasis, orbit_basis
-from .integrate import integrate_complex, row_product
+from .integrate import integrate_complex
 from .kernel import (GAMMA, direction, direction_angles, farfield_phase,
                      transverse)
 from .lli import (MIRROR_TOL, CouplingSystem, TransitionSpec, assemble,
@@ -700,6 +700,10 @@ def run_trajectories(psi0, system: QuantumSystem, jump_basis: JumpBasis,
         raise PropagatorError(f"eigenbasis propagator differs from expm by "
                               f"{error:.2e} over one output interval")
 
+    def rows(B, *blocks):   # padded: numpy hands one row to gemv, whose sums
+        # run in another order than gemm's; a trajectory must not see its batch
+        return (np.concatenate([*blocks, blocks[0][:1]]) @ B)[:-1]
+
     entropy = np.random.SeedSequence(seed).entropy
 
     def draws(chunk, block):
@@ -708,7 +712,7 @@ def run_trajectories(psi0, system: QuantumSystem, jump_basis: JumpBasis,
                                                  2 * TRAJ_JUMP_BLOCK))
 
     def gap(w, log_r):              # log ||psi||^2 - log r and psi = V w
-        psi = row_product(V.T, w)
+        psi = rows(V.T, w)
         return np.log((psi.conj() * psi).real.sum(axis=1)) - log_r, psi
 
     psi0 = np.asarray(psi0, dtype=complex)
@@ -733,7 +737,7 @@ def run_trajectories(psi0, system: QuantumSystem, jump_basis: JumpBasis,
                 for _ in range(100):    # Newton takes ~5, bisection ~45
                     i = cross[act]
                     wt = c[i] * np.exp(-1j * np.outer(t - t0[i], lam))
-                    P = row_product(V.T, wt, -1j * lam * wt).reshape(2, -1, D)
+                    P = rows(V.T, wt, -1j * lam * wt).reshape(2, -1, D)
                     n2, dn2 = (P[0].conj() * P).real.sum(axis=2)  # and d/dt
                     gt, slope = np.log(n2) - log_r[i], 2.0 * dn2 / n2
                     lo, hi = np.where(gt >= 0, t, lo), np.where(gt < 0, t, hi)
@@ -745,7 +749,7 @@ def run_trajectories(psi0, system: QuantumSystem, jump_basis: JumpBasis,
                     act, lo, hi, t = act[keep], lo[keep], hi[keep], new[keep]
                     if not len(act):
                         break
-                psi_j = row_product(V.T, c[cross] * np.exp(
+                psi_j = rows(V.T, c[cross] * np.exp(
                     -1j * np.outer(tj - t0[cross], lam)))
                 low = np.zeros((len(cross), M, D), dtype=complex)  # s-_i psi
                 low[:, np.arange(M)[:, None], dst] = psi_j[:, src]
@@ -761,7 +765,7 @@ def run_trajectories(psi0, system: QuantumSystem, jump_basis: JumpBasis,
                         > cum).sum(axis=1)
                 chosen = np.einsum("bi,bid->bd", A[pick], low)
                 chosen /= np.linalg.norm(chosen, axis=1, keepdims=True)
-                c[cross], t0[cross] = row_product(Vinv.T, chosen), tj
+                c[cross], t0[cross] = rows(Vinv.T, chosen), tj
                 jumps[cross] = j + 1
                 log_r[cross] = np.log(table[cross, 2 * j + 2])
                 g0[cross] = -log_r[cross]

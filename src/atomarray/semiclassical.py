@@ -32,7 +32,7 @@ import scipy.optimize
 
 from .errors import NonConvergenceError
 from .geometry import LAMBDA
-from .integrate import integrate_complex, row_product
+from .integrate import integrate_complex
 from .kernel import GAMMA
 from .lli import CouplingSystem
 
@@ -74,9 +74,9 @@ class SemiclassicalState:
 def effective_rabi(system: CouplingSystem, coherences) -> np.ndarray:
     """Rbar = R + XI sum_{l != j} G rho_ge(l): the bare drive R = -i f plus
     the fields rescattered by the couplings, (H - i gamma 1) rho_ge, H's
-    diagonal being i gamma (H rho_ge as the row product rho_ge^T H^T)."""
+    diagonal being i gamma."""
     rho = coherences.ravel()
-    rescattered = row_product(system.H.T, rho[None])[0] - 1j * GAMMA * rho
+    rescattered = system.H @ rho - 1j * GAMMA * rho
     return (-1j * system.f + rescattered).reshape(coherences.shape)
 
 

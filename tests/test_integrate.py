@@ -81,6 +81,17 @@ def test_integrate_complex_raises_stiffness_error_on_blow_up():
         integrate_complex(lambda t, y: y * y, [1.0], [0.0, 2.0])
 
 
+def test_integrate_complex_steps_over_derivatives_that_underflow():
+    """A drive of ~1e-159 (a dipole axis with a rounding-noise component)
+    makes DOP853's squared error estimates underflow; the steps are taken
+    and the solution is the linear one."""
+    A = np.array([[0.0, 1e-159j], [1e-159j, 0.0]])
+    y0 = np.array([1.0, 0.0], dtype=complex)
+    y = integrate_complex(lambda t, y: A @ y, y0, [0.0, 200.0],
+                          rtol=1e-11, atol=1e-13)
+    assert np.allclose(y[-1], [1.0, 2e-157j], rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("t", [
     [0.0, 0.01, 0.02, 0.03, 0.5, 0.51, 3.0],   # several times in one step
     [0.3, 1.7],
